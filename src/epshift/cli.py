@@ -217,13 +217,13 @@ def _search_payload(res) -> dict:
 
 
 def _cmd_ip_hindman(ns) -> dict:
-    res = hindman_search(_classes(ns.classes), terms=ns.terms, bound=ns.bound, jobs=ns.jobs)
+    res = hindman_search(_classes(ns.classes), terms=ns.terms, bound=ns.bound)
     return _search_payload(res)
 
 
 def _cmd_ip_iht(ns) -> dict:
     colorings = [_classes(c) for c in ns.coloring]
-    res = iht_search(colorings, terms=ns.terms, bound=ns.bound, jobs=ns.jobs)
+    res = iht_search(colorings, terms=ns.terms, bound=ns.bound)
     return _search_payload(res)
 
 
@@ -289,9 +289,6 @@ def _cmd_filter_extend(ns) -> dict:
     wider = generate_algebra(_sets(ns.base + ns.new), downward=True, cap=ns.cap)
     f = build_partial_ultrafilter(base, count=ns.count)
     g = extend_filter(f, wider, count=ns.count)
-    agreement = all(g.member(a) == f.member(a) for a in base.members)
-    if not agreement:
-        raise ConstructionError("extension disagrees on the base scope")
     report = g.trace["report"]
     return {
         "agreement": True,
@@ -399,8 +396,6 @@ def _cmd_scenario_run(ns) -> dict:
 def _add_common(p: argparse.ArgumentParser, *flags: str) -> None:
     if "cap" in flags:
         p.add_argument("--cap", type=int, default=65536, help="algebra size cap")
-    if "jobs" in flags:
-        p.add_argument("--jobs", type=int, default=1, help="parallel search lanes")
     if "count" in flags:
         p.add_argument("--count", type=int, default=8, help="certificate length")
 
@@ -506,14 +501,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("classes", help='semicolon-joined classes, e.g. "(10);(01)"')
     p.add_argument("--terms", type=int, required=True)
     p.add_argument("--bound", type=int, required=True)
-    _add_common(p, "jobs")
     p.set_defaults(handler=_cmd_ip_hindman)
 
     p = ip_cmds.add_parser("iht", help="iterated Hindman search over colorings")
     p.add_argument("--coloring", action="append", required=True, metavar="CLASSES")
     p.add_argument("--terms", type=int, required=True)
     p.add_argument("--bound", type=int, required=True)
-    _add_common(p, "jobs")
     p.set_defaults(handler=_cmd_ip_iht)
 
     p = ip_cmds.add_parser("pipeline", help="witness from dynamics, not search")

@@ -267,38 +267,43 @@ def generate_algebra(gens, downward: bool, cap: int = 65536) -> Algebra:
     """Close ``gens`` under complement, union, intersection and, when
     ``downward`` is set, all downward translations.
 
-    Every member of the closure has preperiod at most the longest generator
-    preperiod and period dividing the lcm of the generator periods, so the
-    closure is finite; ``cap`` bounds how large it may grow before the
-    search gives up with a :class:`CapacityError`.  Closing under
-    translation by 1 gives all translations, since X-(n+1) = (X-n)-1.
+    The closure is built from its atoms.  Every member has preperiod at
+    most M, the longest generator preperiod, and period dividing L, the
+    lcm of the generator periods, so it is fixed by its bits on the window
+    ``[0, M+L)``.  Window positions with the same column of generator bits
+    form one atom: no boolean operation separates them, and the
+    intersection of the generators and complements that matches the column
+    is exactly the atom.  The atoms are nonempty, disjoint and cover the
+    window, so the closure is exactly the ``2**len(atoms)`` unions of
+    atoms.  ``cap`` is checked against that count before any member is
+    built, raising a :class:`CapacityError` when it is exceeded.
+
+    Translation commutes with the boolean operations, so the downward
+    closure is the algebra generated by the translates ``g - n`` of the
+    generators.  They repeat with period ``|per|`` once ``n >= |pre|``, so
+    the translates with ``n < |pre|+|per|`` give all of them.
     """
     gens = tuple(gens)
     if not gens:
         raise InputError("an algebra needs at least one generator")
     if cap < 1:
         raise InputError("capacity cap must be positive")
-    current: set[EpSet] = set()
-    frontier: list[EpSet] = []
-
-    def add(x: EpSet) -> None:
-        if x not in current:
-            current.add(x)
-            if len(current) > cap:
-                raise CapacityError(
-                    f"algebra closure exceeded the cap of {cap} members"
-                )
-            frontier.append(x)
-
-    for g in gens:
-        add(g)
-    while frontier:
-        x = frontier.pop()
-        add(x.complement())
-        if downward:
-            add(x.translate_down(1))
-        for y in list(current):
-            add(x.union(y))
-            add(x.intersect(y))
-    members = tuple(sorted(current, key=lambda s: s.literal))
+    m = max(len(g.pre) for g in gens)
+    width = m + math.lcm(*(len(g.per) for g in gens))
+    basis = [
+        g.translate_down(n)
+        for g in gens
+        for n in (range(len(g.pre) + len(g.per)) if downward else [0])
+    ]
+    # column of basis bits -> its atom, as a mask with bit n for position n
+    atoms: dict[tuple[str, ...], int] = {}
+    for n, column in enumerate(zip(*(x.window(0, width) for x in basis))):
+        atoms[column] = atoms.get(column, 0) | 1 << n
+    if 2 ** len(atoms) > cap:
+        raise CapacityError(f"algebra closure exceeded the cap of {cap} members")
+    masks = [0]
+    for atom in atoms.values():
+        masks += [mask | atom for mask in masks]
+    words = (format(mask, f"0{width}b")[::-1] for mask in masks)
+    members = tuple(sorted((EpSet(w[:m], w[m:]) for w in words), key=lambda s: s.literal))
     return Algebra(members=members, generators=gens, downward_closed=downward)

@@ -231,10 +231,15 @@ class FilterReport:
     """Axiom audit of a generator against an algebra, with witnesses.
 
     Scope-level checks quantify over the algebra: ultra-dichotomy (exactly
-    one of X, X̄ in F), upward closure, pairwise intersection, member
-    infiniteness.  Per-member checks cover idempotency (D(X) ∈ F),
-    minimality (D(X) syndetic, with gap), and the least positive n with
-    X − n ∈ F.
+    one of X, X̄ in F) and member infiniteness.  Per-member checks cover
+    idempotency (D(X) ∈ F), minimality (D(X) syndetic, with gap), and the
+    least positive n with X − n ∈ F.
+
+    ``upward_closure`` and ``finite_intersection`` always pass: every
+    filter built from FS-tails is upward closed, and since tails nest, a
+    tail whose sums lie in X and one whose sums lie in Y share a later
+    tail whose sums lie in X ∩ Y.  Both are theorems for any generator;
+    the fields stay only to keep the report schema stable.
     """
 
     all_pass: bool
@@ -260,10 +265,15 @@ class FilterReport:
 
 
 def verify_filter(f: PartialUltrafilter, algebra: Algebra) -> FilterReport:
-    """Exhaustively audit the ultrafilter axioms over ``algebra``.
+    """Audit the ultrafilter axioms over ``algebra``.
 
-    Failures are verdicts with witnesses, not exceptions: a generator may
-    legitimately fail dichotomy on an algebra it was not built for.
+    Dichotomy and infiniteness are checked on every member, and each
+    selected member gets its idempotency, minimality and Hirst entry.
+    Upward closure and pairwise intersection are not re-checked: they are
+    theorems for FS-tail filters (see :class:`FilterReport`) and always
+    pass.  Failures are verdicts with witnesses, not exceptions: a
+    generator may legitimately fail dichotomy on an algebra it was not
+    built for.
     """
     selected = f.members_of(algebra)
     in_f = set(selected)
@@ -282,32 +292,13 @@ def verify_filter(f: PartialUltrafilter, algebra: Algebra) -> FilterReport:
     if neither:
         dichotomy["neither"] = neither
 
-    up_fails = [
-        {"subset": x.literal, "superset": y.literal}
-        for x in selected
-        for y in algebra.members
-        if x.issubset(y) and not f.member(y)
-    ]
-    upward = {"pass": not up_fails}
-    if up_fails:
-        upward["witnesses"] = up_fails
-
-    meet_fails = []
-    for i, x in enumerate(selected):
-        for y in selected[i:]:
-            if not f.member(x.intersect(y)):
-                meet_fails.append({"x": x.literal, "y": y.literal, "meet": x.intersect(y).literal})
-    meets = {"pass": not meet_fails}
-    if meet_fails:
-        meets["witnesses"] = meet_fails
-
     finite_members = [x.literal for x in selected if not x.is_infinite()]
     infiniteness = {"pass": not finite_members}
     if finite_members:
         infiniteness["witnesses"] = finite_members
 
     member_reports = []
-    ok = dichotomy["pass"] and upward["pass"] and meets["pass"] and infiniteness["pass"]
+    ok = dichotomy["pass"] and infiniteness["pass"]
     for x in selected:
         d = translate_membership_set(f, x)
         idem = f.member(d)
@@ -333,8 +324,8 @@ def verify_filter(f: PartialUltrafilter, algebra: Algebra) -> FilterReport:
         generator=f.generator.literal,
         scope_size=len(algebra),
         dichotomy=dichotomy,
-        upward_closure=upward,
-        finite_intersection=meets,
+        upward_closure={"pass": True},
+        finite_intersection={"pass": True},
         infiniteness=infiniteness,
         members=tuple(member_reports),
     )

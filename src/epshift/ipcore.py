@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -415,16 +414,14 @@ def _search_from(
                 if got is not None:
                     return got
             if d == 0:
-                return None  # first element is pinned per search lane
+                return None  # the caller pins the first element
             v += 1
         return None
 
     return extend([], 0, frozenset(), [], [])
 
 
-def iht_search(
-    colorings, terms: int, bound: int, jobs: int = 1
-) -> FsSearchResult:
+def iht_search(colorings, terms: int, bound: int) -> FsSearchResult:
     """Least ascending witness whose suffix finite sums are homogeneous.
 
     With k = terms and colorings c_0..c_{r-1}, searches for x_0 < … <
@@ -441,36 +438,14 @@ def iht_search(
         raise InputError("witness needs at least 2 terms")
     if bound < 1:
         raise InputError("bound must be positive")
-    if jobs < 1:
-        raise InputError("jobs must be positive")
     length = terms + len(colorings) - 1
     tables = [_color_table(c, bound) for c in colorings]
 
-    firsts = range(1, bound + 1)
-    if jobs == 1:
-        for first in firsts:
-            got = _search_from(first, length, bound, tables)
-            if got is not None:
-                return _finish(got, colorings, bound)
-        return FsSearchResult(found=False, bound=bound)
-
-    # workers take interleaved first-element lanes; the least witness over
-    # lanes is the global least because witnesses sort by first element
-    def lane(w: int) -> tuple[int, ...] | None:
-        best = None
-        for first in range(1 + w, bound + 1, jobs):
-            got = _search_from(first, length, bound, tables)
-            if got is not None and (best is None or got < best):
-                best = got
-                break  # later firsts in this lane are lexicographically larger
-        return best
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(lane, range(jobs)))
-    winners = [r for r in results if r is not None]
-    if not winners:
-        return FsSearchResult(found=False, bound=bound)
-    return _finish(min(winners), colorings, bound)
+    for first in range(1, bound + 1):
+        got = _search_from(first, length, bound, tables)
+        if got is not None:
+            return _finish(got, colorings, bound)
+    return FsSearchResult(found=False, bound=bound)
 
 
 def _finish(
@@ -491,9 +466,9 @@ def _finish(
     )
 
 
-def hindman_search(classes, terms: int, bound: int, jobs: int = 1) -> FsSearchResult:
+def hindman_search(classes, terms: int, bound: int) -> FsSearchResult:
     """Least k-term witness with all finite sums in one color class."""
-    return iht_search([classes], terms, bound, jobs=jobs)
+    return iht_search([classes], terms, bound)
 
 
 def verify_iht_witness(witness, colorings, max_sum_terms: int | None = None) -> list[str]:

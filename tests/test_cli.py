@@ -61,6 +61,12 @@ class TestExitCodes:
         )
         assert code == 3 and out == "" and "cap" in err
 
+    def test_cap_checked_before_members_are_built(self, run):
+        code, out, err = run(
+            "set", "algebra", "(1101000101)", "(100)", "--downward", "--cap", "100000000"
+        )
+        assert code == 3 and out == "" and "cap of 100000000" in err
+
     def test_aet_pair_error(self, run):
         code, _, err = run("ip", "construct", "(10)", "(01)")
         assert code == 2 and "proximal" in err
@@ -178,6 +184,11 @@ class TestSubcommandSchemas:
         d = json.loads(out)
         assert d["all_pass"] is True and d["members"] == ["(1)", "(10)"]
         assert d["stages"]["encoded_point"] == "(1);(10);(0);(01)"
+
+    def test_filter_build_4096_members(self, run):
+        code, out, _ = run("filter", "build", "(1101)", "(100)", "--cap", "4096")
+        d = json.loads(out)
+        assert code == 0 and d["scope_size"] == 4096 and d["all_pass"] is True
 
     def test_filter_verify_fail_verdict(self, run):
         code, out, _ = run("filter", "verify", "--gen", "1,2+(3,1)", "--downward", "(10)")
@@ -311,26 +322,3 @@ class TestDeterminism:
         for argv in self.CORPUS:
             outs = {run(*argv)[1] for _ in range(3)}
             assert len(outs) == 1, argv
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("ip", "hindman", "(100);(010);(001)", "--terms", "3", "--bound", "40"),
-            (
-                "ip",
-                "iht",
-                "--coloring",
-                "(10);(01)",
-                "--coloring",
-                "(1000);(0111)",
-                "--terms",
-                "3",
-                "--bound",
-                "64",
-            ),
-        ],
-    )
-    def test_jobs_do_not_change_output(self, run, argv):
-        base = run(*argv, "--jobs", "1")[1]
-        for jobs in ("2", "4"):
-            assert run(*argv, "--jobs", jobs)[1] == base

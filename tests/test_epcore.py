@@ -244,6 +244,52 @@ class TestFirstMemberAtLeast:
         assert got == want
 
 
+# Oracle: close the generators under the operations one new member at a
+# time, pairing it with every member found so far.  No windows, no atoms.
+
+
+def brute_closure(gens, downward: bool, cap: int) -> tuple[EpSet, ...]:
+    current: set[EpSet] = set()
+    frontier: list[EpSet] = []
+
+    def add(x: EpSet) -> None:
+        if x not in current:
+            current.add(x)
+            if len(current) > cap:
+                raise CapacityError(f"algebra closure exceeded the cap of {cap} members")
+            frontier.append(x)
+
+    for g in gens:
+        add(g)
+    while frontier:
+        x = frontier.pop()
+        add(x.complement())
+        if downward:
+            add(x.translate_down(1))
+        for y in list(current):
+            add(x.union(y))
+            add(x.intersect(y))
+    return tuple(sorted(current, key=lambda s: s.literal))
+
+
+def closure_outcome(build, gens, downward: bool, cap: int) -> list[str] | str:
+    try:
+        return [m.literal for m in build(gens, downward, cap)]
+    except CapacityError as exc:
+        return str(exc)
+
+
+def atom_closure(gens, downward: bool, cap: int) -> tuple[EpSet, ...]:
+    return generate_algebra(gens, downward=downward, cap=cap).members
+
+
+small_sets = st.builds(
+    EpSet,
+    st.text(alphabet="01", min_size=0, max_size=4),
+    st.text(alphabet="01", min_size=1, max_size=6),
+)
+
+
 class TestAlgebra:
     def test_single_full(self):
         alg = generate_algebra([FULL], downward=False)
@@ -290,6 +336,15 @@ class TestAlgebra:
     def test_empty_generators_rejected(self):
         with pytest.raises(InputError):
             generate_algebra([], downward=True)
+
+    @given(st.lists(small_sets, min_size=1, max_size=3), st.booleans())
+    def test_matches_brute_closure(self, gens, downward):
+        want = closure_outcome(brute_closure, gens, downward, 128)
+        caps = [128] if isinstance(want, str) else [len(want) - 1, len(want)]
+        for cap in caps:
+            assert closure_outcome(atom_closure, gens, downward, cap) == closure_outcome(
+                brute_closure, gens, downward, cap
+            )
 
     @given(st.lists(ep_sets, min_size=1, max_size=2))
     def test_generators_kept(self, gens):

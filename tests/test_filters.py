@@ -17,6 +17,7 @@ from epshift.epcore import (
 from epshift.dynamics import SymbolicPoint, ae_solve, are_proximal, encode_point, is_uniformly_recurrent
 from epshift.ipcore import IpGenerator
 from epshift.filters import (
+    FilterReport,
     PartialUltrafilter,
     build_partial_ultrafilter,
     central_check,
@@ -202,6 +203,84 @@ class TestBuildFilter:
             assert entry["gap"] >= 0 and entry["hirst_witness"] >= 1
 
 
+def brute_verify(f: PartialUltrafilter, algebra) -> FilterReport:
+    """verify_filter with upward closure and pairwise intersection checked
+    pair by pair over the algebra instead of taken as theorems."""
+    selected = f.members_of(algebra)
+    in_f = set(selected)
+
+    both = []
+    neither = []
+    for x in algebra.members:
+        a, b = x in in_f, f.member(x.complement())
+        if a and b:
+            both.append(x.literal)
+        elif not a and not b:
+            neither.append(x.literal)
+    dichotomy = {"pass": not both and not neither}
+    if both:
+        dichotomy["both"] = both
+    if neither:
+        dichotomy["neither"] = neither
+
+    up_fails = [
+        {"subset": x.literal, "superset": y.literal}
+        for x in selected
+        for y in algebra.members
+        if x.issubset(y) and not f.member(y)
+    ]
+    upward = {"pass": not up_fails}
+    if up_fails:
+        upward["witnesses"] = up_fails
+
+    meet_fails = []
+    for i, x in enumerate(selected):
+        for y in selected[i:]:
+            if not f.member(x.intersect(y)):
+                meet_fails.append({"x": x.literal, "y": y.literal, "meet": x.intersect(y).literal})
+    meets = {"pass": not meet_fails}
+    if meet_fails:
+        meets["witnesses"] = meet_fails
+
+    finite_members = [x.literal for x in selected if not x.is_infinite()]
+    infiniteness = {"pass": not finite_members}
+    if finite_members:
+        infiniteness["witnesses"] = finite_members
+
+    member_reports = []
+    ok = dichotomy["pass"] and upward["pass"] and meets["pass"] and infiniteness["pass"]
+    for x in selected:
+        d = translate_membership_set(f, x)
+        idem = f.member(d)
+        gap = d.is_syndetic()
+        entry: dict = {
+            "set": x.literal,
+            "translate_set": d.literal,
+            "idempotent": idem,
+            "minimal": gap.syndetic,
+        }
+        if gap.syndetic:
+            entry["gap"] = gap.bound
+        n = d.first_member_at_least(1)
+        hirst = n is not None and f.member(x.translate_down(n))
+        entry["hirst"] = hirst
+        if hirst:
+            entry["hirst_witness"] = n
+        ok = ok and idem and gap.syndetic and hirst
+        member_reports.append(entry)
+
+    return FilterReport(
+        all_pass=ok,
+        generator=f.generator.literal,
+        scope_size=len(algebra),
+        dichotomy=dichotomy,
+        upward_closure=upward,
+        finite_intersection=meets,
+        infiniteness=infiniteness,
+        members=tuple(member_reports),
+    )
+
+
 class TestVerifyFilter:
     def test_audit_failure_example(self):
         alg = generate_algebra([EVENS], downward=True)
@@ -233,6 +312,15 @@ class TestVerifyFilter:
             "infiniteness",
             "members",
         ]
+
+    @pytest.mark.parametrize("gens", [["(10)"], ["(100)"], ["1(10)"], ["(110)"], ["(10)", "(100)"]])
+    @pytest.mark.parametrize("gen", [None, "1,2+(3,1)", "1+(2)", "2,4+(6)", "3+(3)"])
+    def test_matches_brute_verify(self, gens, gen):
+        alg = generate_algebra([EpSet.parse(t) for t in gens], downward=True)
+        g = build_partial_ultrafilter(alg).generator if gen is None else IpGenerator.parse(gen)
+        got = verify_filter(PartialUltrafilter(generator=g, scope=alg), alg)
+        want = brute_verify(PartialUltrafilter(generator=g, scope=alg), alg)
+        assert got.as_dict() == want.as_dict()
 
     def test_report_member_entries(self):
         alg = generate_algebra([EVENS], downward=True)

@@ -359,16 +359,6 @@ class TestIhtSearch:
         r = iht_search([PARITY, MOD4_ZERO], terms=2, bound=64)
         assert verify_iht_witness(r.witness, [PARITY, MOD4_ZERO]) == []
 
-    @pytest.mark.parametrize("jobs", [2, 3, 4, 7])
-    def test_jobs_do_not_change_result(self, jobs):
-        seq = iht_search([PARITY, MOD4_ZERO], terms=2, bound=64)
-        par = iht_search([PARITY, MOD4_ZERO], terms=2, bound=64, jobs=jobs)
-        assert seq == par
-        assert hindman_search(MOD3, 3, 40) == hindman_search(MOD3, 3, 40, jobs=jobs)
-
-    def test_jobs_on_exhausted(self):
-        assert iht_search([PARITY], 2, 2, jobs=4) == iht_search([PARITY], 2, 2)
-
 
 class TestVerifyIhtWitness:
     def test_accepts_good(self):
