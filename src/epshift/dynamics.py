@@ -374,12 +374,16 @@ class Cylinder:
     def trivial(self) -> bool:
         return self.coord_depth == 0 or self.pos_depth == 0
 
-    def contains(self, z: SymbolicPoint) -> bool:
+    def contains(self, z: SymbolicPoint, n: int = 0) -> bool:
+        """Whether T^n z lies in the cylinder, read off z's windows at
+        positions n .. n+pos_depth-1 without building the shifted point."""
         if z.coord_count != self.reference.coord_count:
             raise InputError("points live in products of different sizes")
+        if n < 0:
+            raise InputError("shift count must be a natural number")
         k = self.pos_depth
         return all(
-            z.coords[j].window(0, k) == self.reference.coords[j].window(0, k)
+            z.coords[j].window(n, n + k) == self.reference.coords[j].window(0, k)
             for j in range(self.coord_depth)
         )
 
@@ -447,7 +451,7 @@ def covering_bound(y: SymbolicPoint, u: Cylinder) -> int:
     period = y.lcm_period
     entries = []
     for z in orbit:
-        n = next((n for n in range(period) if u.contains(z.shift(n))), None)
+        n = next((n for n in range(period) if u.contains(z, n)), None)
         if n is None:
             listing = ", ".join(p.literal for p in orbit)
             raise InputError(

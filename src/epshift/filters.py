@@ -184,9 +184,9 @@ def filter_member(g: IpGenerator, x: EpSet) -> MemberResult:
 class PartialUltrafilter:
     """F((n_i)) restricted to a scope algebra, with a decision cache.
 
-    The cache is the only mutable state and behaves as a pure memo: every
-    fill writes the deterministic verdict for its key, so concurrent
-    duplicate fills are harmless.
+    The cache is the only mutable state and is a pure memo: every fill
+    writes the deterministic verdict for its key, so a hit returns what a
+    fresh ``filter_member`` call would.
     """
 
     generator: IpGenerator

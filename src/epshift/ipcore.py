@@ -203,9 +203,9 @@ def verify_ip_certificate(cert: IpConstructionCertificate) -> list[str]:
             failures.append(f"U_{i + 1} is not contained in U_{i}")
         if not us[i + 1].shift_image_subset(n, us[i]):
             failures.append(f"T^{n} U_{i + 1} is not contained in U_{i}")
-        if not us[i + 1].contains(shift(x, n)):
+        if not us[i + 1].contains(x, n):
             failures.append(f"T^{n} x misses U_{i + 1}")
-        if not us[i + 1].contains(shift(y, n)):
+        if not us[i + 1].contains(y, n):
             failures.append(f"T^{n} y misses U_{i + 1}")
     for i, u in enumerate(us):
         if not u.within_ball(y, i):
@@ -349,78 +349,6 @@ class FsSearchResult:
     sums: tuple[int, ...] | None = None
 
 
-def _color_table(classes: tuple[EpSet, ...], bound: int) -> list[int]:
-    table = []
-    for n in range(bound + 1):
-        table.append(next((i for i, c in enumerate(classes) if c.member(n)), -1))
-    return table
-
-
-def _search_from(
-    first: int,
-    length: int,
-    bound: int,
-    tables: list[list[int]],
-) -> tuple[int, ...] | None:
-    """Least witness (by tuple order) starting with ``first``, or None.
-
-    Suffix-sum sets are grown incrementally: adding v to the witness adds
-    v plus v-translates of each tracked suffix set; coloring j's suffix
-    starts at element j.  All sums, including cross-suffix ones, must be
-    pairwise distinct and <= bound, which the running total guards since
-    the total is the largest sum.
-    """
-    ncols = len(tables)
-
-    def extend(
-        chosen: list[int],
-        total: int,
-        all_sums: frozenset[int],
-        suffix: list[frozenset[int]],
-        colors: list[int],
-    ) -> tuple[int, ...] | None:
-        d = len(chosen)
-        if d == length:
-            return tuple(chosen)
-        v = chosen[-1] + 1 if chosen else first
-        while total + v <= bound:
-            new_suffix = list(suffix)
-            new_colors = list(colors)
-            new_all: set[int] = set()
-            ok = True
-            if d < ncols:
-                # v opens coloring d's suffix and fixes its color
-                new_suffix.append(frozenset())
-                new_colors.append(tables[d][v])
-            for j in range(len(new_suffix)):
-                grown = {v} | {s + v for s in new_suffix[j]}
-                if j < ncols:
-                    cj = new_colors[j]
-                    if any(tables[j][s] != cj for s in grown):
-                        ok = False
-                        break
-                new_all |= grown
-                new_suffix[j] = new_suffix[j] | frozenset(grown)
-            # old sums are pairwise distinct by induction, so new sums
-            # (old + v) are too; only new-vs-old collisions can occur
-            if ok and not (new_all & all_sums):
-                got = extend(
-                    chosen + [v],
-                    total + v,
-                    all_sums | new_all,
-                    new_suffix,
-                    new_colors,
-                )
-                if got is not None:
-                    return got
-            if d == 0:
-                return None  # the caller pins the first element
-            v += 1
-        return None
-
-    return extend([], 0, frozenset(), [], [])
-
-
 def iht_search(colorings, terms: int, bound: int) -> FsSearchResult:
     """Least ascending witness whose suffix finite sums are homogeneous.
 
@@ -439,31 +367,60 @@ def iht_search(colorings, terms: int, bound: int) -> FsSearchResult:
     if bound < 1:
         raise InputError("bound must be positive")
     length = terms + len(colorings) - 1
-    tables = [_color_table(c, bound) for c in colorings]
+    tables = [[color_of(c, n) for n in range(bound + 1)] for c in colorings]
 
-    for first in range(1, bound + 1):
-        got = _search_from(first, length, bound, tables)
-        if got is not None:
-            return _finish(got, colorings, bound)
-    return FsSearchResult(found=False, bound=bound)
+    def extend(
+        chosen: list[int],
+        total: int,
+        suffix: list[frozenset[int]],
+        colors: list[int],
+    ) -> FsSearchResult | None:
+        """Least completion of ``chosen`` in lexicographic order, or None.
 
+        ``suffix[j]`` holds the finite sums of ``chosen[j:]`` and
+        ``colors[j]`` their color under coloring j; coloring d's suffix
+        opens at element d.  Suffix 0 holds every sum, and the sums stay
+        pairwise distinct, so it lists them all exactly once.  The running
+        total is the largest sum, so it guards the bound.
+        """
+        d = len(chosen)
+        if d == length:
+            return FsSearchResult(
+                found=True,
+                bound=bound,
+                witness=tuple(chosen),
+                colors=tuple(colors),
+                sums=tuple(sorted(suffix[0])),
+            )
+        # while d < r, the next element opens coloring d's suffix and fixes its color
+        opens = d < len(tables)
+        if opens:
+            suffix = suffix + [frozenset()]
+        v = chosen[-1] + 1 if chosen else 1
+        while total + v <= bound:
+            cols = colors + [tables[d][v]] if opens else colors
+            for j, old in enumerate(suffix):
+                table, cj = tables[j], cols[j]
+                if table[v] != cj or any(table[s + v] != cj for s in old):
+                    break
+            else:
+                # old sums are pairwise distinct by induction, so new sums
+                # (old + v) are too; only new-vs-old collisions can occur
+                sums = suffix[0]
+                if v not in sums and sums.isdisjoint(s + v for s in sums):
+                    got = extend(
+                        chosen + [v],
+                        total + v,
+                        [old.union([v], [s + v for s in old]) for old in suffix],
+                        cols,
+                    )
+                    if got is not None:
+                        return got
+            v += 1
+        return None
 
-def _finish(
-    witness: tuple[int, ...], colorings, bound: int
-) -> FsSearchResult:
-    sums = sorted(
-        sum(combo)
-        for size in range(1, len(witness) + 1)
-        for combo in combinations(witness, size)
-    )
-    colors = tuple(color_of(c, witness[j]) for j, c in enumerate(colorings))
-    return FsSearchResult(
-        found=True,
-        bound=bound,
-        witness=witness,
-        colors=colors,
-        sums=tuple(sums),
-    )
+    got = extend([], 0, [], [])
+    return got if got is not None else FsSearchResult(found=False, bound=bound)
 
 
 def hindman_search(classes, terms: int, bound: int) -> FsSearchResult:

@@ -439,6 +439,19 @@ class TestCylinder:
             Cylinder(pt("(01)"), 2, 1)
         with pytest.raises(InputError):
             Cylinder(pt("(01)"), 1, -1)
+        with pytest.raises(InputError):
+            Cylinder(pt("(01)"), 1, 1).contains(pt("(01)"), -1)
+
+    @given(same_size_pair())
+    def test_offset_matches_shifted_point(self, pair):
+        ref, z = pair
+        horizon = 2 * (z.max_preperiod + z.lcm_period)
+        for r in (ref, z):
+            for i in range(r.coord_count + 1):
+                for k in range(5):
+                    u = Cylinder(r, i, k)
+                    for n in range(horizon):
+                        assert u.contains(z, n) == u.contains(shift(z, n))
 
     def test_subset_of(self):
         ref = pt("(01);(0011)")

@@ -360,6 +360,39 @@ class TestIhtSearch:
         assert verify_iht_witness(r.witness, [PARITY, MOD4_ZERO]) == []
 
 
+@st.composite
+def small_partitions(draw):
+    """2-3 classes, preperiod <= 2, period <= 4; a class may be empty."""
+    k = draw(st.integers(min_value=2, max_value=3))
+    labels = st.integers(min_value=0, max_value=k - 1)
+    pre = draw(st.lists(labels, max_size=2))
+    per = draw(st.lists(labels, min_size=1, max_size=4))
+
+    def bits(ls, i):
+        return "".join("1" if c == i else "0" for c in ls)
+
+    return [EpSet(bits(pre, i), bits(per, i)) for i in range(k)]
+
+
+class TestSearchVsBrute:
+    @given(
+        st.lists(small_partitions(), min_size=1, max_size=2),
+        st.integers(min_value=2, max_value=3),
+        st.integers(min_value=1, max_value=20),
+    )
+    def test_least_witness_sums_and_colors(self, colorings, terms, bound):
+        got = iht_search(colorings, terms, bound)
+        want = brute_least_witness(colorings, terms, bound)
+        if want is None:
+            assert got == FsSearchResult(found=False, bound=bound)
+            return
+        assert got.found and got.witness == want
+        assert got.sums == tuple(sorted(
+            sum(sub) for size in range(1, len(want) + 1) for sub in combinations(want, size)
+        ))
+        assert got.colors == tuple(color_of(c, want[j]) for j, c in enumerate(colorings))
+
+
 class TestVerifyIhtWitness:
     def test_accepts_good(self):
         assert verify_iht_witness((2, 4, 8), [PARITY]) == []
