@@ -356,6 +356,23 @@ def iht_search(colorings, terms: int, bound: int) -> FsSearchResult:
     x_{N-1}, N = k + r - 1, such that FS((x_i)_{i>=j}) is monochromatic
     for c_j for every j, with all sums pairwise distinct and <= bound.
     Returns the lexicographically least witness or exhaustion at bound.
+
+    Sets of naturals are Python ints used as bitsets, bit n standing for n:
+
+    - ``on[j][c]`` holds the n <= bound in class c of coloring j;
+    - ``allowed[j]``, for each open suffix j with sums S_j and color
+      c_j, holds the w with w + t in class c_j for t = 0 and every t in
+      S_j; it starts as ``on[j][c_j]`` when element d = j opens the
+      suffix;
+    - ``sums`` holds every finite sum of the chosen elements (suffix 0).
+
+    Appending v turns T = {0} ∪ S_j into T ∪ (T + v), and
+    ⋂_{t ∈ T} (on >> (t + v)) is ``allowed[j] >> v``, so the child's mask
+    is ``a & (a >> v)``: one shift per suffix per child, however many sums
+    the suffix has.  A candidate v in (last, bound - total] must also keep
+    the sums pairwise distinct: v + s is in ``sums`` iff bit v of
+    ``sums >> s`` is set, so v misses ``sums`` and every ``sums >> s``
+    for s in ``sums``.
     """
     colorings = [validate_partition(c) for c in colorings]
     if not colorings:
@@ -367,21 +384,39 @@ def iht_search(colorings, terms: int, bound: int) -> FsSearchResult:
     if bound < 1:
         raise InputError("bound must be positive")
     length = terms + len(colorings) - 1
-    tables = [[color_of(c, n) for n in range(bound + 1)] for c in colorings]
+    window = (1 << (bound + 1)) - 1
+
+    def class_mask(x: EpSet) -> int:
+        """The n <= bound in x: the preperiod bits, then the period word
+        doubled until it covers the window."""
+        m, w = len(x.pre), len(x.per)
+        body = int(x.per[::-1], 2)
+        while m + w <= bound:
+            body |= body << w
+            w *= 2
+        return (int(x.pre[::-1] or "0", 2) | body << m) & window
+
+    def bits(x: int):
+        """The positions of the set bits of x >= 0, lowest first."""
+        while x:
+            low = x & -x
+            yield low.bit_length() - 1
+            x ^= low
+
+    on = [[class_mask(x) for x in c] for c in colorings]
 
     def extend(
         chosen: list[int],
         total: int,
-        suffix: list[frozenset[int]],
+        sums: int,
+        allowed: list[int],
         colors: list[int],
     ) -> FsSearchResult | None:
         """Least completion of ``chosen`` in lexicographic order, or None.
 
-        ``suffix[j]`` holds the finite sums of ``chosen[j:]`` and
-        ``colors[j]`` their color under coloring j; coloring d's suffix
-        opens at element d.  Suffix 0 holds every sum, and the sums stay
-        pairwise distinct, so it lists them all exactly once.  The running
-        total is the largest sum, so it guards the bound.
+        ``allowed[j]`` and ``colors[j]`` belong to the open suffix j;
+        coloring d's suffix opens at element d.  The running total is the
+        largest sum, so it guards the bound.
         """
         d = len(chosen)
         if d == length:
@@ -390,36 +425,40 @@ def iht_search(colorings, terms: int, bound: int) -> FsSearchResult:
                 bound=bound,
                 witness=tuple(chosen),
                 colors=tuple(colors),
-                sums=tuple(sorted(suffix[0])),
+                sums=tuple(bits(sums)),
             )
+        last = chosen[-1] if chosen else 0
+        cand = ((1 << (bound - total + 1)) - 1) >> (last + 1) << (last + 1)
+        for a in allowed:
+            cand &= a
+        if not cand:  # most nodes end here, before the collision mask
+            return None
+        # old sums are pairwise distinct by induction, so new sums (old + v)
+        # are too; only new-vs-old collisions can occur
+        collide = sums
+        for s in bits(sums):
+            collide |= sums >> s
+        cand &= ~collide
         # while d < r, the next element opens coloring d's suffix and fixes its color
-        opens = d < len(tables)
-        if opens:
-            suffix = suffix + [frozenset()]
-        v = chosen[-1] + 1 if chosen else 1
-        while total + v <= bound:
-            cols = colors + [tables[d][v]] if opens else colors
-            for j, old in enumerate(suffix):
-                table, cj = tables[j], cols[j]
-                if table[v] != cj or any(table[s + v] != cj for s in old):
-                    break
-            else:
-                # old sums are pairwise distinct by induction, so new sums
-                # (old + v) are too; only new-vs-old collisions can occur
-                sums = suffix[0]
-                if v not in sums and sums.isdisjoint(s + v for s in sums):
-                    got = extend(
-                        chosen + [v],
-                        total + v,
-                        [old.union([v], [s + v for s in old]) for old in suffix],
-                        cols,
-                    )
-                    if got is not None:
-                        return got
-            v += 1
+        opens = d < len(on)
+        for v in bits(cand):
+            grown, cols = allowed, colors
+            if opens:
+                low = 1 << v
+                c = next(i for i, m in enumerate(on[d]) if m & low)
+                grown, cols = allowed + [on[d][c]], colors + [c]
+            got = extend(
+                chosen + [v],
+                total + v,
+                sums | 1 << v | sums << v,
+                [a & (a >> v) for a in grown],
+                cols,
+            )
+            if got is not None:
+                return got
         return None
 
-    got = extend([], 0, [], [])
+    got = extend([], 0, 0, [], [])
     return got if got is not None else FsSearchResult(found=False, bound=bound)
 
 

@@ -169,6 +169,14 @@ class TestSubcommandSchemas:
         assert d["sums"] == [2, 4, 6, 8, 10, 12, 14]
         assert d["colors"] == [0]
 
+    def test_hindman_large_bound(self, run):
+        code, out, _ = run("ip", "hindman", "(10);(01)", "--terms", "3", "--bound", "3000000")
+        assert code == 0
+        assert out == (
+            '{"found": true, "bound": 3000000, "witness": [2, 4, 8], '
+            '"sums": [2, 4, 6, 8, 10, 12, 14], "colors": [0]}\n'
+        )
+
     def test_pipeline(self, run):
         _, out, _ = run("ip", "pipeline", "--coloring", "(10);(01)", "--terms", "4")
         d = json.loads(out)

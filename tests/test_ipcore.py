@@ -4,7 +4,7 @@ import math
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epshift.epcore import ConstructionError, EpSet, InputError, LiteralError
@@ -280,10 +280,11 @@ def brute_least_witness(colorings, terms, bound):
 
 class TestHindmanSearch:
     def test_parity_frozen(self):
-        r = hindman_search(PARITY, terms=3, bound=20)
-        assert r.found and r.witness == (2, 4, 8)
-        assert r.sums == (2, 4, 6, 8, 10, 12, 14)
-        assert r.colors == (0,)
+        for bound in (20, 3_000_000):
+            r = hindman_search(PARITY, terms=3, bound=bound)
+            assert r.found and r.witness == (2, 4, 8)
+            assert r.sums == (2, 4, 6, 8, 10, 12, 14)
+            assert r.colors == (0,)
 
     def test_single_class(self):
         r = hindman_search([EpSet.parse("(1)")], terms=4, bound=20)
@@ -361,17 +362,77 @@ class TestIhtSearch:
 
 
 @st.composite
-def small_partitions(draw):
-    """2-3 classes, preperiod <= 2, period <= 4; a class may be empty."""
+def small_partitions(draw, max_period=4):
+    """2-3 classes, preperiod <= 2, period <= max_period; a class may be empty."""
     k = draw(st.integers(min_value=2, max_value=3))
     labels = st.integers(min_value=0, max_value=k - 1)
     pre = draw(st.lists(labels, max_size=2))
-    per = draw(st.lists(labels, min_size=1, max_size=4))
+    per = draw(st.lists(labels, min_size=1, max_size=max_period))
 
     def bits(ls, i):
         return "".join("1" if c == i else "0" for c in ls)
 
     return [EpSet(bits(pre, i), bits(per, i)) for i in range(k)]
+
+
+def frozenset_search(colorings, terms, bound):
+    """Reference search over frozenset suffixes: one colour table entry per
+    n <= bound, and every candidate tested sum by sum."""
+    colorings = [validate_partition(c) for c in colorings]
+    if not colorings:
+        raise InputError("need at least one coloring")
+    if len(colorings) > 8 or any(len(c) > 8 for c in colorings):
+        raise InputError("at most 8 colorings of at most 8 classes")
+    if terms < 2:
+        raise InputError("witness needs at least 2 terms")
+    if bound < 1:
+        raise InputError("bound must be positive")
+    length = terms + len(colorings) - 1
+    tables = [[color_of(c, n) for n in range(bound + 1)] for c in colorings]
+
+    def extend(chosen, total, suffix, colors):
+        d = len(chosen)
+        if d == length:
+            return FsSearchResult(
+                found=True,
+                bound=bound,
+                witness=tuple(chosen),
+                colors=tuple(colors),
+                sums=tuple(sorted(suffix[0])),
+            )
+        opens = d < len(tables)
+        if opens:
+            suffix = suffix + [frozenset()]
+        v = chosen[-1] + 1 if chosen else 1
+        while total + v <= bound:
+            cols = colors + [tables[d][v]] if opens else colors
+            for j, old in enumerate(suffix):
+                table, cj = tables[j], cols[j]
+                if table[v] != cj or any(table[s + v] != cj for s in old):
+                    break
+            else:
+                sums = suffix[0]
+                if v not in sums and sums.isdisjoint(s + v for s in sums):
+                    got = extend(
+                        chosen + [v],
+                        total + v,
+                        [old.union([v], [s + v for s in old]) for old in suffix],
+                        cols,
+                    )
+                    if got is not None:
+                        return got
+            v += 1
+        return None
+
+    got = extend([], 0, [], [])
+    return got if got is not None else FsSearchResult(found=False, bound=bound)
+
+
+def outcome(search, *args):
+    try:
+        return search(*args)
+    except InputError as e:
+        return f"{type(e).__name__}: {e}"
 
 
 class TestSearchVsBrute:
@@ -391,6 +452,23 @@ class TestSearchVsBrute:
             sum(sub) for size in range(1, len(want) + 1) for sub in combinations(want, size)
         ))
         assert got.colors == tuple(color_of(c, want[j]) for j, c in enumerate(colorings))
+
+    @settings(max_examples=200)
+    @given(
+        st.lists(small_partitions(max_period=6), min_size=1, max_size=3),
+        st.integers(min_value=2, max_value=4),
+        st.integers(min_value=0, max_value=120),
+    )
+    def test_matches_frozenset_search(self, colorings, terms, bound):
+        """Same result or exception text at the drawn bound, and one below
+        the least witness's largest sum, where the search exhausts."""
+        bounds = [bound]
+        top = frozenset_search(colorings, terms, 120)
+        if top.found:
+            bounds.append(max(top.sums) - 1)
+        for b in bounds:
+            want = outcome(frozenset_search, colorings, terms, b)
+            assert outcome(iht_search, colorings, terms, b) == want
 
 
 class TestVerifyIhtWitness:
