@@ -388,25 +388,17 @@ class Cylinder:
         )
 
     def subset_of(self, other: "Cylinder") -> bool:
-        if other.trivial:
-            return True
-        if self.trivial:
-            return False
-        if other.coord_depth > self.coord_depth or other.pos_depth > self.pos_depth:
-            return False
-        k = other.pos_depth
-        return all(
-            self.reference.coords[j].window(0, k)
-            == other.reference.coords[j].window(0, k)
-            for j in range(other.coord_depth)
-        )
+        return self.shift_image_subset(0, other)
 
     def shift_image_subset(self, n: int, target: "Cylinder") -> bool:
         """Whether T^n maps this cylinder into ``target``.
 
-        The image constraint at position t comes from this cylinder's
-        constraint at position t + n, so the containment reduces to window
-        comparisons between the two references.
+        A point of this cylinder is free outside its own constraints, so
+        T^n U ⊆ V exactly when V's constraints (coordinates below its
+        coordinate depth, positions below its position depth) sit inside
+        U's shifted by n, and T^n of U's reference lies in V.  The depth
+        checks below are the first condition; ``target.contains`` is the
+        second.
         """
         if n < 0:
             raise InputError("shift count must be a natural number")
@@ -418,12 +410,7 @@ class Cylinder:
             return False
         if target.pos_depth + n > self.pos_depth:
             return False
-        k = target.pos_depth
-        return all(
-            self.reference.coords[j].window(n, n + k)
-            == target.reference.coords[j].window(0, k)
-            for j in range(target.coord_depth)
-        )
+        return target.contains(self.reference, n)
 
     def within_ball(self, y: SymbolicPoint, k: int) -> bool:
         """Whether every point of the cylinder is 2**-k-close to ``y``,

@@ -63,11 +63,9 @@ _COMPLEMENT = str.maketrans("01", "10")
 
 
 def _primitive_root(word: str) -> str:
-    n = len(word)
-    for d in range(1, n + 1):
-        if n % d == 0 and word[:d] * (n // d) == word:
-            return word[:d]
-    raise AssertionError("every word is a power of itself")
+    # the least i >= 1 at which word occurs in word+word is its least
+    # rotation period, which divides len(word)
+    return word[:(word + word).find(word, 1)]
 
 
 @dataclass(frozen=True)

@@ -56,27 +56,38 @@ __all__ = [
 ]
 
 
+def _sum_tree(gens, p: int) -> dict[int, tuple[int, int]]:
+    """Breadth-first tree of the residues of nonempty sums over ``gens``.
+
+    Maps each reachable residue r mod p to (previous residue, generator
+    added), with previous residue -1 at a root (a single generator).  Each
+    level tries the generators in increasing order, so following the links
+    back from r spells a shortest word of generators summing to r mod p.
+    """
+    order = sorted({g % p for g in gens})
+    tree = {r: (-1, r) for r in order}
+    queue = list(order)
+    for r in queue:  # grows while it is read: a first-in first-out queue
+        for g in order:
+            s = (r + g) % p
+            if s not in tree:
+                tree[s] = (r, g)
+                queue.append(s)
+    return tree
+
+
 def subsemigroup_closure(residues, p: int) -> set[int]:
     """Least subset of Z_p containing ``residues`` and closed under addition.
 
     Equals the residues of all nonempty finite sums over the input with
-    repetition, by breadth-first saturation.
+    repetition: the residues that the breadth-first ``_sum_tree`` reaches.
     """
     if p < 1:
         raise InputError("modulus must be positive")
-    gens = {r % p for r in residues}
-    if not gens:
+    tree = _sum_tree(residues, p)
+    if not tree:
         raise InputError("need at least one residue")
-    closed = set(gens)
-    frontier = list(gens)
-    while frontier:
-        r = frontier.pop()
-        for g in gens:
-            s = (r + g) % p
-            if s not in closed:
-                closed.add(s)
-                frontier.append(s)
-    return closed
+    return set(tree)
 
 
 @dataclass(frozen=True)
@@ -102,39 +113,6 @@ def _tail_residues(x: EpSet) -> set[int]:
     return {r for r in range(p) if x.per[(r - m) % p] == "1"}
 
 
-def _bfs_sum_word(target: int, gens: set[int], p: int) -> list[int]:
-    """Shortest multiset of generators summing to ``target`` mod p."""
-    # parent[r] = (previous residue, generator used); roots use previous -1
-    parent: dict[int, tuple[int, int]] = {}
-    order = sorted(gens)
-    frontier = []
-    for g in order:
-        r = g % p
-        if r not in parent:
-            parent[r] = (-1, g)
-            frontier.append(r)
-    while frontier and target not in parent:
-        nxt = []
-        for r in frontier:
-            for g in order:
-                s = (r + g) % p
-                if s not in parent:
-                    parent[s] = (r, g)
-                    nxt.append(s)
-        frontier = nxt
-    if target not in parent:
-        raise ConstructionError(f"residue {target} unreachable; closure computation disagrees")
-    word = []
-    r = target
-    while True:
-        prev, g = parent[r]
-        word.append(g)
-        if prev == -1:
-            break
-        r = prev
-    return word
-
-
 def filter_member(g: IpGenerator, x: EpSet) -> MemberResult:
     """Decide x ∈ F((n_i)) exactly.
 
@@ -144,6 +122,11 @@ def filter_member(g: IpGenerator, x: EpSet) -> MemberResult:
     Because every tail of the generator cycles through the same residue
     set, no larger m can change the verdict; the choice below merely makes
     the certificate concrete.
+
+    One ``_sum_tree`` over the cycle gives both the closure (its keys) and,
+    for a non-member, the shortest word reaching the least residue outside
+    x (its links back to a root); the word's terms are then picked from
+    the tail in index order.
     """
     p = len(x.per)
     m_x = len(x.pre)
@@ -151,13 +134,16 @@ def filter_member(g: IpGenerator, x: EpSet) -> MemberResult:
     m = start
     while g.term(m) < m_x:
         m += 1
-    closure = subsemigroup_closure(set(cycle), p)
+    tree = _sum_tree(cycle, p)
+    closure = tuple(sorted(tree))
     good = _tail_residues(x)
-    if closure <= good:
-        return MemberResult(member=True, tail_start=m, closure=tuple(sorted(closure)))
-    target = min(closure - good)
-    word = _bfs_sum_word(target, set(cycle), p)
-    need = Counter(word)
+    if tree.keys() <= good:
+        return MemberResult(member=True, tail_start=m, closure=closure)
+    r = min(tree.keys() - good)
+    need: Counter = Counter()
+    while r != -1:
+        r, step = tree[r]
+        need[step] += 1
     indices: list[int] = []
     i = m
     while sum(need.values()) > 0:
@@ -174,7 +160,7 @@ def filter_member(g: IpGenerator, x: EpSet) -> MemberResult:
     return MemberResult(
         member=False,
         tail_start=m,
-        closure=tuple(sorted(closure)),
+        closure=closure,
         witness_sum=total,
         witness_indices=tuple(indices),
     )

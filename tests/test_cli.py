@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from epshift.cli import main
+from epshift import cli
+from epshift.cli import build_parser, main
 
 
 @pytest.fixture()
@@ -330,3 +331,16 @@ class TestDeterminism:
         for argv in self.CORPUS:
             outs = {run(*argv)[1] for _ in range(3)}
             assert len(outs) == 1, argv
+
+    def test_shared_parser_survives_failed_calls(self, run):
+        # one parser serves every call of a process, so a parse error, an
+        # input error or a blown cap must leave it as a fresh one would be
+        cli._parser.cache_clear()
+        clean = [("filter", "build", "(10)"), ("scenario", "run", "aetmin.scn")]
+        first = [run(*argv) for argv in clean]
+        assert [code for code, _, _ in first] == [0, 0]
+        assert run("set", "syndetic", "--no-such-flag", "(10)")[0] == 2
+        assert run("set", "syndetic", "()")[0] == 2
+        assert run("set", "algebra", "(10)", "(1100)", "--downward", "--cap", "2")[0] == 3
+        assert [run(*argv) for argv in clean] == first
+        assert build_parser() is build_parser()

@@ -421,6 +421,36 @@ class TestOrbitClosure:
             assert set(orbit_closure(z)) == orb
 
 
+def window_subset_of(u: Cylinder, v: Cylinder) -> bool:
+    """Oracle: U ⊆ V by its own comparison of the references' windows."""
+    if v.trivial:
+        return True
+    if u.trivial:
+        return False
+    if v.coord_depth > u.coord_depth or v.pos_depth > u.pos_depth:
+        return False
+    k = v.pos_depth
+    return all(
+        u.reference.coords[j].window(0, k) == v.reference.coords[j].window(0, k)
+        for j in range(v.coord_depth)
+    )
+
+
+def window_shift_image_subset(u: Cylinder, n: int, v: Cylinder) -> bool:
+    """Oracle: T^n U ⊆ V by its own comparison of the references' windows."""
+    if v.trivial:
+        return True
+    if u.trivial:
+        return False
+    if v.coord_depth > u.coord_depth or v.pos_depth + n > u.pos_depth:
+        return False
+    k = v.pos_depth
+    return all(
+        u.reference.coords[j].window(n, n + k) == v.reference.coords[j].window(0, k)
+        for j in range(v.coord_depth)
+    )
+
+
 class TestCylinder:
     def test_contains_reference(self):
         for ref in [pt("(01)"), pt("1(10);(0011)")]:
@@ -494,6 +524,28 @@ class TestCylinder:
         for z in samples:
             if u.contains(z):
                 assert v.contains(shift(z, 2))
+
+    @given(same_size_pair())
+    def test_containment_matches_window_oracles(self, pair):
+        a, b = pair
+        cyls = [
+            Cylinder(r, i, k)
+            for r in (a, b)
+            for i in range(r.coord_count + 1)
+            for k in range(6)
+        ]
+        for u in cyls:
+            for v in cyls:
+                assert u.subset_of(v) == window_subset_of(u, v)
+                for n in range(7):
+                    assert u.shift_image_subset(n, v) == window_shift_image_subset(u, n, v)
+
+    def test_containment_across_sizes_rejected(self):
+        u = Cylinder(pt("(01);(0011)"), 2, 3)
+        with pytest.raises(InputError, match="different sizes"):
+            u.subset_of(Cylinder(pt("(01)"), 1, 2))
+        with pytest.raises(InputError, match="different sizes"):
+            u.shift_image_subset(1, Cylinder(pt("(10)"), 1, 2))
 
     def test_within_ball(self):
         y = pt("(01);(0011)")

@@ -14,6 +14,7 @@ from epshift.epcore import (
     InputError,
     LiteralError,
     generate_algebra,
+    _primitive_root,
     normalize,
 )
 
@@ -34,6 +35,21 @@ def raw_window(pre: str, per: str, start: int, stop: int) -> str:
 bit_word = st.text(alphabet="01", min_size=0, max_size=8)
 period_word = st.text(alphabet="01", min_size=1, max_size=8)
 ep_sets = st.builds(EpSet, bit_word, period_word)
+
+
+def divisor_root(word: str) -> str:
+    """Oracle: the shortest prefix of ``word`` whose power, over the
+    divisors of its length in increasing order, spells ``word``."""
+    n = len(word)
+    d = next(d for d in range(1, n + 1) if n % d == 0 and word[:d] * (n // d) == word)
+    return word[:d]
+
+
+powers = st.builds(
+    lambda root, k: root * k,
+    st.text(alphabet="01", min_size=1, max_size=6),
+    st.integers(min_value=1, max_value=6),
+)
 
 
 class TestCanonicalization:
@@ -71,6 +87,10 @@ class TestCanonicalization:
                 assert a.per != a.per[:d] * (p // d)
         if a.pre:
             assert a.pre[-1] != a.per[-1]
+
+    @given(st.one_of(period_word, powers))
+    def test_primitive_root_matches_divisor_loop(self, word):
+        assert _primitive_root(word) == divisor_root(word)
 
     def test_normalize_equals_constructor(self):
         assert normalize("0110", "1010") == EpSet("0110", "1010")

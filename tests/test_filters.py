@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -18,6 +19,7 @@ from epshift.dynamics import SymbolicPoint, ae_solve, are_proximal, encode_point
 from epshift.ipcore import IpGenerator
 from epshift.filters import (
     FilterReport,
+    MemberResult,
     PartialUltrafilter,
     build_partial_ultrafilter,
     central_check,
@@ -81,6 +83,60 @@ class TestSubsemigroupClosure:
             subsemigroup_closure(set(), 5)
         with pytest.raises(InputError):
             subsemigroup_closure({1}, 0)
+
+
+def two_bfs_member(g: IpGenerator, x: EpSet) -> MemberResult:
+    """Oracle: filter membership with the closure and the refuting word
+    found by two separate searches (a saturation, then a breadth-first
+    search that stops at the target residue)."""
+    p, m_x = len(x.per), len(x.pre)
+    start, cycle = g.residue_structure(p)
+    m = start
+    while g.term(m) < m_x:
+        m += 1
+    gens = set(cycle)
+    closure = set(gens)
+    frontier = list(gens)
+    while frontier:
+        r = frontier.pop()
+        for c in gens:
+            if (r + c) % p not in closure:
+                closure.add((r + c) % p)
+                frontier.append((r + c) % p)
+    good = {r for r in range(p) if x.per[(r - m_x) % p] == "1"}
+    if closure <= good:
+        return MemberResult(member=True, tail_start=m, closure=tuple(sorted(closure)))
+    target = min(closure - good)
+    order = sorted(gens)
+    parent = {c: (-1, c) for c in order}
+    level = list(order)
+    while target not in parent:
+        nxt = []
+        for r in level:
+            for c in order:
+                if (r + c) % p not in parent:
+                    parent[(r + c) % p] = (r, c)
+                    nxt.append((r + c) % p)
+        level = nxt
+    need = Counter()
+    r = target
+    while r != -1:
+        r, c = parent[r]
+        need[c] += 1
+    indices = []
+    i = m
+    while sum(need.values()) > 0:
+        if need[g.term(i) % p] > 0:
+            need[g.term(i) % p] -= 1
+            indices.append(i)
+        i += 1
+    return MemberResult(
+        member=False,
+        tail_start=m,
+        closure=tuple(sorted(closure)),
+        witness_sum=sum(g.term(j) for j in indices),
+        witness_indices=tuple(indices),
+    )
 
 
 class TestFilterMember:
@@ -149,6 +205,18 @@ class TestFilterMember:
         # dropping head terms must not change membership
         shifted = IpGenerator(tuple(g.term(drop + i) for i in range(3)), g.tail_diffs)
         assert filter_member(g, x).member == filter_member(shifted, x).member
+
+    @settings(max_examples=300)
+    @given(
+        generators,
+        st.builds(
+            EpSet,
+            st.text(alphabet="01", min_size=0, max_size=4),
+            st.text(alphabet="01", min_size=1, max_size=12),
+        ),
+    )
+    def test_matches_two_bfs_oracle(self, g, x):
+        assert filter_member(g, x) == two_bfs_member(g, x)
 
 
 class TestPartialUltrafilter:
