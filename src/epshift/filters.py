@@ -3,12 +3,17 @@
 A difference-periodic generator (n_i) induces the filter
 F = {X : some tail's finite sums all land in X}.  For eventually periodic
 X this membership is decidable by residue arithmetic: past the preperiods,
-a sum lies in X iff its residue mod period(X) hits the periodic part, and
-the achievable residues of tail sums form the additive closure of the
-tail's residue cycle.  Everything else here is bookkeeping around that
-kernel: axiom audits with witnesses, construction from the dynamics
-(encode, solve, certify), limits along the filter, scope extension, and
-the three-way central-set report.
+a sum lies in X iff its residue mod p = period(X) hits the periodic part,
+and the achievable residues of tail sums form the additive closure C_p of
+the tail's residue cycle.  So X ∈ F iff C_p ⊆ G(X), where G(X) is the set
+of X's periodic residues mod p; both are kept as p-bit masks.  The verdict
+depends on X only through G(X), which gives three more facts: the
+complement is in F iff C_p ∩ G(X) = ∅; X − n has period p and
+G(X − n) = G(X) − n, so {n : X − n ∈ F} is purely periodic; and neither
+needs the algebra to be downward closed or the filter to be ultra.
+Everything else here is bookkeeping around that kernel: axiom audits with
+witnesses, construction from the dynamics (encode, solve, certify), limits
+along the filter, scope extension, and the three-way central-set report.
 
 Verification is fail-closed: the constructors re-audit their own output
 and raise on any failed axiom, because a silent bad filter would poison
@@ -90,6 +95,18 @@ def subsemigroup_closure(residues, p: int) -> set[int]:
     return set(tree)
 
 
+def _mask(residues) -> int:
+    return sum(1 << r for r in residues)  # residues are distinct
+
+
+def _residue_mask(x: EpSet) -> int:
+    """G(X) as a p-bit mask, p = period(X): bit r is set iff every n past
+    X's preperiod with n ≡ r (mod p) lies in X."""
+    m, p = len(x.pre), len(x.per)
+    k = -m % p
+    return int((x.per[k:] + x.per[:k])[::-1], 2)
+
+
 @dataclass(frozen=True)
 class MemberResult:
     """Exact filter-membership verdict with certificate.
@@ -106,11 +123,6 @@ class MemberResult:
     closure: tuple[int, ...]
     witness_sum: int | None = None
     witness_indices: tuple[int, ...] | None = None
-
-
-def _tail_residues(x: EpSet) -> set[int]:
-    m, p = len(x.pre), len(x.per)
-    return {r for r in range(p) if x.per[(r - m) % p] == "1"}
 
 
 def filter_member(g: IpGenerator, x: EpSet) -> MemberResult:
@@ -136,10 +148,11 @@ def filter_member(g: IpGenerator, x: EpSet) -> MemberResult:
         m += 1
     tree = _sum_tree(cycle, p)
     closure = tuple(sorted(tree))
-    good = _tail_residues(x)
-    if tree.keys() <= good:
+    good = _residue_mask(x)
+    outside = [r for r in closure if not good >> r & 1]
+    if not outside:
         return MemberResult(member=True, tail_start=m, closure=closure)
-    r = min(tree.keys() - good)
+    r = outside[0]
     need: Counter = Counter()
     while r != -1:
         r, step = tree[r]
@@ -168,17 +181,19 @@ def filter_member(g: IpGenerator, x: EpSet) -> MemberResult:
 
 @dataclass(frozen=True, eq=False)
 class PartialUltrafilter:
-    """F((n_i)) restricted to a scope algebra, with a decision cache.
+    """F((n_i)) restricted to a scope algebra, with a per-period closure memo.
 
-    The cache is the only mutable state and is a pure memo: every fill
-    writes the deterministic verdict for its key, so a hit returns what a
-    fresh ``filter_member`` call would.
+    Membership of X depends only on p = period(X): X ∈ F iff every bit of
+    the closure mask C_p is set in G(X) (see the module docstring), the
+    same verdict ``filter_member`` gives.  The memo maps p to C_p and is the
+    only mutable state; every fill writes the deterministic mask for its
+    period, so sets of one period share one entry.
     """
 
     generator: IpGenerator
     scope: Algebra
     trace: dict | None = None
-    _cache: dict = field(default_factory=dict, repr=False)
+    _closures: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def for_generator(cls, generator: IpGenerator) -> "PartialUltrafilter":
@@ -186,12 +201,16 @@ class PartialUltrafilter:
 
         return cls(generator=generator, scope=generate_algebra([FULL], downward=True))
 
+    def _closure_mask(self, p: int) -> int:
+        """C_p: the residues mod p of the generator's tail sums, as a mask."""
+        c = self._closures.get(p)
+        if c is None:
+            c = _mask(_sum_tree(self.generator.residue_structure(p)[1], p))
+            self._closures[p] = c
+        return c
+
     def member(self, x: EpSet) -> bool:
-        got = self._cache.get(x)
-        if got is None:
-            got = filter_member(self.generator, x).member
-            self._cache[x] = got
-        return got
+        return not self._closure_mask(len(x.per)) & ~_residue_mask(x)
 
     def members_of(self, algebra: Algebra) -> list[EpSet]:
         return [x for x in algebra.members if self.member(x)]
@@ -200,16 +219,16 @@ class PartialUltrafilter:
 def translate_membership_set(f: PartialUltrafilter, x: EpSet) -> EpSet:
     """The set D(X) = {n : X − n ∈ F}, as an exact EpSet.
 
-    For n past X's preperiod, X − n depends only on n mod period(X), so
-    one preperiod-plus-period sweep of decisions determines D(X); its
-    canonical form then has preperiod <= preperiod(X) and period dividing
-    period(X).
+    D(X) is purely periodic, with period dividing p = period(X): every
+    X − n has period p and periodic residues G(X) − n, so X − n ∈ F iff
+    C_p + n ⊆ G(X), which depends only on n mod p, even for n inside X's
+    preperiod.  One rotation of G(X) per residue n < p decides it.
     """
-    m, p = len(x.pre), len(x.per)
-    bits = "".join(
-        "1" if f.member(x.translate_down(n)) else "0" for n in range(m + p)
-    )
-    return EpSet(bits[:m], bits[m:])
+    p = len(x.per)
+    c = f._closure_mask(p)
+    g = _residue_mask(x)
+    twice = g | g << p  # bits r + n of twice are bits (r + n) mod p of g
+    return EpSet("", "".join("0" if c & ~(twice >> n) else "1" for n in range(p)))
 
 
 @dataclass(frozen=True)
@@ -260,21 +279,20 @@ def verify_filter(f: PartialUltrafilter, algebra: Algebra) -> FilterReport:
     pass.  Failures are verdicts with witnesses, not exceptions: a
     generator may legitimately fail dichotomy on an algebra it was not
     built for.
-    """
-    selected = f.members_of(algebra)
-    in_f = set(selected)
 
-    both = []
+    X ∈ F iff C_p ⊆ G(X), and X̄ ∈ F iff C_p ⊆ ~G(X), i.e. C_p ∩ G(X) = ∅.
+    Since C_p is never empty, X and X̄ are never both in F, so dichotomy
+    can fail only with "neither" witnesses.
+    """
+    selected = []
     neither = []
     for x in algebra.members:
-        a, b = x in in_f, f.member(x.complement())
-        if a and b:
-            both.append(x.literal)
-        elif not a and not b:
+        c, g = f._closure_mask(len(x.per)), _residue_mask(x)
+        if not c & ~g:
+            selected.append(x)
+        elif c & g:
             neither.append(x.literal)
-    dichotomy = {"pass": not both and not neither}
-    if both:
-        dichotomy["both"] = both
+    dichotomy = {"pass": not neither}
     if neither:
         dichotomy["neither"] = neither
 
@@ -297,8 +315,8 @@ def verify_filter(f: PartialUltrafilter, algebra: Algebra) -> FilterReport:
         }
         if gap.syndetic:
             entry["gap"] = gap.bound
-        n = d.first_member_at_least(1)
-        hirst = n is not None and f.member(x.translate_down(n))
+        n = d.first_member_at_least(1)  # X − n ∈ F exactly when n ∈ D(X)
+        hirst = n is not None
         entry["hirst"] = hirst
         if hirst:
             entry["hirst_witness"] = n
@@ -484,30 +502,30 @@ def central_check(x: EpSet, bound: int = 128, cap: int = 65536) -> CentralReport
 
     p = len(x.per)
     m = len(x.pre)
-    good = _tail_residues(x)
+    good = _residue_mask(x)
+    residues = [r for r in range(p) if good >> r & 1]
     ip: dict
     if not x.is_infinite():
         ip = {"ip": False, "reason": "finite"}
     else:
-        hit = next(
-            (r for r in sorted(good) if subsemigroup_closure({r}, p) <= good),
-            None,
-        )
+        closures = ((r, subsemigroup_closure({r}, p)) for r in residues)
+        hit = next(((r, c) for r, c in closures if not _mask(c) & ~good), None)
         if hit is not None:
-            witness = _least_ip_witness(x, hit, terms=4, bound=bound)
+            residue, closure = hit
+            witness = _least_ip_witness(x, residue, terms=4, bound=bound)
             ip = {
                 "ip": True,
-                "residue": hit,
+                "residue": residue,
                 "modulus": p,
-                "closure": sorted(subsemigroup_closure({hit}, p)),
+                "closure": sorted(closure),
             }
             if witness is not None:
                 ip["witness"] = list(witness)
                 ip["witness_bound"] = bound
         else:
             refutations = []
-            for r in sorted(good):
-                k = next(k for k in range(1, p + 1) if (k * r) % p not in good)
+            for r in residues:
+                k = next(k for k in range(1, p + 1) if not good >> (k * r) % p & 1)
                 elems = []
                 v = x.first_member_at_least(max(m, 1))
                 while v is not None and len(elems) < k:

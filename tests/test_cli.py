@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -198,6 +199,10 @@ class TestSubcommandSchemas:
         code, out, _ = run("filter", "build", "(1101)", "(100)", "--cap", "4096")
         d = json.loads(out)
         assert code == 0 and d["scope_size"] == 4096 and d["all_pass"] is True
+        # the whole audit report, byte for byte
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "3a59ef3c185d478c8f17056bc428f863e67b282e4c325ecfc80911ba3d05168b"
+        )
 
     def test_filter_verify_fail_verdict(self, run):
         code, out, _ = run("filter", "verify", "--gen", "1,2+(3,1)", "--downward", "(10)")

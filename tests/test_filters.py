@@ -50,6 +50,16 @@ ep_sets = st.builds(
 )
 
 
+def sweep_translate_set(g: IpGenerator, x: EpSet) -> EpSet:
+    """Oracle: D(X) = {n : X − n ∈ F} from one filter_member decision per
+    translate over a preperiod-plus-period sweep."""
+    m, p = len(x.pre), len(x.per)
+    bits = "".join(
+        "1" if filter_member(g, x.translate_down(n)).member else "0" for n in range(m + p)
+    )
+    return EpSet(bits[:m], bits[m:])
+
+
 class TestSubsemigroupClosure:
     def test_frozen(self):
         assert subsemigroup_closure({2}, 6) == {0, 2, 4}
@@ -221,10 +231,34 @@ class TestFilterMember:
 
 class TestPartialUltrafilter:
     def test_member_caches(self):
+        # the memo holds one closure mask per period, not one verdict per
+        # set: EVENS and ODDS share the entry for period 2, C_2 = {0}
         f = PartialUltrafilter.for_generator(IpGenerator.parse("2+(2)"))
         assert f.member(EVENS) and f.member(EVENS)
-        assert EVENS in f._cache
         assert not f.member(ODDS)
+        assert f._closures == {2: 0b1}
+
+    @settings(max_examples=300)
+    @given(
+        st.builds(
+            IpGenerator,
+            st.lists(st.integers(min_value=1, max_value=24), min_size=1, max_size=3).map(
+                lambda ns: tuple(sorted(set(ns)))
+            ),
+            st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=3).map(tuple),
+        ),
+        st.builds(
+            EpSet,
+            st.text(alphabet="01", min_size=0, max_size=4),
+            st.text(alphabet="01", min_size=1, max_size=12),
+        ),
+    )
+    def test_masks_match_filter_member(self, g, x):
+        f = PartialUltrafilter.for_generator(g)
+        assert f.member(x) == filter_member(g, x).member
+        d = translate_membership_set(f, x)
+        assert d == sweep_translate_set(g, x)
+        assert d.pre == "" and len(x.per) % len(d.per) == 0
 
     def test_for_generator_scope(self):
         f = PartialUltrafilter.for_generator(IpGenerator.parse("2+(2)"))
@@ -273,14 +307,19 @@ class TestBuildFilter:
 
 def brute_verify(f: PartialUltrafilter, algebra) -> FilterReport:
     """verify_filter with upward closure and pairwise intersection checked
-    pair by pair over the algebra instead of taken as theorems."""
-    selected = f.members_of(algebra)
+    pair by pair over the algebra instead of taken as theorems, every
+    verdict read from filter_member and D(X) from the translate sweep."""
+
+    def member(x: EpSet) -> bool:
+        return filter_member(f.generator, x).member
+
+    selected = [x for x in algebra.members if member(x)]
     in_f = set(selected)
 
     both = []
     neither = []
     for x in algebra.members:
-        a, b = x in in_f, f.member(x.complement())
+        a, b = x in in_f, member(x.complement())
         if a and b:
             both.append(x.literal)
         elif not a and not b:
@@ -295,7 +334,7 @@ def brute_verify(f: PartialUltrafilter, algebra) -> FilterReport:
         {"subset": x.literal, "superset": y.literal}
         for x in selected
         for y in algebra.members
-        if x.issubset(y) and not f.member(y)
+        if x.issubset(y) and not member(y)
     ]
     upward = {"pass": not up_fails}
     if up_fails:
@@ -304,7 +343,7 @@ def brute_verify(f: PartialUltrafilter, algebra) -> FilterReport:
     meet_fails = []
     for i, x in enumerate(selected):
         for y in selected[i:]:
-            if not f.member(x.intersect(y)):
+            if not member(x.intersect(y)):
                 meet_fails.append({"x": x.literal, "y": y.literal, "meet": x.intersect(y).literal})
     meets = {"pass": not meet_fails}
     if meet_fails:
@@ -318,8 +357,8 @@ def brute_verify(f: PartialUltrafilter, algebra) -> FilterReport:
     member_reports = []
     ok = dichotomy["pass"] and upward["pass"] and meets["pass"] and infiniteness["pass"]
     for x in selected:
-        d = translate_membership_set(f, x)
-        idem = f.member(d)
+        d = sweep_translate_set(f.generator, x)
+        idem = member(d)
         gap = d.is_syndetic()
         entry: dict = {
             "set": x.literal,
@@ -330,7 +369,7 @@ def brute_verify(f: PartialUltrafilter, algebra) -> FilterReport:
         if gap.syndetic:
             entry["gap"] = gap.bound
         n = d.first_member_at_least(1)
-        hirst = n is not None and f.member(x.translate_down(n))
+        hirst = n is not None and member(x.translate_down(n))
         entry["hirst"] = hirst
         if hirst:
             entry["hirst_witness"] = n
@@ -381,11 +420,22 @@ class TestVerifyFilter:
             "members",
         ]
 
-    @pytest.mark.parametrize("gens", [["(10)"], ["(100)"], ["1(10)"], ["(110)"], ["(10)", "(100)"]])
-    @pytest.mark.parametrize("gen", [None, "1,2+(3,1)", "1+(2)", "2,4+(6)", "3+(3)"])
-    def test_matches_brute_verify(self, gens, gen):
-        alg = generate_algebra([EpSet.parse(t) for t in gens], downward=True)
-        g = build_partial_ultrafilter(alg).generator if gen is None else IpGenerator.parse(gen)
+    # the last algebra is not closed under downward translation; its
+    # built generator comes from the downward algebra of the same sets
+    @pytest.mark.parametrize(
+        "gens,downward",
+        [(["(10)"], True), (["(100)"], True), (["1(10)"], True), (["(110)"], True),
+         (["(10)", "(100)"], True), (["1(10)", "(100)"], False)],
+        ids=["gens0", "gens1", "gens2", "gens3", "gens4", "flat"],
+    )
+    @pytest.mark.parametrize("gen", [None, "1,2+(3,1)", "1+(2)", "2,4+(6)", "3+(3)", "1+(12)"])
+    def test_matches_brute_verify(self, gens, downward, gen):
+        sets = [EpSet.parse(t) for t in gens]
+        alg = generate_algebra(sets, downward=downward)
+        if gen is None:
+            g = build_partial_ultrafilter(generate_algebra(sets, downward=True)).generator
+        else:
+            g = IpGenerator.parse(gen)
         got = verify_filter(PartialUltrafilter(generator=g, scope=alg), alg)
         want = brute_verify(PartialUltrafilter(generator=g, scope=alg), alg)
         assert got.as_dict() == want.as_dict()
