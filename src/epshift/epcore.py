@@ -139,7 +139,10 @@ class EpSet:
 
     def member(self, n: int) -> bool:
         """True iff ``n`` is in the set."""
-        return self.bit(n) == "1"
+        if n < 0:
+            raise InputError("window bounds must satisfy 0 <= start <= stop")
+        m = len(self.pre)
+        return (self.pre[n] if n < m else self.per[(n - m) % len(self.per)]) == "1"
 
     # -- boolean algebra -----------------------------------------------
 

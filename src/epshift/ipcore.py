@@ -369,10 +369,17 @@ def iht_search(colorings, terms: int, bound: int) -> FsSearchResult:
     Appending v turns T = {0} ∪ S_j into T ∪ (T + v), and
     ⋂_{t ∈ T} (on >> (t + v)) is ``allowed[j] >> v``, so the child's mask
     is ``a & (a >> v)``: one shift per suffix per child, however many sums
-    the suffix has.  A candidate v in (last, bound - total] must also keep
-    the sums pairwise distinct: v + s is in ``sums`` iff bit v of
-    ``sums >> s`` is set, so v misses ``sums`` and every ``sums >> s``
-    for s in ``sums``.
+    the suffix has.
+
+    Two bounds cut the search without changing its order.  A witness's
+    2**N subset sums are distinct and lie in [0, total], so a bound below
+    2**N - 1 is exhausted before any mask is built.  At depth d the
+    rem = N - d elements still to choose are v and rem - 1 larger ones,
+    adding at least rem*v + rem*(rem-1)/2, so a candidate v lies in
+    (last, (bound - total - rem*(rem-1)/2) // rem].  Each candidate must
+    also keep the sums pairwise distinct: v + s for s in {0} ∪ ``sums``
+    is an old sum iff bit s of ``sums >> v`` is set, which one
+    ``sums >> v & (sums | 1)`` tests.
     """
     colorings = [validate_partition(c) for c in colorings]
     if not colorings:
@@ -384,6 +391,9 @@ def iht_search(colorings, terms: int, bound: int) -> FsSearchResult:
     if bound < 1:
         raise InputError("bound must be positive")
     length = terms + len(colorings) - 1
+    # no witness has total < 2**length - 1; compared without building 2**length
+    if length >= (bound + 1).bit_length():
+        return FsSearchResult(found=False, bound=bound)
     window = (1 << (bound + 1)) - 1
 
     def class_mask(x: EpSet) -> int:
@@ -428,20 +438,21 @@ def iht_search(colorings, terms: int, bound: int) -> FsSearchResult:
                 sums=tuple(bits(sums)),
             )
         last = chosen[-1] if chosen else 0
-        cand = ((1 << (bound - total + 1)) - 1) >> (last + 1) << (last + 1)
+        rem = length - d
+        top = (bound - total - rem * (rem - 1) // 2) // rem
+        if top <= last:
+            return None
+        cand = ((1 << (top + 1)) - 1) >> (last + 1) << (last + 1)
         for a in allowed:
             cand &= a
-        if not cand:  # most nodes end here, before the collision mask
-            return None
         # old sums are pairwise distinct by induction, so new sums (old + v)
         # are too; only new-vs-old collisions can occur
-        collide = sums
-        for s in bits(sums):
-            collide |= sums >> s
-        cand &= ~collide
+        zero_sums = sums | 1
         # while d < r, the next element opens coloring d's suffix and fixes its color
         opens = d < len(on)
         for v in bits(cand):
+            if sums >> v & zero_sums:
+                continue
             grown, cols = allowed, colors
             if opens:
                 low = 1 << v

@@ -179,6 +179,16 @@ class TestSubcommandSchemas:
             '"sums": [2, 4, 6, 8, 10, 12, 14], "colors": [0]}\n'
         )
 
+    @pytest.mark.parametrize("argv", [
+        ("ip", "iht", "--coloring", "(10);(01)", "--terms", "40", "--bound", "100000"),
+        ("ip", "hindman", "(1)", "--terms", "1200", "--bound", "100000000"),
+    ])
+    def test_search_exhausts_when_no_witness_fits(self, run, argv):
+        """Bounds below 2**length - 1 exhaust before any bound-wide mask."""
+        code, out, _ = run(*argv)
+        assert code == 0
+        assert json.loads(out)["found"] is False
+
     def test_pipeline(self, run):
         _, out, _ = run("ip", "pipeline", "--coloring", "(10);(01)", "--terms", "4")
         d = json.loads(out)

@@ -148,6 +148,20 @@ class TestMembership:
         with pytest.raises(InputError):
             EpSet.parse("(10)").window(-1, 3)
 
+    @given(ep_sets, st.integers(min_value=-8, max_value=40))
+    def test_member_is_window_bit(self, a, offset):
+        """Direct indexing agrees with the one-position window on both
+        sides of the preperiod."""
+        n = len(a.pre) + offset
+        if n < 0:
+            with pytest.raises(InputError) as direct:
+                a.member(n)
+            with pytest.raises(InputError) as windowed:
+                a.window(n, n + 1)
+            assert str(direct.value) == str(windowed.value)
+        else:
+            assert a.member(n) == (a.window(n, n + 1) == "1")
+
 
 class TestBooleanOps:
     @given(ep_sets)

@@ -471,6 +471,39 @@ class TestSearchVsBrute:
             assert outcome(iht_search, colorings, terms, b) == want
 
 
+class TestSearchBoundary:
+    """The least witness fits at bound = its largest sum and nothing fits
+    one below, so an off-by-one in either candidate bound shows here."""
+
+    @pytest.mark.parametrize("colorings,terms,witness", [
+        ([PARITY], 3, (2, 4, 8)),
+        ([MOD3], 3, (3, 6, 12)),
+        ([[EpSet.parse("(1)")]], 4, (1, 2, 4, 8)),
+        ([[EpSet.parse("(1100)"), EpSet.parse("(0011)")]], 3, (1, 4, 8)),
+        ([[EpSet.parse("01(011)"), EpSet.parse("10(100)")]], 3, (1, 3, 6)),
+        ([PARITY, MOD4_ZERO], 2, (2, 4, 8)),
+        ([MOD3, PARITY], 2, (3, 6, 12)),
+        ([PARITY, PARITY], 3, (2, 4, 8, 16)),
+    ])
+    def test_found_at_largest_sum_exhausted_below(self, colorings, terms, witness):
+        top = sum(witness)
+        found = iht_search(colorings, terms, top)
+        assert found.found and found.witness == witness and max(found.sums) == top
+        assert found == frozenset_search(colorings, terms, top)
+        below = iht_search(colorings, terms, top - 1)
+        assert below == FsSearchResult(found=False, bound=top - 1)
+        assert below == frozenset_search(colorings, terms, top - 1)
+
+    @pytest.mark.parametrize("k", range(2, 13))
+    def test_powers_of_two_are_the_tightest_witness(self, k):
+        """Distinct subset sums need total >= 2**k - 1, reached only by
+        1, 2, 4, …, 2**(k-1)."""
+        got = hindman_search([EpSet.parse("(1)")], k, 2**k - 1)
+        assert got.found and got.witness == tuple(2**i for i in range(k))
+        below = hindman_search([EpSet.parse("(1)")], k, 2**k - 2)
+        assert below == FsSearchResult(found=False, bound=2**k - 2)
+
+
 class TestVerifyIhtWitness:
     def test_accepts_good(self):
         assert verify_iht_witness((2, 4, 8), [PARITY]) == []
