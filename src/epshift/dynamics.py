@@ -107,16 +107,15 @@ def shift(x: SymbolicPoint, n: int) -> SymbolicPoint:
     return x.shift(n)
 
 
-def _first_disagreement(u: Word, v: Word) -> int | None:
-    horizon = max(len(u.pre), len(v.pre)) + math.lcm(len(u.per), len(v.per))
-    a = u.window(0, horizon)
+def _first_disagreement(u: Word, v: Word, n: int = 0) -> int | None:
+    """The least j with u(n + j) != v(j), or None when T^n u = v; past
+    their preperiod join both repeat with the lcm period."""
+    horizon = max(len(u.pre) - n, len(v.pre)) + math.lcm(len(u.per), len(v.per))
+    a = u.window(n, n + horizon)
     b = v.window(0, horizon)
     if a == b:
         return None
-    for j in range(horizon):
-        if a[j] != b[j]:
-            return j
-    raise AssertionError("unequal windows disagree somewhere")
+    return next(j for j in range(horizon) if a[j] != b[j])
 
 
 def distance_exponent(x: SymbolicPoint, y: SymbolicPoint) -> int | float:
@@ -375,17 +374,18 @@ class Cylinder:
         return self.coord_depth == 0 or self.pos_depth == 0
 
     def contains(self, z: SymbolicPoint, n: int = 0) -> bool:
-        """Whether T^n z lies in the cylinder, read off z's windows at
-        positions n .. n+pos_depth-1 without building the shifted point."""
+        """Whether T^n z lies in the cylinder: on every constrained
+        coordinate, T^n z first disagrees with the reference at or past
+        the position depth, or never."""
         if z.coord_count != self.reference.coord_count:
             raise InputError("points live in products of different sizes")
         if n < 0:
             raise InputError("shift count must be a natural number")
-        k = self.pos_depth
-        return all(
-            z.coords[j].window(n, n + k) == self.reference.coords[j].window(0, k)
-            for j in range(self.coord_depth)
-        )
+        for u, v in zip(z.coords[:self.coord_depth], self.reference.coords):
+            d = _first_disagreement(u, v, n)
+            if d is not None and d < self.pos_depth:
+                return False
+        return True
 
     def subset_of(self, other: "Cylinder") -> bool:
         return self.shift_image_subset(0, other)
@@ -421,10 +421,8 @@ class Cylinder:
             depth = k - i
             if i >= self.coord_depth or self.pos_depth < depth:
                 return False
-            if (
-                self.reference.coords[i].window(0, depth)
-                != y.coords[i].window(0, depth)
-            ):
+            d = _first_disagreement(self.reference.coords[i], y.coords[i])
+            if d is not None and d < depth:
                 return False
         return True
 

@@ -95,10 +95,6 @@ def subsemigroup_closure(residues, p: int) -> set[int]:
     return set(tree)
 
 
-def _mask(residues) -> int:
-    return sum(1 << r for r in residues)  # residues are distinct
-
-
 def _residue_mask(x: EpSet) -> int:
     """G(X) as a p-bit mask, p = period(X): bit r is set iff every n past
     X's preperiod with n ≡ r (mod p) lies in X."""
@@ -205,7 +201,8 @@ class PartialUltrafilter:
         """C_p: the residues mod p of the generator's tail sums, as a mask."""
         c = self._closures.get(p)
         if c is None:
-            c = _mask(_sum_tree(self.generator.residue_structure(p)[1], p))
+            tree = _sum_tree(self.generator.residue_structure(p)[1], p)
+            c = sum(1 << r for r in tree)  # the keys are distinct residues
             self._closures[p] = c
         return c
 
@@ -443,10 +440,11 @@ class CentralReport:
 
     ``syndetic`` is exact.  ``ip`` is exact for eventually periodic sets:
     the set is IP iff some residue class it contains has its additive
-    closure inside the set's periodic residues; the report carries either
-    the residue with a bounded concrete 4-term witness, or a per-residue
-    refutation.  ``filter_member`` asks whether the set belongs to the
-    filter built from its own downward-translation algebra.
+    closure inside the set's periodic residues, which holds exactly for
+    class 0; the report carries either residue 0 with a bounded concrete
+    4-term witness, or a per-residue refutation.  ``filter_member`` asks
+    whether the set belongs to the filter built from its own
+    downward-translation algebra.
     """
 
     set: str
@@ -472,15 +470,15 @@ class CentralReport:
         }
 
 
-def _least_ip_witness(x: EpSet, residue: int, terms: int, bound: int) -> tuple[int, ...] | None:
-    """Least ascending terms, all in x and ≡ residue, with pairwise distinct
-    finite sums all in x and <= bound."""
+def _least_ip_witness(x: EpSet, terms: int, bound: int) -> tuple[int, ...] | None:
+    """Least ascending positive multiples of period(x), all in x, with
+    pairwise distinct finite sums all in x and <= bound."""
     p = len(x.per)
 
     def extend(chosen: list[int], total: int, sums: frozenset[int]) -> tuple[int, ...] | None:
         if len(chosen) == terms:
             return tuple(chosen)
-        v = chosen[-1] + p if chosen else (residue if residue >= 1 else residue + p)
+        v = chosen[-1] + p if chosen else p
         while total + v <= bound:
             if x.member(v):
                 new = {v} | {s + v for s in sums}
@@ -503,44 +501,36 @@ def central_check(x: EpSet, bound: int = 128, cap: int = 65536) -> CentralReport
     p = len(x.per)
     m = len(x.pre)
     good = _residue_mask(x)
-    residues = [r for r in range(p) if good >> r & 1]
     ip: dict
     if not x.is_infinite():
         ip = {"ip": False, "reason": "finite"}
+    # the closure of {r} in Z_p holds p·r = 0, so a class closes up exactly
+    # when 0 is a periodic residue, and then {0} is its closure
+    elif good & 1:
+        ip = {"ip": True, "residue": 0, "modulus": p, "closure": [0]}
+        witness = _least_ip_witness(x, terms=4, bound=bound)
+        if witness is not None:
+            ip["witness"] = list(witness)
+            ip["witness_bound"] = bound
     else:
-        closures = ((r, subsemigroup_closure({r}, p)) for r in residues)
-        hit = next(((r, c) for r, c in closures if not _mask(c) & ~good), None)
-        if hit is not None:
-            residue, closure = hit
-            witness = _least_ip_witness(x, residue, terms=4, bound=bound)
-            ip = {
-                "ip": True,
-                "residue": residue,
-                "modulus": p,
-                "closure": sorted(closure),
-            }
-            if witness is not None:
-                ip["witness"] = list(witness)
-                ip["witness_bound"] = bound
-        else:
-            refutations = []
-            for r in residues:
-                k = next(k for k in range(1, p + 1) if not good >> (k * r) % p & 1)
-                elems = []
-                v = x.first_member_at_least(max(m, 1))
-                while v is not None and len(elems) < k:
-                    if v % p == r:
-                        elems.append(v)
-                    v = x.first_member_at_least(v + 1)
-                total = sum(elems)
-                if x.member(total):
-                    raise ConstructionError(
-                        f"refutation sum {total} claimed outside the set but is a member"
-                    )
-                refutations.append(
-                    {"residue": r, "count": k, "elements": elems, "sum": total}
+        refutations = []
+        for r in (r for r in range(p) if good >> r & 1):
+            k = next(k for k in range(1, p + 1) if not good >> (k * r) % p & 1)
+            elems = []
+            v = x.first_member_at_least(max(m, 1))
+            while v is not None and len(elems) < k:
+                if v % p == r:
+                    elems.append(v)
+                v = x.first_member_at_least(v + 1)
+            total = sum(elems)
+            if x.member(total):
+                raise ConstructionError(
+                    f"refutation sum {total} claimed outside the set but is a member"
                 )
-            ip = {"ip": False, "reason": "no residue class closes up", "refutations": refutations}
+            refutations.append(
+                {"residue": r, "count": k, "elements": elems, "sum": total}
+            )
+        ip = {"ip": False, "reason": "no residue class closes up", "refutations": refutations}
 
     algebra = generate_algebra([x], downward=True, cap=cap)
     f = build_partial_ultrafilter(algebra)

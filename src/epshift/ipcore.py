@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from .epcore import ConstructionError, EpSet, InputError, LiteralError
 from .dynamics import (
@@ -148,26 +148,33 @@ class IpGenerator:
 
 def fs_enumerate(g: IpGenerator, from_index: int, max_terms: int, bound: int) -> list[int]:
     """All finite sums of 1..max_terms distinct-index terms of the tail
-    (n_i)_{i>=from_index} that stay <= bound; sorted and deduplicated."""
+    (n_i)_{i>=from_index} that stay <= bound; sorted and deduplicated.
+
+    Bit s of ``layers[j]`` is set iff s <= bound is a sum of j of the
+    terms seen so far; layers are updated top down so that no term is
+    used twice.
+    """
     if max_terms < 1 or bound < 1:
         raise InputError("need max_terms >= 1 and bound >= 1")
     if from_index < 0:
         raise InputError("generator indices are naturals")
-    sums: set[int] = set()
-
-    def walk(i: int, acc: int, used: int) -> None:
-        while True:
-            t = g.term(i)
-            if acc + t > bound:
-                return  # terms increase, so no later index fits either
-            s = acc + t
-            sums.add(s)
-            if used + 1 < max_terms:
-                walk(i + 1, s, used + 1)
-            i += 1
-
-    walk(from_index, 0, 0)
-    return sorted(sums)
+    terms = []
+    i = from_index
+    while (t := g.term(i)) <= bound:  # terms increase, so no later one fits
+        terms.append(t)
+        i += 1
+    # j terms add up to at least the j smallest, so deeper layers stay empty
+    depth = min(max_terms, sum(1 for s in accumulate(terms) if s <= bound))
+    full = (1 << (bound + 1)) - 1
+    layers = [1] + [0] * depth
+    for t in terms:
+        for j in range(depth, 0, -1):
+            layers[j] |= layers[j - 1] << t & full
+    sums = 0
+    for layer in layers[1:]:
+        sums |= layer
+    text = bin(sums)  # bit s of sums is character len(text) - 1 - s
+    return sorted(len(text) - 1 - m.start() for m in re.finditer("1", text))
 
 
 # -- the certified construction ---------------------------------------------
@@ -478,7 +485,7 @@ def hindman_search(classes, terms: int, bound: int) -> FsSearchResult:
     return iht_search([classes], terms, bound)
 
 
-def verify_iht_witness(witness, colorings, max_sum_terms: int | None = None) -> list[str]:
+def verify_iht_witness(witness, colorings) -> list[str]:
     """Audit a witness: ascending terms, and for each coloring j the finite
     sums of the suffix (x_i)_{i>=j} all in one class.  Returns failures.
 
@@ -502,9 +509,8 @@ def verify_iht_witness(witness, colorings, max_sum_terms: int | None = None) -> 
         return failures
     for j, classes in enumerate(colorings):
         tail = witness[j:]
-        cap = len(tail) if max_sum_terms is None else min(max_sum_terms, len(tail))
         expected = color_of(classes, tail[0])
-        for size in range(1, cap + 1):
+        for size in range(1, len(tail) + 1):
             for combo in combinations(tail, size):
                 s = sum(combo)
                 got = color_of(classes, s)

@@ -146,12 +146,28 @@ class TestSubcommandSchemas:
         _, out, _ = run("ip", "fs", "2+(2)", "--terms", "2", "--bound", "12")
         assert json.loads(out) == {"count": 6, "sums": [2, 4, 6, 8, 10, 12]}
 
+    def test_fs_many_terms(self, run):
+        """Subset-sum layers: 40 terms of 1, 2, 3, ... give every sum."""
+        code, out, _ = run("ip", "fs", "1+(1)", "--terms", "40", "--bound", "3000")
+        assert code == 0
+        assert json.loads(out)["count"] == 3000
+
     def test_construct(self, run):
         _, out, _ = run("ip", "construct", "00(01)", "(01)", "--count", "3")
         d = json.loads(out)
         assert d["generator"] == "2,4,6+(2)" and d["count"] == 3
         assert d["neighborhoods"][0] == [0, 0]
         assert d["source"] == "00(01)" and d["target"] == "(01)"
+
+    def test_construct_deep_cylinders(self, run):
+        """Position depths reach 4,002,000; each agreement test reads one
+        preperiod-join-plus-lcm window instead of one that long."""
+        code, out, _ = run("ip", "construct", "(10)", "(10)", "--count", "2000")
+        assert code == 0
+        assert json.loads(out)["neighborhoods"][-1] == [1, 4002000]
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "af9cbf9c29e12e4e232b8255a4d3d39cfc9e4fb969475c909c42c452de5133ad"
+        )
 
     def test_limit_fail(self, run):
         _, out, _ = run("ip", "limit", "(10)", "--gen", "1+(2)", "--resolution", "8")

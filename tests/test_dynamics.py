@@ -451,6 +451,26 @@ def window_shift_image_subset(u: Cylinder, n: int, v: Cylinder) -> bool:
     )
 
 
+def window_contains(u: Cylinder, z: SymbolicPoint, n: int) -> bool:
+    """Oracle: T^n z ∈ U by comparing windows as long as the position depth."""
+    k = u.pos_depth
+    return all(
+        z.coords[j].window(n, n + k) == u.reference.coords[j].window(0, k)
+        for j in range(u.coord_depth)
+    )
+
+
+def window_within_ball(u: Cylinder, y: SymbolicPoint, k: int) -> bool:
+    """Oracle: U ⊆ B(y, 2^-k) by comparing windows as long as each depth."""
+    for i in range(min(y.coord_count, k)):
+        depth = k - i
+        if i >= u.coord_depth or u.pos_depth < depth:
+            return False
+        if u.reference.coords[i].window(0, depth) != y.coords[i].window(0, depth):
+            return False
+    return True
+
+
 class TestCylinder:
     def test_contains_reference(self):
         for ref in [pt("(01)"), pt("1(10);(0011)")]:
@@ -539,6 +559,25 @@ class TestCylinder:
                 assert u.subset_of(v) == window_subset_of(u, v)
                 for n in range(7):
                     assert u.shift_image_subset(n, v) == window_shift_image_subset(u, n, v)
+
+    @given(same_size_pair(), st.integers(min_value=0, max_value=500))
+    def test_deep_windows_match_window_oracles(self, pair, drawn):
+        """Position depths and offsets far past the preperiod join plus the
+        period lcm, where the comparison reads a clipped window."""
+        a, b = pair
+        join = max(a.max_preperiod, b.max_preperiod)
+        horizon = join + math.lcm(a.lcm_period, b.lcm_period)
+        depths = [0, 1, horizon, horizon + 1, 7 * horizon + 3, 40 * horizon, drawn]
+        offsets = [0, 1, join, join + 1, horizon, horizon + 5, 13 * horizon + 2, drawn]
+        for ref in (a, b):
+            for i in range(ref.coord_count + 1):
+                for k in depths:
+                    u = Cylinder(ref, i, k)
+                    for z in (a, b):
+                        for n in offsets:
+                            assert u.contains(z, n) == window_contains(u, z, n)
+                        for r in depths:
+                            assert u.within_ball(z, r) == window_within_ball(u, z, r)
 
     def test_containment_across_sizes_rejected(self):
         u = Cylinder(pt("(01);(0011)"), 2, 3)

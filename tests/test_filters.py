@@ -540,6 +540,46 @@ class TestExtendFilter:
             extend_filter(f, flat)
 
 
+def residue_search_ip(x: EpSet, bound: int) -> dict:
+    """Oracle: the IP report from a per-residue search, which tries each
+    periodic residue r of x in order and takes the first whose closure
+    lies in x's periodic residues; its witness steps from r by period."""
+    p, m = len(x.per), len(x.pre)
+    good = {r for r in range(p) if x.per[(r - m) % p] == "1"}
+    if not x.is_infinite():
+        return {"ip": False, "reason": "finite"}
+    hit = next((r for r in sorted(good) if subsemigroup_closure({r}, p) <= good), None)
+    if hit is None:
+        refutations = []
+        for r in sorted(good):
+            k = next(k for k in range(1, p + 1) if (k * r) % p not in good)
+            # k <= p members with residue r lie past max(m, 1) within k periods
+            elems = [v for v in range(max(m, 1), m + 1 + p * p) if x.member(v) and v % p == r][:k]
+            refutations.append({"residue": r, "count": k, "elements": elems, "sum": sum(elems)})
+        return {"ip": False, "reason": "no residue class closes up", "refutations": refutations}
+
+    def extend(chosen, total, sums):
+        if len(chosen) == 4:
+            return chosen
+        v = chosen[-1] + p if chosen else (hit if hit >= 1 else hit + p)
+        while total + v <= bound:
+            if x.member(v):
+                new = {v} | {s + v for s in sums}
+                if not (new & sums) and all(x.member(s) for s in new):
+                    got = extend(chosen + [v], total + v, sums | new)
+                    if got is not None:
+                        return got
+            v += p
+        return None
+
+    ip = {"ip": True, "residue": hit, "modulus": p, "closure": sorted(subsemigroup_closure({hit}, p))}
+    witness = extend([], 0, set())
+    if witness is not None:
+        ip["witness"] = witness
+        ip["witness_bound"] = bound
+    return ip
+
+
 class TestCentralCheck:
     def test_evens(self):
         d = central_check(EVENS).as_dict()
@@ -602,6 +642,10 @@ class TestCentralCheck:
             for ref in ip["refutations"]:
                 assert all(x.member(e) for e in ref["elements"])
                 assert not x.member(ref["sum"])
+
+    @given(ep_sets, st.integers(min_value=1, max_value=300))
+    def test_ip_report_matches_residue_search(self, x, bound):
+        assert central_check(x, bound=bound).as_dict()["ip"] == residue_search_ip(x, bound)
 
     def test_bound_validation(self):
         with pytest.raises(InputError):
