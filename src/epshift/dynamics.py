@@ -107,23 +107,27 @@ def shift(x: SymbolicPoint, n: int) -> SymbolicPoint:
     return x.shift(n)
 
 
-def _first_disagreement(u: Word, v: Word, n: int = 0) -> int | None:
-    """The least j with u(n + j) != v(j), or None when T^n u = v; past
-    their preperiod join both repeat with the lcm period."""
-    horizon = max(len(u.pre) - n, len(v.pre)) + math.lcm(len(u.per), len(v.per))
+def _first_disagreement(u: Word, v: Word, n: int = 0, m: int = 0) -> int | None:
+    """The least j with u(n + j) != v(m + j), or None when T^n u = T^m v;
+    past their preperiod join both repeat with the lcm period."""
+    horizon = max(len(u.pre) - n, len(v.pre) - m, 0) + math.lcm(len(u.per), len(v.per))
     a = u.window(n, n + horizon)
-    b = v.window(0, horizon)
+    b = v.window(m, m + horizon)
     if a == b:
         return None
     return next(j for j in range(horizon) if a[j] != b[j])
 
 
-def distance_exponent(x: SymbolicPoint, y: SymbolicPoint) -> int | float:
-    """The exponent e with d(x, y) = 2**-e; math.inf iff the points are equal.
+def distance_exponent(
+    x: SymbolicPoint, y: SymbolicPoint, n: int = 0, m: int = 0
+) -> int | float:
+    """The exponent e with d(T^n x, T^m y) = 2**-e; math.inf iff the
+    shifted points are equal.
 
-    e = min over coordinates i of (i + first position where x_i and y_i
-    disagree).  Coordinate i cannot push the minimum below i, which is what
-    makes finitely many coordinates determine any finite resolution.
+    e = min over coordinates i of (i + first position where the shifted
+    x_i and y_i disagree).  Coordinate i cannot push the minimum below i,
+    which is what makes finitely many coordinates determine any finite
+    resolution.
     """
     if x.coord_count != y.coord_count:
         raise InputError("points live in products of different sizes")
@@ -131,7 +135,7 @@ def distance_exponent(x: SymbolicPoint, y: SymbolicPoint) -> int | float:
     for i, (u, v) in enumerate(zip(x.coords, y.coords)):
         if i >= best:
             break
-        d = _first_disagreement(u, v)
+        d = _first_disagreement(u, v, n, m)
         if d is not None and i + d < best:
             best = i + d
     return best
@@ -187,33 +191,15 @@ def is_uniformly_recurrent(x: SymbolicPoint) -> UrReport:
     """
     if all(not c.pre for c in x.coords):
         period = x.lcm_period
-        top = x.coord_count + period
-        # first disagreement of each coordinate against each of its rotations
-        rot_mismatch: list[list[int | None]] = []
-        for u in x.coords:
-            p = len(u.per)
-            row: list[int | None] = [None]
-            for s in range(1, p):
-                rot = u.per[s:] + u.per[:s]
-                row.append(next(j for j in range(p) if rot[j] != u.per[j]))
-            rot_mismatch.append(row)
-        exps: list[int | float] = []
-        for n in range(period):
-            e: int | float = math.inf
-            for i, row in enumerate(rot_mismatch):
-                d = row[n % len(row)]
-                if d is not None and i + d < e:
-                    e = i + d
-            exps.append(e)
-        bound_cache: dict[int | float, int] = {}
+        exps = [distance_exponent(x, x, n) for n in range(period)]
+        levels = set(exps)
+        gap = 1  # at resolution 0 every offset returns
         gaps = []
-        finite = sorted({e for e in exps if e is not math.inf})
-        for k in range(1, top + 1):
-            cut = next((v for v in finite if v >= k), math.inf)
-            if cut not in bound_cache:
-                returns = [n for n, e in enumerate(exps) if e >= cut]
-                bound_cache[cut] = _cyclic_gap(returns, period)
-            gaps.append((k, bound_cache[cut]))
+        for k in range(1, x.coord_count + period + 1):
+            # the returns {n : exps[n] >= k} shrink only past an exponent k - 1
+            if k - 1 in levels:
+                gap = _cyclic_gap([n for n, e in enumerate(exps) if e >= k], period)
+            gaps.append((k, gap))
         return UrReport(recurrent=True, gaps=tuple(gaps))
 
     i = next(j for j, c in enumerate(x.coords) if c.pre)
@@ -250,18 +236,13 @@ class ProximalityReport:
 
 
 def are_proximal(x: SymbolicPoint, y: SymbolicPoint) -> ProximalityReport:
-    if x.coord_count != y.coord_count:
-        raise InputError("points live in products of different sizes")
     join = max(x.max_preperiod, y.max_preperiod)
-    if x.shift(join) == y.shift(join):
+    if distance_exponent(x, y, join, join) == math.inf:
         return ProximalityReport(proximal=True, witness=join)
     # beyond the join both points are periodic, so the disagreement pattern
     # repeats with the joint period; its worst exponent bounds all offsets
-    period = math.lcm(*(len(c.per) for c in x.coords + y.coords))
-    worst = max(
-        distance_exponent(x.shift(n), y.shift(n))
-        for n in range(join, join + period)
-    )
+    period = math.lcm(x.lcm_period, y.lcm_period)
+    worst = max(distance_exponent(x, y, n, n) for n in range(join, join + period))
     return ProximalityReport(proximal=False, exponent=int(worst))
 
 
@@ -432,13 +413,13 @@ def covering_bound(y: SymbolicPoint, u: Cylinder) -> int:
     cylinder ``u`` within m shifts."""
     if not is_uniformly_recurrent(y).recurrent:
         raise InputError("covering bounds need a uniformly recurrent point")
-    orbit = orbit_closure(y)
+    # y is purely periodic, so its orbit closure is T^s y for s < period
     period = y.lcm_period
     entries = []
-    for z in orbit:
-        n = next((n for n in range(period) if u.contains(z, n)), None)
+    for s in range(period):
+        n = next((n for n in range(period) if u.contains(y, s + n)), None)
         if n is None:
-            listing = ", ".join(p.literal for p in orbit)
+            listing = ", ".join(p.literal for p in orbit_closure(y))
             raise InputError(
                 f"cylinder misses the whole orbit closure: {listing}"
             )

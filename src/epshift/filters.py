@@ -22,7 +22,6 @@ every downstream certificate.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -37,10 +36,8 @@ from .epcore import (
 from .dynamics import (
     SymbolicPoint,
     ae_solve,
-    are_proximal,
-    eaet_extend,
     encode_point,
-    is_uniformly_recurrent,
+    require_aet_pair,
     stack_points,
 )
 from .ipcore import IpGenerator, ip_sequence_construct
@@ -368,20 +365,15 @@ def ultralimit(f: PartialUltrafilter, x: SymbolicPoint) -> SymbolicPoint:
     Coordinate i of x encodes the set A_i = {n : x_i(n) = 0}; the limit's
     symbol at position k is 0 iff A_i − k ∈ F.  The result is checked to
     be uniformly recurrent and proximal to x, as a limit along a minimal
-    idempotent filter must be; failure raises, naming the check.
+    idempotent filter must be; a generator that is not idempotent on these
+    coordinates fails that check and raises :class:`AetPairError`.
     """
     coords = []
     for w in x.coords:
         decided = translate_membership_set(f, w.complement())
         coords.append(decided.complement())
     y = SymbolicPoint(tuple(coords))
-    if not is_uniformly_recurrent(y).recurrent:
-        raise ConstructionError(
-            "ultralimit is not uniformly recurrent; the generator does not "
-            "behave idempotently on these coordinates"
-        )
-    if not are_proximal(x, y).proximal:
-        raise ConstructionError("ultralimit is not proximal to its source point")
+    require_aet_pair(x, y)
     return y
 
 
@@ -407,7 +399,8 @@ def extend_filter(
     x1 = encode_point(f.scope)
     y1 = ultralimit(f, x1)
     x2 = encode_point(new_scope)
-    y2 = eaet_extend(x1, y1, x2)
+    # ultralimit has checked (x1, y1); ip_sequence_construct checks the stack
+    y2 = ae_solve(x2)
     cert = ip_sequence_construct(stack_points(x1, x2), stack_points(y1, y2), count=count)
     extended = PartialUltrafilter(
         generator=cert.generator,

@@ -31,7 +31,6 @@ from .dynamics import (
     distance_exponent,
     encode_point,
     require_aet_pair,
-    shift,
 )
 
 __all__ = [
@@ -292,7 +291,7 @@ def ip_limit_check(
 
     For each tail offset m <= witness_count, every sum of 1..sum_terms
     terms from indices m..m+witness_count-1 must satisfy
-    distance_exponent(shift(x, s), y) >= resolution.
+    distance_exponent(x, y, s) >= resolution.
     """
     if resolution < 0:
         raise InputError("resolution must be a natural number")
@@ -306,7 +305,7 @@ def ip_limit_check(
         for size in range(1, min(sum_terms, len(tail)) + 1):
             for combo in combinations(tail, size):
                 s = sum(combo)
-                e = distance_exponent(shift(x, s), y)
+                e = distance_exponent(x, y, s)
                 if e < resolution:
                     bad = (m, s, int(e))
                     break

@@ -73,6 +73,11 @@ class TestExitCodes:
         code, _, err = run("ip", "construct", "(10)", "(01)")
         assert code == 2 and "proximal" in err
 
+    def test_incoherent_ulimit_generator(self, run):
+        """A generator that decides neither evens nor odds is bad input."""
+        code, out, err = run("filter", "ulimit", "--gen", "1+(2)", "(10)")
+        assert code == 2 and out == "" and "pair check failed" in err
+
     def test_help_exits_zero(self, run):
         assert run("--help")[0] == 0
 
@@ -116,6 +121,18 @@ class TestSubcommandSchemas:
         d = json.loads(out)
         assert d["recurrent"] is False
         assert set(d) == {"recurrent", "coord", "word", "occurrences"}
+
+    def test_ur_gaps_at_lcm_9009(self, run):
+        """Periods 7, 9, 11 and 13: gaps are recomputed only at resolutions
+        just past a return exponent, never once per resolution."""
+        code, out, _ = run(
+            "dyn", "ur", "(1000000);(100000000);(10000000000);(1000000000000)"
+        )
+        assert code == 0
+        assert json.loads(out)["gaps"][:4] == [[1, 7], [2, 63], [3, 693], [4, 9009]]
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "b5224a1871f67b0c08465e18e51f1093a061a9f4372ef4b3863fd50a911e0cd2"
+        )
 
     def test_proximal(self, run):
         _, out, _ = run("dyn", "proximal", "00(01)", "(01)")

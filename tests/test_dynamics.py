@@ -12,6 +12,7 @@ from epshift.dynamics import (
     BlockCode,
     Cylinder,
     SymbolicPoint,
+    UrReport,
     ae_solve,
     apply_block_code,
     are_proximal,
@@ -150,6 +151,27 @@ class TestDistanceExponent:
         with pytest.raises(InputError):
             distance_exponent(pt("(0)"), pt("(0);(0)"))
 
+    @given(same_size_pair())
+    def test_offsets_match_shifted_points(self, xy):
+        """Offsets inside the preperiods, at the join and far past join + lcm."""
+        x, y = xy
+        join = max(x.max_preperiod, y.max_preperiod)
+        horizon = join + math.lcm(x.lcm_period, y.lcm_period)
+        offsets = [*range(join + 2), horizon + 1, 13 * horizon + 5]
+        shifted = {(z, n): shift(z, n) for z in (x, y) for n in offsets}
+        for a, b in ((x, y), (x, x)):
+            for n in offsets:
+                for m in offsets:
+                    assert distance_exponent(a, b, n, m) == distance_exponent(
+                        shifted[a, n], shifted[b, m]
+                    ), (n, m)
+
+    def test_negative_offsets_rejected(self):
+        x = pt("1(10);(0011)")
+        for n, m in ((-1, 0), (0, -1), (-3, -2)):
+            with pytest.raises(InputError):
+                distance_exponent(x, x, n, m)
+
 
 def brute_ur(x: SymbolicPoint) -> bool:
     """Windowed return-gap scan, no structure theory.
@@ -175,6 +197,45 @@ def brute_ur(x: SymbolicPoint) -> bool:
     return True
 
 
+def rotation_table_ur(x: SymbolicPoint) -> UrReport:
+    """Oracle for purely periodic stacks: the return exponents read off a
+    private table of each coordinate against each of its rotations, and
+    the gaps recomputed once per distinct cut."""
+    period = x.lcm_period
+    top = x.coord_count + period
+    rot_mismatch: list[list[int | None]] = []
+    for u in x.coords:
+        p = len(u.per)
+        row: list[int | None] = [None]
+        for s in range(1, p):
+            rot = u.per[s:] + u.per[:s]
+            row.append(next(j for j in range(p) if rot[j] != u.per[j]))
+        rot_mismatch.append(row)
+    exps: list[int | float] = []
+    for n in range(period):
+        e: int | float = math.inf
+        for i, row in enumerate(rot_mismatch):
+            d = row[n % len(row)]
+            if d is not None and i + d < e:
+                e = i + d
+        exps.append(e)
+    bound_cache: dict[int | float, int] = {}
+    gaps = []
+    finite = sorted({e for e in exps if e is not math.inf})
+    for k in range(1, top + 1):
+        cut = next((v for v in finite if v >= k), math.inf)
+        if cut not in bound_cache:
+            returns = [n for n, e in enumerate(exps) if e >= cut]
+            if len(returns) == 1:
+                bound_cache[cut] = period
+            else:
+                diffs = [b - a for a, b in zip(returns, returns[1:])]
+                diffs.append(returns[0] + period - returns[-1])
+                bound_cache[cut] = max(diffs)
+        gaps.append((k, bound_cache[cut]))
+    return UrReport(recurrent=True, gaps=tuple(gaps))
+
+
 class TestUniformRecurrence:
     def test_frozen(self):
         r = is_uniformly_recurrent(pt("(01)"))
@@ -191,6 +252,10 @@ class TestUniformRecurrence:
     @given(points)
     def test_matches_brute(self, x):
         assert is_uniformly_recurrent(x).recurrent == brute_ur(x)
+
+    @given(periodic_points)
+    def test_matches_rotation_table(self, x):
+        assert is_uniformly_recurrent(x) == rotation_table_ur(x)
 
     @given(periodic_points)
     def test_gap_certificate(self, x):
@@ -606,6 +671,27 @@ class TestCylinder:
                         assert distance_exponent(z, y) >= k
 
 
+def orbit_copy_covering_bound(y: SymbolicPoint, u: Cylinder) -> int:
+    """Oracle: the entry time of every orbit-closure point, each built as a
+    shifted copy of y."""
+    orbit = orbit_closure(y)
+    entries = []
+    for z in orbit:
+        n = next((n for n in range(y.lcm_period) if u.contains(z, n)), None)
+        if n is None:
+            listing = ", ".join(p.literal for p in orbit)
+            raise InputError(f"cylinder misses the whole orbit closure: {listing}")
+        entries.append(n)
+    return max(entries)
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except InputError as exc:
+        return str(exc)
+
+
 class TestCoveringBound:
     def test_frozen(self):
         assert covering_bound(pt("(01)"), Cylinder(pt("(01)"), 1, 1)) == 1
@@ -632,3 +718,17 @@ class TestCoveringBound:
             entry.append(first)
         assert max(entry) == m
         assert m < max(y.lcm_period, 1)
+
+    @given(same_size_pair())
+    def test_matches_orbit_copies(self, pair):
+        """Results and error text, on cylinders around an unrelated point
+        and around the periodic point itself."""
+        a, b = pair
+        y = ae_solve(a)
+        for ref in (b, y):
+            for i in range(1, ref.coord_count + 1):
+                for k in (1, 2, 4):
+                    u = Cylinder(ref, i, k)
+                    assert outcome(covering_bound, y, u) == outcome(
+                        orbit_copy_covering_bound, y, u
+                    )

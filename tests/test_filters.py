@@ -10,12 +10,18 @@ from hypothesis import strategies as st
 from epshift.epcore import (
     EMPTY,
     FULL,
-    ConstructionError,
     EpSet,
     InputError,
     generate_algebra,
 )
-from epshift.dynamics import SymbolicPoint, ae_solve, are_proximal, encode_point, is_uniformly_recurrent
+from epshift.dynamics import (
+    AetPairError,
+    SymbolicPoint,
+    ae_solve,
+    are_proximal,
+    encode_point,
+    is_uniformly_recurrent,
+)
 from epshift.ipcore import IpGenerator
 from epshift.filters import (
     FilterReport,
@@ -488,9 +494,9 @@ class TestUltralimit:
 
     def test_incoherent_generator_raises(self):
         # 1,2+(3,1) decides neither evens nor odds, so the limit cannot
-        # track the encoded point
+        # track the encoded point: bad input, not a library fault
         f = PartialUltrafilter.for_generator(IpGenerator.parse("1,2+(3,1)"))
-        with pytest.raises(ConstructionError, match="proximal"):
+        with pytest.raises(AetPairError, match="proximal"):
             ultralimit(f, encode_point([EVENS]))
 
 
