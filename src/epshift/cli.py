@@ -255,7 +255,7 @@ def _build_payload(f: PartialUltrafilter) -> dict:
         "all_pass": report.all_pass,
         "generator": f.generator.literal,
         "scope_size": len(f.scope),
-        "members": [x.literal for x in f.members_of(f.scope)],
+        "members": [e["set"] for e in report.members],
         "stages": {
             "encoded_point": f.trace["encoded_point"],
             "ae_point": f.trace["ae_point"],
@@ -297,7 +297,7 @@ def _cmd_filter_extend(ns) -> dict:
         "generator": g.generator.literal,
         "base_size": len(base),
         "new_size": len(wider),
-        "members": [x.literal for x in g.members_of(wider)],
+        "members": [e["set"] for e in report.members],
     }
 
 

@@ -170,14 +170,6 @@ class UrReport:
     occurrences: tuple[int, ...] | None = None
 
 
-def _cyclic_gap(positions: list[int], modulus: int) -> int:
-    if len(positions) == 1:
-        return modulus
-    diffs = [b - a for a, b in zip(positions, positions[1:])]
-    diffs.append(positions[0] + modulus - positions[-1])
-    return max(diffs)
-
-
 def is_uniformly_recurrent(x: SymbolicPoint) -> UrReport:
     """Decide uniform recurrence exactly.
 
@@ -185,20 +177,22 @@ def is_uniformly_recurrent(x: SymbolicPoint) -> UrReport:
     coordinate preperiod is empty.  For a purely periodic stack the return
     times at any resolution are a union of residue classes mod the stack
     period, and the certificate reports their exact gap bounds for every
-    resolution up to coordinate count + period.  Otherwise some coordinate
-    has a nonempty preperiod, and the shortest prefix of it that never
-    recurs past the preperiod witnesses the failure.
+    resolution up to coordinate count + period: one more than the
+    syndeticity bound of the return set, which repeats with that period.
+    Otherwise some coordinate has a nonempty preperiod, and the shortest
+    prefix of it that never recurs past the preperiod witnesses the failure.
     """
     if all(not c.pre for c in x.coords):
         period = x.lcm_period
-        exps = [distance_exponent(x, x, n) for n in range(period)]
+        exps = [math.inf] + [distance_exponent(x, x, n) for n in range(1, period)]
         levels = set(exps)
         gap = 1  # at resolution 0 every offset returns
         gaps = []
         for k in range(1, x.coord_count + period + 1):
             # the returns {n : exps[n] >= k} shrink only past an exponent k - 1
             if k - 1 in levels:
-                gap = _cyclic_gap([n for n, e in enumerate(exps) if e >= k], period)
+                word = "".join("1" if e >= k else "0" for e in exps)
+                gap = EpSet("", word).is_syndetic().bound + 1
             gaps.append((k, gap))
         return UrReport(recurrent=True, gaps=tuple(gaps))
 
@@ -410,21 +404,18 @@ class Cylinder:
 
 def covering_bound(y: SymbolicPoint, u: Cylinder) -> int:
     """The least m such that every orbit-closure point of ``y`` enters the
-    cylinder ``u`` within m shifts."""
+    cylinder ``u`` within m shifts: the syndeticity bound of the hitting
+    times {t : T^t y in u}."""
     if not is_uniformly_recurrent(y).recurrent:
         raise InputError("covering bounds need a uniformly recurrent point")
-    # y is purely periodic, so its orbit closure is T^s y for s < period
-    period = y.lcm_period
-    entries = []
-    for s in range(period):
-        n = next((n for n in range(period) if u.contains(y, s + n)), None)
-        if n is None:
-            listing = ", ".join(p.literal for p in orbit_closure(y))
-            raise InputError(
-                f"cylinder misses the whole orbit closure: {listing}"
-            )
-        entries.append(n)
-    return max(entries)
+    # y is purely periodic, so its orbit closure is T^s y for s < period and
+    # the hitting times repeat with that period
+    hits = EpSet("", "".join("1" if u.contains(y, t) else "0" for t in range(y.lcm_period)))
+    bound = hits.is_syndetic().bound
+    if bound is None:
+        listing = ", ".join(p.literal for p in orbit_closure(y))
+        raise InputError(f"cylinder misses the whole orbit closure: {listing}")
+    return bound
 
 
 # -- block codes ------------------------------------------------------------

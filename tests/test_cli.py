@@ -154,6 +154,15 @@ class TestSubcommandSchemas:
         _, out, _ = run("dyn", "cover", "(01)", "(01)", "1", "2")
         assert json.loads(out) == {"bound": 1}
 
+    @pytest.mark.parametrize("pos_depth", ["1", "3"])
+    def test_cover_at_lcm_9009(self, run, pos_depth):
+        """Periods 7, 9, 11 and 13 agree on all four coordinates only at
+        multiples of 9009; one scan of the period finds the bound."""
+        y = "(1000000);(100000000);(10000000000);(1000000000000)"
+        code, out, _ = run("dyn", "cover", y, y, "4", pos_depth)
+        assert code == 0
+        assert out == '{"bound": 9008}\n'
+
     def test_orbit(self, run):
         _, out, _ = run("dyn", "orbit", "(0011)")
         d = json.loads(out)

@@ -1,9 +1,10 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from epshift.epcore import EpSet, InputError, LiteralError, generate_algebra
@@ -243,6 +244,8 @@ class TestUniformRecurrence:
         r = is_uniformly_recurrent(pt("1(0)"))
         assert not r.recurrent and r.coord == 0 and r.word == "1" and r.occurrences == (0,)
         assert is_uniformly_recurrent(pt("(01);(0011)")).recurrent
+        # a gap is the largest cyclic difference between returns
+        assert all(g == 4 for _, g in is_uniformly_recurrent(pt("(1000)")).gaps)
 
     def test_gap_resolutions_run_high_enough(self):
         r = is_uniformly_recurrent(pt("(01);(0011)"))
@@ -697,6 +700,8 @@ class TestCoveringBound:
         assert covering_bound(pt("(01)"), Cylinder(pt("(01)"), 1, 1)) == 1
         assert covering_bound(pt("(0)"), Cylinder(pt("(0)"), 1, 2)) == 0
         assert covering_bound(pt("(0011)"), Cylinder(pt("(0011)"), 1, 1)) == 2
+        # one less than the largest cyclic difference between hitting times
+        assert covering_bound(pt("(1000)"), Cylinder(pt("(1000)"), 1, 4)) == 3
 
     def test_requires_recurrent(self):
         with pytest.raises(InputError, match="recurrent"):
@@ -732,3 +737,22 @@ class TestCoveringBound:
                     assert outcome(covering_bound, y, u) == outcome(
                         orbit_copy_covering_bound, y, u
                     )
+
+    @given(same_size_pair(), st.integers(min_value=1, max_value=4))
+    @example((pt("(1000)"), pt("(1000)")), 4)
+    def test_one_contains_call_per_period_step(self, pair, k):
+        """The hitting times come from one scan of the period, hit or miss."""
+        a, b = pair
+        y = ae_solve(a)
+        contains = Cylinder.contains
+        calls = []
+
+        def counted(self, z, n=0):
+            calls.append(n)
+            return contains(self, z, n)
+
+        for ref in (b, y):
+            calls.clear()
+            with mock.patch.object(Cylinder, "contains", counted):
+                outcome(covering_bound, y, Cylinder(ref, ref.coord_count, k))
+            assert len(calls) <= y.lcm_period
