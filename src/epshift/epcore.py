@@ -140,7 +140,7 @@ class EpSet:
     def member(self, n: int) -> bool:
         """True iff ``n`` is in the set."""
         if n < 0:
-            raise InputError("window bounds must satisfy 0 <= start <= stop")
+            raise InputError("position must be a natural number")
         m = len(self.pre)
         return (self.pre[n] if n < m else self.per[(n - m) % len(self.per)]) == "1"
 

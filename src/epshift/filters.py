@@ -5,12 +5,16 @@ F = {X : some tail's finite sums all land in X}.  For eventually periodic
 X this membership is decidable by residue arithmetic: past the preperiods,
 a sum lies in X iff its residue mod p = period(X) hits the periodic part,
 and the achievable residues of tail sums form the additive closure C_p of
-the tail's residue cycle.  So X ∈ F iff C_p ⊆ G(X), where G(X) is the set
-of X's periodic residues mod p; both are kept as p-bit masks.  The verdict
-depends on X only through G(X), which gives three more facts: the
+the tail's residue cycle.  In the finite group Z_p that closure is the
+subgroup the cycle generates: the multiples of s = gcd(p, n_{L-1},
+d_0, ..., d_{k-1}), for the last head term and the tail differences.  So
+X ∈ F iff C_p ⊆ G(X), where G(X), the set of X's periodic residues mod p,
+is kept as a p-character word; the test is a strided read of it.  The
+verdict depends on X only through G(X), which gives three more facts: the
 complement is in F iff C_p ∩ G(X) = ∅; X − n has period p and
-G(X − n) = G(X) − n, so {n : X − n ∈ F} is purely periodic; and neither
-needs the algebra to be downward closed or the filter to be ultra.
+G(X − n) = G(X) − n, so {n : X − n ∈ F} is purely periodic with period
+dividing s; and neither needs the algebra to be downward closed or the
+filter to be ultra.
 Everything else here is bookkeeping around that kernel: axiom audits with
 witnesses, construction from the dynamics (encode, solve, certify), limits
 along the filter, scope extension, and the three-way central-set report.
@@ -22,8 +26,9 @@ every downstream certificate.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .epcore import (
     Algebra,
@@ -65,6 +70,8 @@ def _sum_tree(gens, p: int) -> dict[int, tuple[int, int]]:
     added), with previous residue -1 at a root (a single generator).  Each
     level tries the generators in increasing order, so following the links
     back from r spells a shortest word of generators summing to r mod p.
+    Only a non-member's refuting word needs it; the closure itself is a
+    gcd (see ``_closure_step``).
     """
     order = sorted({g % p for g in gens})
     tree = {r: (-1, r) for r in order}
@@ -81,23 +88,27 @@ def _sum_tree(gens, p: int) -> dict[int, tuple[int, int]]:
 def subsemigroup_closure(residues, p: int) -> set[int]:
     """Least subset of Z_p containing ``residues`` and closed under addition.
 
-    Equals the residues of all nonempty finite sums over the input with
-    repetition: the residues that the breadth-first ``_sum_tree`` reaches.
+    Every element of the finite group Z_p has finite order, so that is the
+    subgroup the residues generate: the multiples of gcd(p, *residues).
     """
     if p < 1:
         raise InputError("modulus must be positive")
-    tree = _sum_tree(residues, p)
-    if not tree:
+    if not residues:
         raise InputError("need at least one residue")
-    return set(tree)
+    return set(range(0, p, math.gcd(p, *residues)))
 
 
-def _residue_mask(x: EpSet) -> int:
-    """G(X) as a p-bit mask, p = period(X): bit r is set iff every n past
-    X's preperiod with n ≡ r (mod p) lies in X."""
-    m, p = len(x.pre), len(x.per)
-    k = -m % p
-    return int((x.per[k:] + x.per[:k])[::-1], 2)
+def _residue_word(x: EpSet) -> str:
+    """G(X) as a word of length p = period(X): character r is "1" iff every
+    n past X's preperiod with n ≡ r (mod p) lies in X."""
+    k = -len(x.pre) % len(x.per)
+    return x.per[k:] + x.per[:k]
+
+
+def _closure_step(g: IpGenerator, p: int) -> int:
+    """s with C_p = {0, s, 2s, ...}: the tail's residues are n_{L-1} plus
+    partial sums of the differences, and taking differences keeps a gcd."""
+    return math.gcd(p, g.head[-1], *g.tail_diffs)
 
 
 @dataclass(frozen=True)
@@ -128,24 +139,24 @@ def filter_member(g: IpGenerator, x: EpSet) -> MemberResult:
     set, no larger m can change the verdict; the choice below merely makes
     the certificate concrete.
 
-    One ``_sum_tree`` over the cycle gives both the closure (its keys) and,
-    for a non-member, the shortest word reaching the least residue outside
-    x (its links back to a root); the word's terms are then picked from
-    the tail in index order.
+    The closure is the multiples of ``_closure_step``, so the verdict is
+    one strided read of X's residue word.  Only for a non-member does one
+    ``_sum_tree`` over the cycle spell the shortest word reaching the least
+    residue outside x (its links back to a root); the word's terms are then
+    picked from the tail in index order.
     """
     p = len(x.per)
     m_x = len(x.pre)
-    start, cycle = g.residue_structure(p)
-    m = start
+    m = len(g.head) - 1  # the residue cycle starts at the last head term
     while g.term(m) < m_x:
         m += 1
-    tree = _sum_tree(cycle, p)
-    closure = tuple(sorted(tree))
-    good = _residue_mask(x)
-    outside = [r for r in closure if not good >> r & 1]
-    if not outside:
+    s = _closure_step(g, p)
+    closure = tuple(range(0, p, s))
+    w = _residue_word(x)[::s]
+    if "0" not in w:
         return MemberResult(member=True, tail_start=m, closure=closure)
-    r = outside[0]
+    r = s * w.index("0")
+    tree = _sum_tree(g.residue_structure(p)[1], p)
     need: Counter = Counter()
     while r != -1:
         r, step = tree[r]
@@ -174,19 +185,16 @@ def filter_member(g: IpGenerator, x: EpSet) -> MemberResult:
 
 @dataclass(frozen=True, eq=False)
 class PartialUltrafilter:
-    """F((n_i)) restricted to a scope algebra, with a per-period closure memo.
+    """F((n_i)) restricted to a scope algebra.
 
-    Membership of X depends only on p = period(X): X ∈ F iff every bit of
-    the closure mask C_p is set in G(X) (see the module docstring), the
-    same verdict ``filter_member`` gives.  The memo maps p to C_p and is the
-    only mutable state; every fill writes the deterministic mask for its
-    period, so sets of one period share one entry.
+    Membership of X depends only on p = period(X): X ∈ F iff X's residue
+    word is "1" at every multiple of ``_closure_step`` (see the module
+    docstring), the same verdict ``filter_member`` gives.
     """
 
     generator: IpGenerator
     scope: Algebra
     trace: dict | None = None
-    _closures: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def for_generator(cls, generator: IpGenerator) -> "PartialUltrafilter":
@@ -194,17 +202,8 @@ class PartialUltrafilter:
 
         return cls(generator=generator, scope=generate_algebra([FULL], downward=True))
 
-    def _closure_mask(self, p: int) -> int:
-        """C_p: the residues mod p of the generator's tail sums, as a mask."""
-        c = self._closures.get(p)
-        if c is None:
-            tree = _sum_tree(self.generator.residue_structure(p)[1], p)
-            c = sum(1 << r for r in tree)  # the keys are distinct residues
-            self._closures[p] = c
-        return c
-
     def member(self, x: EpSet) -> bool:
-        return not self._closure_mask(len(x.per)) & ~_residue_mask(x)
+        return "0" not in _residue_word(x)[:: _closure_step(self.generator, len(x.per))]
 
     def members_of(self, algebra: Algebra) -> list[EpSet]:
         return [x for x in algebra.members if self.member(x)]
@@ -213,16 +212,15 @@ class PartialUltrafilter:
 def translate_membership_set(f: PartialUltrafilter, x: EpSet) -> EpSet:
     """The set D(X) = {n : X − n ∈ F}, as an exact EpSet.
 
-    D(X) is purely periodic, with period dividing p = period(X): every
-    X − n has period p and periodic residues G(X) − n, so X − n ∈ F iff
-    C_p + n ⊆ G(X), which depends only on n mod p, even for n inside X's
-    preperiod.  One rotation of G(X) per residue n < p decides it.
+    D(X) is purely periodic, with period dividing s = ``_closure_step``:
+    every X − n has period p and periodic residues G(X) − n, so X − n ∈ F
+    iff C_p + n ⊆ G(X), which depends only on n mod s, even for n inside
+    X's preperiod.  For n < s, C_p + n is the residues n, n + s, ..., one
+    strided read of X's residue word.
     """
-    p = len(x.per)
-    c = f._closure_mask(p)
-    g = _residue_mask(x)
-    twice = g | g << p  # bits r + n of twice are bits (r + n) mod p of g
-    return EpSet("", "".join("0" if c & ~(twice >> n) else "1" for n in range(p)))
+    s = _closure_step(f.generator, len(x.per))
+    w = _residue_word(x)
+    return EpSet("", "".join("0" if "0" in w[n::s] else "1" for n in range(s)))
 
 
 @dataclass(frozen=True)
@@ -281,10 +279,10 @@ def verify_filter(f: PartialUltrafilter, algebra: Algebra) -> FilterReport:
     selected = []
     neither = []
     for x in algebra.members:
-        c, g = f._closure_mask(len(x.per)), _residue_mask(x)
-        if not c & ~g:
+        w = _residue_word(x)[:: _closure_step(f.generator, len(x.per))]
+        if "0" not in w:
             selected.append(x)
-        elif c & g:
+        elif "1" in w:
             neither.append(x.literal)
     dichotomy = {"pass": not neither}
     if neither:
@@ -493,13 +491,13 @@ def central_check(x: EpSet, bound: int = 128, cap: int = 65536) -> CentralReport
 
     p = len(x.per)
     m = len(x.pre)
-    good = _residue_mask(x)
+    good = _residue_word(x)
     ip: dict
     if not x.is_infinite():
         ip = {"ip": False, "reason": "finite"}
     # the closure of {r} in Z_p holds p·r = 0, so a class closes up exactly
     # when 0 is a periodic residue, and then {0} is its closure
-    elif good & 1:
+    elif good[0] == "1":
         ip = {"ip": True, "residue": 0, "modulus": p, "closure": [0]}
         witness = _least_ip_witness(x, terms=4, bound=bound)
         if witness is not None:
@@ -507,14 +505,12 @@ def central_check(x: EpSet, bound: int = 128, cap: int = 65536) -> CentralReport
             ip["witness_bound"] = bound
     else:
         refutations = []
-        for r in (r for r in range(p) if good >> r & 1):
-            k = next(k for k in range(1, p + 1) if not good >> (k * r) % p & 1)
-            elems = []
-            v = x.first_member_at_least(max(m, 1))
-            while v is not None and len(elems) < k:
-                if v % p == r:
-                    elems.append(v)
-                v = x.first_member_at_least(v + 1)
+        lo = max(m, 1)
+        for r in (r for r in range(p) if good[r] == "1"):
+            k = next(k for k in range(1, p + 1) if good[k * r % p] == "0")
+            # r is periodic, so from m on every n ≡ r (mod p) is a member
+            first = lo + (r - lo) % p
+            elems = [first + j * p for j in range(k)]
             total = sum(elems)
             if x.member(total):
                 raise ConstructionError(

@@ -123,26 +123,22 @@ class IpGenerator:
         """Phase and cycle of the residue sequence (n_i mod p).
 
         Returns (start, residues) with n_{start+j} ≡ residues[j mod len]
-        (mod p) for all j >= 0.  The walk state (position in the diff
-        cycle, current residue) is finite, so the sequence must cycle
-        within p·|tail_diffs| steps past the head.
+        (mod p) for all j >= 0.  The walk step (j, r) → (j+1 mod k,
+        r + d_j mod p) on (position in the diff cycle, current residue) is
+        a bijection of a finite set, so the walk from the last head term is
+        a pure cycle: start is always len(head) − 1, and the cycle ends
+        when the first state comes back.
         """
         if p < 1:
             raise InputError("modulus must be positive")
         diffs = self.tail_diffs
-        idx = len(self.head) - 1
-        state = (0, self.head[-1] % p)
-        seen: dict[tuple[int, int], int] = {}
-        hist: list[int] = []
-        while state not in seen:
-            seen[state] = idx
-            hist.append(state[1])
+        first = (0, self.head[-1] % p)
+        state, cycle = first, []
+        while not cycle or state != first:
             j, r = state
+            cycle.append(r)
             state = ((j + 1) % len(diffs), (r + diffs[j]) % p)
-            idx += 1
-        start = seen[state]
-        offset = start - (len(self.head) - 1)
-        return start, tuple(hist[offset:])
+        return len(self.head) - 1, tuple(cycle)
 
 
 def fs_enumerate(g: IpGenerator, from_index: int, max_terms: int, bound: int) -> list[int]:

@@ -283,6 +283,11 @@ class TestSubcommandSchemas:
         assert d["ip"]["witness"] == [2, 4, 8, 16]
         assert d["filter"]["member"] is True
 
+    def test_central_long_period_hits_cap(self, run):
+        # 319 refutations, each read in closed form, before the algebra cap
+        code, out, err = run("filter", "central", "(0" + "1" * 319 + ")")
+        assert code == 3 and out == "" and "cap" in err
+
 
 class TestScenarios:
     def test_bundled_aetmin(self, run):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -237,12 +238,11 @@ class TestFilterMember:
 
 class TestPartialUltrafilter:
     def test_member_caches(self):
-        # the memo holds one closure mask per period, not one verdict per
-        # set: EVENS and ODDS share the entry for period 2, C_2 = {0}
+        # a repeated query gives the same verdict; EVENS and ODDS share
+        # C_2 = {0}, so they get opposite ones
         f = PartialUltrafilter.for_generator(IpGenerator.parse("2+(2)"))
         assert f.member(EVENS) and f.member(EVENS)
         assert not f.member(ODDS)
-        assert f._closures == {2: 0b1}
 
     @settings(max_examples=300)
     @given(
@@ -265,6 +265,7 @@ class TestPartialUltrafilter:
         d = translate_membership_set(f, x)
         assert d == sweep_translate_set(g, x)
         assert d.pre == "" and len(x.per) % len(d.per) == 0
+        assert gcd(len(x.per), g.head[-1], *g.tail_diffs) % len(d.per) == 0
 
     def test_for_generator_scope(self):
         f = PartialUltrafilter.for_generator(IpGenerator.parse("2+(2)"))

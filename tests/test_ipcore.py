@@ -96,8 +96,7 @@ class TestGenerator:
     @given(generators, st.integers(min_value=1, max_value=12))
     def test_residue_structure(self, g, p):
         start, cycle = g.residue_structure(p)
-        assert start >= len(g.head) - 1
-        assert start <= len(g.head) - 1 + p * len(g.tail_diffs)
+        assert start == len(g.head) - 1
         assert 1 <= len(cycle) <= p * len(g.tail_diffs)
         for j in range(3 * len(cycle) + 5):
             assert g.term(start + j) % p == cycle[j % len(cycle)]
