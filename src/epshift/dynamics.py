@@ -246,17 +246,12 @@ def are_proximal(x: SymbolicPoint, y: SymbolicPoint) -> ProximalityReport:
 def ae_solve(x: SymbolicPoint) -> SymbolicPoint:
     """Produce a uniformly recurrent point proximal to ``x``.
 
-    Each coordinate's periodic tail is extended backwards through the
-    preperiod at its own phase, anchored at absolute position 0, so the
-    output is purely periodic and agrees with ``x`` from the preperiod
-    join onward.  For eventually periodic stacks this solution is unique.
+    Each coordinate becomes its residue word, its periodic tail extended
+    backwards through the preperiod at its own phase, so the output is
+    purely periodic and agrees with ``x`` from the preperiod join onward.
+    For eventually periodic stacks this solution is unique.
     """
-    out = []
-    for u in x.coords:
-        m, p = len(u.pre), len(u.per)
-        s = (-m) % p
-        out.append(EpSet("", u.per[s:] + u.per[:s]))
-    return SymbolicPoint(tuple(out))
+    return SymbolicPoint(tuple(EpSet("", u.residue_word) for u in x.coords))
 
 
 def require_aet_pair(x: SymbolicPoint, y: SymbolicPoint) -> None:

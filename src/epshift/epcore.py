@@ -173,6 +173,13 @@ class EpSet:
 
     # -- size and gap structure ------------------------------------------
 
+    @property
+    def residue_word(self) -> str:
+        """The period rotated to phase 0: character r is "1" iff every n past
+        the preperiod with n ≡ r (mod period) is a member."""
+        k = -len(self.pre) % len(self.per)
+        return self.per[k:] + self.per[:k]
+
     def is_infinite(self) -> bool:
         """True iff the set is infinite, i.e. the periodic part has a member."""
         return "1" in self.per

@@ -9,15 +9,17 @@ the tail's residue cycle.  In the finite group Z_p that closure is the
 subgroup the cycle generates: the multiples of s = gcd(p, n_{L-1},
 d_0, ..., d_{k-1}), for the last head term and the tail differences.  So
 X ∈ F iff C_p ⊆ G(X), where G(X), the set of X's periodic residues mod p,
-is kept as a p-character word; the test is a strided read of it.  The
-verdict depends on X only through G(X), which gives three more facts: the
-complement is in F iff C_p ∩ G(X) = ∅; X − n has period p and
-G(X − n) = G(X) − n, so {n : X − n ∈ F} is purely periodic with period
-dividing s; and neither needs the algebra to be downward closed or the
-filter to be ultra.
+is X's residue word (``EpSet.residue_word``); the test is a strided read
+of it.  The verdict depends on X only through G(X), which gives three
+more facts: the complement is in F iff C_p ∩ G(X) = ∅; X − n has period
+p and G(X − n) = G(X) − n, so {n : X − n ∈ F} is purely periodic with
+period dividing s; and neither needs the algebra to be downward closed
+or the filter to be ultra.
 Everything else here is bookkeeping around that kernel: axiom audits with
 witnesses, construction from the dynamics (encode, solve, certify), limits
-along the filter, scope extension, and the three-way central-set report.
+along the filter, scope extension, and the three-way central-set report,
+whose IP witness comes from the least-witness search of
+:mod:`epshift.ipcore`.
 
 Verification is fail-closed: the constructors re-audit their own output
 and raise on any failed axiom, because a silent bad filter would poison
@@ -45,7 +47,7 @@ from .dynamics import (
     require_aet_pair,
     stack_points,
 )
-from .ipcore import IpGenerator, ip_sequence_construct
+from .ipcore import IpGenerator, _least_witness, ip_sequence_construct
 
 __all__ = [
     "CentralReport",
@@ -98,13 +100,6 @@ def subsemigroup_closure(residues, p: int) -> set[int]:
     return set(range(0, p, math.gcd(p, *residues)))
 
 
-def _residue_word(x: EpSet) -> str:
-    """G(X) as a word of length p = period(X): character r is "1" iff every
-    n past X's preperiod with n ≡ r (mod p) lies in X."""
-    k = -len(x.pre) % len(x.per)
-    return x.per[k:] + x.per[:k]
-
-
 def _closure_step(g: IpGenerator, p: int) -> int:
     """s with C_p = {0, s, 2s, ...}: the tail's residues are n_{L-1} plus
     partial sums of the differences, and taking differences keeps a gcd."""
@@ -152,7 +147,7 @@ def filter_member(g: IpGenerator, x: EpSet) -> MemberResult:
         m += 1
     s = _closure_step(g, p)
     closure = tuple(range(0, p, s))
-    w = _residue_word(x)[::s]
+    w = x.residue_word[::s]
     if "0" not in w:
         return MemberResult(member=True, tail_start=m, closure=closure)
     r = s * w.index("0")
@@ -203,7 +198,7 @@ class PartialUltrafilter:
         return cls(generator=generator, scope=generate_algebra([FULL], downward=True))
 
     def member(self, x: EpSet) -> bool:
-        return "0" not in _residue_word(x)[:: _closure_step(self.generator, len(x.per))]
+        return "0" not in x.residue_word[:: _closure_step(self.generator, len(x.per))]
 
     def members_of(self, algebra: Algebra) -> list[EpSet]:
         return [x for x in algebra.members if self.member(x)]
@@ -219,7 +214,7 @@ def translate_membership_set(f: PartialUltrafilter, x: EpSet) -> EpSet:
     strided read of X's residue word.
     """
     s = _closure_step(f.generator, len(x.per))
-    w = _residue_word(x)
+    w = x.residue_word
     return EpSet("", "".join("0" if "0" in w[n::s] else "1" for n in range(s)))
 
 
@@ -279,7 +274,7 @@ def verify_filter(f: PartialUltrafilter, algebra: Algebra) -> FilterReport:
     selected = []
     neither = []
     for x in algebra.members:
-        w = _residue_word(x)[:: _closure_step(f.generator, len(x.per))]
+        w = x.residue_word[:: _closure_step(f.generator, len(x.per))]
         if "0" not in w:
             selected.append(x)
         elif "1" in w:
@@ -432,10 +427,11 @@ class CentralReport:
     ``syndetic`` is exact.  ``ip`` is exact for eventually periodic sets:
     the set is IP iff some residue class it contains has its additive
     closure inside the set's periodic residues, which holds exactly for
-    class 0; the report carries either residue 0 with a bounded concrete
-    4-term witness, or a per-residue refutation.  ``filter_member`` asks
-    whether the set belongs to the filter built from its own
-    downward-translation algebra.
+    class 0; the report carries either residue 0 with the least 4-term
+    witness of multiples of p = period(X) with total <= bound (see
+    ``central_check``), or a per-residue refutation.  ``filter_member``
+    asks whether the set belongs to the filter built from its own
+    downward-translation algebra; it always equals the IP verdict.
     """
 
     set: str
@@ -461,28 +457,6 @@ class CentralReport:
         }
 
 
-def _least_ip_witness(x: EpSet, terms: int, bound: int) -> tuple[int, ...] | None:
-    """Least ascending positive multiples of period(x), all in x, with
-    pairwise distinct finite sums all in x and <= bound."""
-    p = len(x.per)
-
-    def extend(chosen: list[int], total: int, sums: frozenset[int]) -> tuple[int, ...] | None:
-        if len(chosen) == terms:
-            return tuple(chosen)
-        v = chosen[-1] + p if chosen else p
-        while total + v <= bound:
-            if x.member(v):
-                new = {v} | {s + v for s in sums}
-                if not (new & sums) and all(x.member(s) for s in new):
-                    got = extend(chosen + [v], total + v, sums | frozenset(new))
-                    if got is not None:
-                        return got
-            v += p
-        return None
-
-    return extend([], 0, frozenset())
-
-
 def central_check(x: EpSet, bound: int = 128, cap: int = 65536) -> CentralReport:
     """Report syndeticity, IP-ness, and own-algebra filter membership."""
     if bound < 1:
@@ -491,7 +465,7 @@ def central_check(x: EpSet, bound: int = 128, cap: int = 65536) -> CentralReport
 
     p = len(x.per)
     m = len(x.pre)
-    good = _residue_word(x)
+    good = x.residue_word
     ip: dict
     if not x.is_infinite():
         ip = {"ip": False, "reason": "finite"}
@@ -499,9 +473,15 @@ def central_check(x: EpSet, bound: int = 128, cap: int = 65536) -> CentralReport
     # when 0 is a periodic residue, and then {0} is its closure
     elif good[0] == "1":
         ip = {"ip": True, "residue": 0, "modulus": p, "closure": [0]}
-        witness = _least_ip_witness(x, terms=4, bound=bound)
-        if witness is not None:
-            ip["witness"] = list(witness)
+        # the witness is p times the least one in X' = {k : k·p ∈ X}, which
+        # holds every k >= ⌈m/p⌉: a valid prefix with total S extends by
+        # max(⌈m/p⌉, S + 1), so the least witness has total at most
+        # 8·max(⌈m/p⌉, 1) + 7 and no larger bound changes it
+        scaled = x.pre[::p]
+        top = 8 * max(len(scaled), 1) + 7
+        got = _least_witness([(EpSet(scaled, "1"),)], 4, min(bound // p, top))
+        if got.found:
+            ip["witness"] = [p * v for v in got.witness]
             ip["witness_bound"] = bound
     else:
         refutations = []

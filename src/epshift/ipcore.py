@@ -21,7 +21,9 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import accumulate, combinations
+from operator import or_
 
 from .epcore import ConstructionError, EpSet, InputError, LiteralError
 from .dynamics import (
@@ -358,6 +360,27 @@ def iht_search(colorings, terms: int, bound: int) -> FsSearchResult:
     x_{N-1}, N = k + r - 1, such that FS((x_i)_{i>=j}) is monochromatic
     for c_j for every j, with all sums pairwise distinct and <= bound.
     Returns the lexicographically least witness or exhaustion at bound.
+    """
+    colorings = [validate_partition(c) for c in colorings]
+    if not colorings:
+        raise InputError("need at least one coloring")
+    if len(colorings) > 8 or any(len(c) > 8 for c in colorings):
+        raise InputError("at most 8 colorings of at most 8 classes")
+    if terms < 2:
+        raise InputError("witness needs at least 2 terms")
+    if bound < 1:
+        raise InputError("bound must be positive")
+    return _least_witness(colorings, terms + len(colorings) - 1, bound)
+
+
+def _least_witness(colorings, length: int, bound: int) -> FsSearchResult:
+    """The search behind :func:`iht_search`, with N = ``length`` terms.
+
+    A coloring's classes need not cover the naturals: the element that
+    opens coloring j's suffix is drawn from ``covered[j]``, the union of
+    its classes.  For a partition that union is every position, so
+    ``iht_search`` and ``hindman_search`` keep their order;
+    ``filters.central_check`` searches a single class this way.
 
     Sets of naturals are Python ints used as bitsets, bit n standing for n:
 
@@ -383,16 +406,6 @@ def iht_search(colorings, terms: int, bound: int) -> FsSearchResult:
     is an old sum iff bit s of ``sums >> v`` is set, which one
     ``sums >> v & (sums | 1)`` tests.
     """
-    colorings = [validate_partition(c) for c in colorings]
-    if not colorings:
-        raise InputError("need at least one coloring")
-    if len(colorings) > 8 or any(len(c) > 8 for c in colorings):
-        raise InputError("at most 8 colorings of at most 8 classes")
-    if terms < 2:
-        raise InputError("witness needs at least 2 terms")
-    if bound < 1:
-        raise InputError("bound must be positive")
-    length = terms + len(colorings) - 1
     # no witness has total < 2**length - 1; compared without building 2**length
     if length >= (bound + 1).bit_length():
         return FsSearchResult(found=False, bound=bound)
@@ -416,6 +429,7 @@ def iht_search(colorings, terms: int, bound: int) -> FsSearchResult:
             x ^= low
 
     on = [[class_mask(x) for x in c] for c in colorings]
+    covered = [reduce(or_, masks) for masks in on]
 
     def extend(
         chosen: list[int],
@@ -447,11 +461,12 @@ def iht_search(colorings, terms: int, bound: int) -> FsSearchResult:
         cand = ((1 << (top + 1)) - 1) >> (last + 1) << (last + 1)
         for a in allowed:
             cand &= a
+        # while d < r, the next element opens coloring d's suffix and fixes its color
+        if opens := d < len(on):
+            cand &= covered[d]
         # old sums are pairwise distinct by induction, so new sums (old + v)
         # are too; only new-vs-old collisions can occur
         zero_sums = sums | 1
-        # while d < r, the next element opens coloring d's suffix and fixes its color
-        opens = d < len(on)
         for v in bits(cand):
             if sums >> v & zero_sums:
                 continue

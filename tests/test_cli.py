@@ -282,6 +282,9 @@ class TestSubcommandSchemas:
         assert d["syndetic"] == {"syndetic": True, "gap": 1}
         assert d["ip"]["witness"] == [2, 4, 8, 16]
         assert d["filter"]["member"] is True
+        # the witness search is capped far below the bound, so masks stay narrow
+        code, out, _ = run("filter", "central", "(10)", "--bound", "1000000000")
+        assert code == 0 and json.loads(out)["ip"]["witness"] == [2, 4, 8, 16]
 
     def test_central_long_period_hits_cap(self, run):
         # 319 refutations, each read in closed form, before the algebra cap

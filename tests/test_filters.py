@@ -634,6 +634,7 @@ class TestCentralCheck:
     @settings(max_examples=25)
     def test_ip_verdict_certificates(self, x):
         d = central_check(x, bound=200).as_dict()
+        assert d["filter"]["member"] == d["ip"]["ip"]
         ip = d["ip"]
         if ip["ip"]:
             r, p = ip["residue"], ip["modulus"]
@@ -653,6 +654,21 @@ class TestCentralCheck:
     @given(ep_sets, st.integers(min_value=1, max_value=300))
     def test_ip_report_matches_residue_search(self, x, bound):
         assert central_check(x, bound=bound).as_dict()["ip"] == residue_search_ip(x, bound)
+
+    @given(
+        st.text(alphabet="01", max_size=40),
+        st.text(alphabet="01", min_size=1, max_size=6),
+    )
+    def test_least_witness_total_is_capped(self, pre, per):
+        # with residue 0 periodic, a 4-term witness in {k : k·p ∈ X} extends
+        # greedily past ⌈m/p⌉, so its total is at most p·(8·max(⌈m/p⌉, 1) + 7)
+        k = -len(pre) % len(per)
+        x = EpSet(pre, per[:k] + "1" + per[k + 1:])
+        p, m = len(x.per), len(x.pre)
+        cap = p * (8 * max(-(-m // p), 1) + 7)
+        witness = residue_search_ip(x, 10**4)["witness"]
+        assert sum(witness) <= cap
+        assert residue_search_ip(x, cap)["witness"] == witness
 
     def test_bound_validation(self):
         with pytest.raises(InputError):
