@@ -21,9 +21,10 @@ along the filter, scope extension, and the three-way central-set report,
 whose IP witness comes from the least-witness search of
 :mod:`epshift.ipcore`.
 
-Verification is fail-closed: the constructors re-audit their own output
-and raise on any failed axiom, because a silent bad filter would poison
-every downstream certificate.
+Construction is fail-closed: dichotomy is the one axiom a generator can
+fail (see :class:`FilterReport`), so the constructors check it on their
+own scope and raise, because a silent bad filter would poison every
+downstream certificate.
 """
 
 from __future__ import annotations
@@ -222,16 +223,16 @@ def translate_membership_set(f: PartialUltrafilter, x: EpSet) -> EpSet:
 class FilterReport:
     """Axiom audit of a generator against an algebra, with witnesses.
 
-    Scope-level checks quantify over the algebra: ultra-dichotomy (exactly
-    one of X, X̄ in F) and member infiniteness.  Per-member checks cover
-    idempotency (D(X) ∈ F), minimality (D(X) syndetic, with gap), and the
-    least positive n with X − n ∈ F.
-
-    ``upward_closure`` and ``finite_intersection`` always pass: every
-    filter built from FS-tails is upward closed, and since tails nest, a
-    tail whose sums lie in X and one whose sums lie in Y share a later
-    tail whose sums lie in X ∩ Y.  Both are theorems for any generator;
-    the fields stay only to keep the report schema stable.
+    Only ultra-dichotomy (exactly one of X, X̄ in F) can fail, and only
+    with "neither" witnesses.  The other flags are theorems for every
+    FS-tail filter and stay to keep the schema stable.  Tails nest, so F
+    is upward closed and closed under intersection.  A selected X has
+    C_p = sℤ_p ⊆ G(X), s = ``_closure_step``, so 0 ∈ G(X) and X is
+    infinite; D(X) = {n : C_p + n ⊆ G(X)} holds every multiple of s, so
+    it is purely periodic and syndetic (minimal, ``gap``) with least
+    positive member at most s (Hirst); and D's period divides s, which
+    divides n_{L-1} and every d_i, so D's own closure step is its period
+    and D(X) ∈ F iff 0 ∈ D(X), which holds (idempotent).
     """
 
     all_pass: bool
@@ -256,21 +257,10 @@ class FilterReport:
         }
 
 
-def verify_filter(f: PartialUltrafilter, algebra: Algebra) -> FilterReport:
-    """Audit the ultrafilter axioms over ``algebra``.
-
-    Dichotomy and infiniteness are checked on every member, and each
-    selected member gets its idempotency, minimality and Hirst entry.
-    Upward closure and pairwise intersection are not re-checked: they are
-    theorems for FS-tail filters (see :class:`FilterReport`) and always
-    pass.  Failures are verdicts with witnesses, not exceptions: a
-    generator may legitimately fail dichotomy on an algebra it was not
-    built for.
-
-    X ∈ F iff C_p ⊆ G(X), and X̄ ∈ F iff C_p ⊆ ~G(X), i.e. C_p ∩ G(X) = ∅.
-    Since C_p is never empty, X and X̄ are never both in F, so dichotomy
-    can fail only with "neither" witnesses.
-    """
+def _split(f: PartialUltrafilter, algebra: Algebra) -> tuple[list[EpSet], list[str]]:
+    """The members of ``algebra`` in F, and the literals of those with
+    neither X nor X̄ in F: X ∈ F iff C_p ⊆ G(X), and X̄ ∈ F iff
+    C_p ∩ G(X) = ∅, so C_p ≠ ∅ never puts both in F."""
     selected = []
     neither = []
     for x in algebra.members:
@@ -279,46 +269,43 @@ def verify_filter(f: PartialUltrafilter, algebra: Algebra) -> FilterReport:
             selected.append(x)
         elif "1" in w:
             neither.append(x.literal)
+    return selected, neither
+
+
+def verify_filter(f: PartialUltrafilter, algebra: Algebra) -> FilterReport:
+    """Audit the ultrafilter axioms over ``algebra``.
+
+    ``all_pass`` is the verdict of dichotomy, the one axiom that can fail
+    (see :class:`FilterReport`).  Each selected member's entry reads the
+    gap and least positive member of D(X) = {n : X − n ∈ F}.  Failures
+    are verdicts with witnesses, not exceptions: a generator may
+    legitimately fail dichotomy on an algebra it was not built for.
+    """
+    selected, neither = _split(f, algebra)
     dichotomy = {"pass": not neither}
     if neither:
         dichotomy["neither"] = neither
-
-    finite_members = [x.literal for x in selected if not x.is_infinite()]
-    infiniteness = {"pass": not finite_members}
-    if finite_members:
-        infiniteness["witnesses"] = finite_members
-
-    member_reports = []
-    ok = dichotomy["pass"] and infiniteness["pass"]
+    members = []
     for x in selected:
         d = translate_membership_set(f, x)
-        idem = f.member(d)
-        gap = d.is_syndetic()
-        entry: dict = {
+        members.append({
             "set": x.literal,
             "translate_set": d.literal,
-            "idempotent": idem,
-            "minimal": gap.syndetic,
-        }
-        if gap.syndetic:
-            entry["gap"] = gap.bound
-        n = d.first_member_at_least(1)  # X − n ∈ F exactly when n ∈ D(X)
-        hirst = n is not None
-        entry["hirst"] = hirst
-        if hirst:
-            entry["hirst_witness"] = n
-        ok = ok and idem and gap.syndetic and hirst
-        member_reports.append(entry)
-
+            "idempotent": True,
+            "minimal": True,
+            "gap": d.is_syndetic().bound,
+            "hirst": True,
+            "hirst_witness": d.first_member_at_least(1),
+        })
     return FilterReport(
-        all_pass=ok,
+        all_pass=dichotomy["pass"],
         generator=f.generator.literal,
         scope_size=len(algebra),
         dichotomy=dichotomy,
         upward_closure={"pass": True},
         finite_intersection={"pass": True},
-        infiniteness=infiniteness,
-        members=tuple(member_reports),
+        infiniteness={"pass": True},
+        members=tuple(members),
     )
 
 
@@ -327,9 +314,9 @@ def build_partial_ultrafilter(algebra: Algebra, count: int = 8) -> PartialUltraf
 
     Encodes the algebra as a point, solves for its recurrent proximal
     companion, runs the certified IP construction, and installs the
-    resulting generator.  The full axiom audit runs before returning; a
-    failure raises, carrying the report, since it would mean a bug in the
-    construction rather than bad input.
+    resulting generator, with the selected sets as ``trace["members"]``.
+    A member deciding neither way raises, since it would mean a bug in
+    the construction rather than bad input.
     """
     if not algebra.downward_closed:
         raise InputError("filters need a downward-translation algebra")
@@ -345,10 +332,10 @@ def build_partial_ultrafilter(algebra: Algebra, count: int = 8) -> PartialUltraf
             "certificate": cert,
         },
     )
-    report = verify_filter(f, algebra)
-    if not report.all_pass:
-        raise ConstructionError(f"built filter failed its audit: {report.as_dict()}")
-    f.trace["report"] = report
+    selected, neither = _split(f, algebra)
+    if neither:
+        raise ConstructionError("built filter decides neither way on " + ", ".join(neither))
+    f.trace["members"] = selected
     return f
 
 
@@ -379,7 +366,8 @@ def extend_filter(
     point paired with the filter's own ultralimit is extended by the new
     scope's point, and the certified IP construction over the stacked
     pair yields the new generator.  Exhaustive agreement on the old scope
-    and a full audit on the new one run before returning.
+    and dichotomy on the new one (selected sets in ``trace["members"]``)
+    are checked before returning.
     """
     if not new_scope.downward_closed:
         raise InputError("filters need a downward-translation algebra")
@@ -410,10 +398,10 @@ def extend_filter(
         raise ConstructionError(
             "extension changed old-scope decisions on " + ", ".join(disagreements)
         )
-    report = verify_filter(extended, new_scope)
-    if not report.all_pass:
-        raise ConstructionError(f"extended filter failed its audit: {report.as_dict()}")
-    extended.trace["report"] = report
+    selected, neither = _split(extended, new_scope)
+    if neither:
+        raise ConstructionError("extended filter decides neither way on " + ", ".join(neither))
+    extended.trace["members"] = selected
     return extended
 
 

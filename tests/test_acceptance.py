@@ -54,6 +54,13 @@ def _rand_set(rng: random.Random, max_pre: int, max_per: int) -> EpSet:
     return EpSet(pre, per)
 
 
+def _closed_form_member(x: EpSet) -> bool:
+    """X ∈ u for any idempotent u of (βℕ, +): u holds pℕ, and from the
+    preperiod m on X ∩ pℕ is all of pℕ or empty, so X ∈ u iff
+    p·(m + 1) ∈ X."""
+    return x.member(len(x.per) * (len(x.pre) + 1))
+
+
 def _rand_point(rng: random.Random, max_coords: int, max_pre: int, max_per: int) -> SymbolicPoint:
     count = rng.randrange(1, max_coords + 1)
     return SymbolicPoint(tuple(_rand_set(rng, max_pre, max_per) for _ in range(count)))
@@ -113,10 +120,21 @@ def test_criterion_03_build_and_audit_random_algebras(built_filters):
         if not report.all_pass:
             failures.append((f.generator.literal, report.as_dict()))
             continue
+        want = [a.literal for a in alg.members if _closed_form_member(a)]
+        if [e["set"] for e in report.members] != want:
+            failures.append(("closed form", f.generator.literal))
         for entry in report.members:
-            if not (entry["idempotent"] and entry["minimal"] and entry["hirst"]):
+            a = EpSet.parse(entry["set"])
+            p = len(a.per)
+            d = a.translate_down(p * -(-len(a.pre) // p))
+            if (
+                entry["translate_set"] != d.literal
+                or entry["gap"] != d.is_syndetic().bound
+                or entry["hirst_witness"] != d.first_member_at_least(1)
+                or not filter_member(f.generator, d).member
+            ):
                 failures.append((f.generator.literal, entry))
-    _report(3, f"filters over {len(built_filters)} random downward algebras verify all-PASS", failures)
+    _report(3, f"filters over {len(built_filters)} random downward algebras pass and match the closed form", failures)
 
 
 def test_criterion_04_decision_procedure_vs_brute_force():
@@ -201,6 +219,8 @@ def test_criterion_05_ultralimit_coherence(built_filters):
         for a, c in zip(alg.members, y.coords):
             if f.member(a) != (c.bit(0) == "0"):
                 failures.append(("biconditional", f.generator.literal, a.literal))
+            if _closed_form_member(a) != (c.bit(0) == "0"):
+                failures.append(("closed form", f.generator.literal, a.literal))
     _report(5, "ultralimit of every built filter is UR, proximal, and tracks membership", failures)
 
 
@@ -228,6 +248,9 @@ def test_criterion_06_extension_chains():
         for a in a1.members:
             if f2.member(a) != f1.member(a):
                 failures.append(("second extension", g2.literal, a.literal))
+        for a in a2.members:
+            if f2.member(a) != _closed_form_member(a):
+                failures.append(("closed form", g3.literal, a.literal))
     _report(6, "30 extension chains agree with their predecessors on the full base scope", failures)
 
 

@@ -1,16 +1,21 @@
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 from itertools import combinations
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from epshift import filters
 from epshift.epcore import (
     EMPTY,
     FULL,
+    Algebra,
+    CapacityError,
+    ConstructionError,
     EpSet,
     InputError,
     generate_algebra,
@@ -55,6 +60,37 @@ ep_sets = st.builds(
     st.text(alphabet="01", min_size=0, max_size=4),
     st.text(alphabet="01", min_size=1, max_size=6),
 )
+
+
+scope_sets = st.builds(
+    EpSet,
+    st.text(alphabet="01", min_size=0, max_size=2),
+    st.text(alphabet="01", min_size=1, max_size=4),
+)
+
+
+def small_algebra(gens, downward: bool, cap: int) -> Algebra:
+    """The algebra of ``gens``, or a rejected example past ``cap`` members."""
+    try:
+        return generate_algebra(gens, downward=downward, cap=cap)
+    except CapacityError:
+        reject()
+
+
+def closed_form_member(x: EpSet) -> bool:
+    """Oracle: X ∈ u for any idempotent u of (βℕ, +) on eventually periodic
+    sets.  u holds one class A = pℕ + r, idempotency gives n ∈ A with
+    A − n ∈ u, and A − n = pℕ; from the preperiod m on, X ∩ pℕ is all of
+    pℕ or empty, so X ∈ u iff p·(m + 1) ∈ X.  No residue word, closure or
+    dynamics."""
+    return x.member(len(x.per) * (len(x.pre) + 1))
+
+
+def periodic_part(x: EpSet) -> EpSet:
+    """X − p·⌈m/p⌉, X's periodic part at phase 0: by the closed form,
+    {n : X − n ∈ u} for any idempotent u."""
+    p = len(x.per)
+    return x.translate_down(p * -(-len(x.pre) // p))
 
 
 def sweep_translate_set(g: IpGenerator, x: EpSet) -> EpSet:
@@ -278,7 +314,7 @@ class TestBuildFilter:
         alg = generate_algebra([EVENS], downward=True)
         f = build_partial_ultrafilter(alg)
         assert {x.literal for x in f.members_of(alg)} == {"(1)", "(10)"}
-        assert f.trace["report"].all_pass
+        assert f.trace["members"] == f.members_of(alg)
         assert f.trace["encoded_point"]
 
     def test_trivial_algebra(self):
@@ -447,6 +483,18 @@ class TestVerifyFilter:
         want = brute_verify(PartialUltrafilter(generator=g, scope=alg), alg)
         assert got.as_dict() == want.as_dict()
 
+    @given(st.lists(scope_sets, min_size=1, max_size=2), st.booleans(), generators)
+    def test_matches_brute_verify_on_drawn_generators(self, gens, downward, g):
+        alg = small_algebra(gens, downward, cap=32)
+        got = verify_filter(PartialUltrafilter(generator=g, scope=alg), alg)
+        want = brute_verify(PartialUltrafilter(generator=g, scope=alg), alg)
+        assert got.as_dict() == want.as_dict()
+        # an FS-tail filter lies inside some idempotent, so where it
+        # decides every member it agrees with the closed form
+        if got.all_pass:
+            selected = [x.literal for x in alg.members if closed_form_member(x)]
+            assert [e["set"] for e in got.members] == selected
+
     def test_report_member_entries(self):
         alg = generate_algebra([EVENS], downward=True)
         f = build_partial_ultrafilter(alg)
@@ -545,6 +593,66 @@ class TestExtendFilter:
         f = build_partial_ultrafilter(alg)
         with pytest.raises(InputError, match="downward"):
             extend_filter(f, flat)
+
+
+class TestFailClosed:
+    def test_neither_member_raises(self, monkeypatch):
+        # 1,2+(3,1) decides neither evens nor odds; it agrees with the
+        # trivial scope's filter, so extend reaches its dichotomy check
+        base = build_partial_ultrafilter(generate_algebra([FULL], downward=True))
+        real = filters.ip_sequence_construct
+
+        def construct(x, y, count=8):
+            return replace(real(x, y, count=count), generator=IpGenerator.parse("1,2+(3,1)"))
+
+        monkeypatch.setattr(filters, "ip_sequence_construct", construct)
+        alg = generate_algebra([EVENS], downward=True)
+        with pytest.raises(ConstructionError, match=r"^built .*\(01\), \(10\)$"):
+            build_partial_ultrafilter(alg)
+        with pytest.raises(ConstructionError, match=r"^extended .*\(01\), \(10\)$"):
+            extend_filter(base, alg)
+
+
+class TestClosedForm:
+    """Every built filter is the one idempotent verdict on eventually
+    periodic sets (see ``closed_form_member``)."""
+
+    @given(st.lists(scope_sets, min_size=1, max_size=2))
+    def test_build(self, gens):
+        alg = small_algebra(gens, True, cap=64)
+        f = build_partial_ultrafilter(alg)
+        want = [x for x in alg.members if closed_form_member(x)]
+        assert f.members_of(alg) == want
+        assert f.trace["members"] == want
+
+    @given(st.lists(scope_sets, min_size=3, max_size=3))
+    def test_extend_chain(self, gens):
+        a0, a1, a2 = (small_algebra(gens[:k], True, cap=64) for k in (1, 2, 3))
+        f1 = extend_filter(build_partial_ultrafilter(a0), a1)
+        f2 = extend_filter(f1, a2)
+        for f, alg in ((f1, a1), (f2, a2)):
+            want = [x for x in alg.members if closed_form_member(x)]
+            assert f.members_of(alg) == want
+            assert f.trace["members"] == want
+
+    @given(st.lists(scope_sets, min_size=1, max_size=2))
+    def test_ultralimit(self, gens):
+        alg = small_algebra(gens, True, cap=64)
+        x = encode_point(alg)
+        y = ultralimit(build_partial_ultrafilter(alg), x)
+        assert y == ae_solve(x)
+        for a, c in zip(alg.members, y.coords):
+            assert (c.bit(0) == "0") == closed_form_member(a)
+
+    @given(st.lists(scope_sets, min_size=1, max_size=2))
+    def test_audit_entries(self, gens):
+        alg = small_algebra(gens, True, cap=64)
+        f = build_partial_ultrafilter(alg)
+        for entry in verify_filter(f, alg).members:
+            d = periodic_part(EpSet.parse(entry["set"]))
+            assert entry["translate_set"] == d.literal
+            assert entry["gap"] == d.is_syndetic().bound
+            assert entry["hirst_witness"] == d.first_member_at_least(1)
 
 
 def residue_search_ip(x: EpSet, bound: int) -> dict:
