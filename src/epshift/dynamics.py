@@ -170,19 +170,24 @@ class UrReport:
     occurrences: tuple[int, ...] | None = None
 
 
-def is_uniformly_recurrent(x: SymbolicPoint) -> UrReport:
-    """Decide uniform recurrence exactly.
+def _recurrent(x: SymbolicPoint) -> bool:
+    """An eventually periodic stack is uniformly recurrent iff every
+    canonical coordinate preperiod is empty."""
+    return x.max_preperiod == 0
 
-    An eventually periodic stack is uniformly recurrent iff every canonical
-    coordinate preperiod is empty.  For a purely periodic stack the return
-    times at any resolution are a union of residue classes mod the stack
-    period, and the certificate reports their exact gap bounds for every
-    resolution up to coordinate count + period: one more than the
-    syndeticity bound of the return set, which repeats with that period.
+
+def is_uniformly_recurrent(x: SymbolicPoint) -> UrReport:
+    """Decide uniform recurrence exactly (the rule is ``_recurrent``).
+
+    For a purely periodic stack the return times at any resolution are a
+    union of residue classes mod the stack period, and the certificate
+    reports their exact gap bounds for every resolution up to coordinate
+    count + period: one more than the syndeticity bound of the return set,
+    which repeats with that period.
     Otherwise some coordinate has a nonempty preperiod, and the shortest
     prefix of it that never recurs past the preperiod witnesses the failure.
     """
-    if all(not c.pre for c in x.coords):
+    if _recurrent(x):
         period = x.lcm_period
         exps = [math.inf] + [distance_exponent(x, x, n) for n in range(1, period)]
         levels = set(exps)
@@ -259,7 +264,7 @@ def require_aet_pair(x: SymbolicPoint, y: SymbolicPoint) -> None:
     ``x``; raise :class:`AetPairError` naming the failed check otherwise."""
     if x.coord_count != y.coord_count:
         raise AetPairError("pair check failed: coordinate counts differ")
-    if not is_uniformly_recurrent(y).recurrent:
+    if not _recurrent(y):
         raise AetPairError("pair check failed: y is not uniformly recurrent")
     if not are_proximal(x, y).proximal:
         raise AetPairError("pair check failed: x and y are not proximal")
@@ -357,51 +362,12 @@ class Cylinder:
                 return False
         return True
 
-    def subset_of(self, other: "Cylinder") -> bool:
-        return self.shift_image_subset(0, other)
-
-    def shift_image_subset(self, n: int, target: "Cylinder") -> bool:
-        """Whether T^n maps this cylinder into ``target``.
-
-        A point of this cylinder is free outside its own constraints, so
-        T^n U ⊆ V exactly when V's constraints (coordinates below its
-        coordinate depth, positions below its position depth) sit inside
-        U's shifted by n, and T^n of U's reference lies in V.  The depth
-        checks below are the first condition; ``target.contains`` is the
-        second.
-        """
-        if n < 0:
-            raise InputError("shift count must be a natural number")
-        if target.trivial:
-            return True
-        if self.trivial:
-            return False
-        if target.coord_depth > self.coord_depth:
-            return False
-        if target.pos_depth + n > self.pos_depth:
-            return False
-        return target.contains(self.reference, n)
-
-    def within_ball(self, y: SymbolicPoint, k: int) -> bool:
-        """Whether every point of the cylinder is 2**-k-close to ``y``,
-        i.e. has distance exponent >= k."""
-        if y.coord_count != self.reference.coord_count:
-            raise InputError("points live in products of different sizes")
-        for i in range(min(y.coord_count, k)):
-            depth = k - i
-            if i >= self.coord_depth or self.pos_depth < depth:
-                return False
-            d = _first_disagreement(self.reference.coords[i], y.coords[i])
-            if d is not None and d < depth:
-                return False
-        return True
-
 
 def covering_bound(y: SymbolicPoint, u: Cylinder) -> int:
     """The least m such that every orbit-closure point of ``y`` enters the
     cylinder ``u`` within m shifts: the syndeticity bound of the hitting
     times {t : T^t y in u}."""
-    if not is_uniformly_recurrent(y).recurrent:
+    if not _recurrent(y):
         raise InputError("covering bounds need a uniformly recurrent point")
     # y is purely periodic, so its orbit closure is T^s y for s < period and
     # the hitting times repeat with that period

@@ -152,7 +152,7 @@ def filter_member(g: IpGenerator, x: EpSet) -> MemberResult:
     if "0" not in w:
         return MemberResult(member=True, tail_start=m, closure=closure)
     r = s * w.index("0")
-    tree = _sum_tree(g.residue_structure(p)[1], p)
+    tree = _sum_tree(g.residue_structure(p), p)
     need: Counter = Counter()
     while r != -1:
         r, step = tree[r]

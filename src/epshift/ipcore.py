@@ -121,15 +121,14 @@ class IpGenerator:
     def terms(self, count: int, from_index: int = 0) -> list[int]:
         return [self.term(from_index + i) for i in range(count)]
 
-    def residue_structure(self, p: int) -> tuple[int, tuple[int, ...]]:
-        """Phase and cycle of the residue sequence (n_i mod p).
+    def residue_structure(self, p: int) -> tuple[int, ...]:
+        """The cycle of the residues (n_i mod p) from the last head term:
+        n_{L-1+j} ≡ cycle[j mod len] (mod p) for all j >= 0.
 
-        Returns (start, residues) with n_{start+j} ≡ residues[j mod len]
-        (mod p) for all j >= 0.  The walk step (j, r) → (j+1 mod k,
-        r + d_j mod p) on (position in the diff cycle, current residue) is
-        a bijection of a finite set, so the walk from the last head term is
-        a pure cycle: start is always len(head) − 1, and the cycle ends
-        when the first state comes back.
+        The walk step (j, r) → (j+1 mod k, r + d_j mod p) on (position in
+        the diff cycle, current residue) is a bijection of a finite set, so
+        the walk from the last head term is a pure cycle, which ends when
+        the first state comes back.
         """
         if p < 1:
             raise InputError("modulus must be positive")
@@ -140,7 +139,7 @@ class IpGenerator:
             j, r = state
             cycle.append(r)
             state = ((j + 1) % len(diffs), (r + diffs[j]) % p)
-        return len(self.head) - 1, tuple(cycle)
+        return tuple(cycle)
 
 
 def fs_enumerate(g: IpGenerator, from_index: int, max_terms: int, bound: int) -> list[int]:
@@ -192,27 +191,37 @@ def verify_ip_certificate(cert: IpConstructionCertificate) -> list[str]:
     U_{i+1} ⊆ U_i, the shift containment T^{n_i} U_{i+1} ⊆ U_i, the orbit
     memberships T^{n_i} x ∈ U_{i+1} and T^{n_i} y ∈ U_{i+1}, and the ball
     bound U_i ⊆ B(y, 2^-i).
+
+    Each U_i must first contain y, so it is the cylinder around y with its
+    own depths.  Two cylinders around y nest exactly when their depths do,
+    and the ball bound is a depth bound.  T^n U_{i+1} ⊆ U_i holds exactly
+    when U_i's constraints fit inside U_{i+1}'s shifted by n and T^n y
+    lies in U_i.
     """
     x, y = cert.source, cert.target
     us = cert.neighborhoods
     terms = cert.generator.head
-    failures: list[str] = []
     if len(us) != len(terms) + 1:
-        failures.append(
-            f"expected {len(terms) + 1} neighborhoods for {len(terms)} terms, got {len(us)}"
-        )
-        return failures
+        return [f"expected {len(terms) + 1} neighborhoods for {len(terms)} terms, got {len(us)}"]
+    off = [f"U_{i} is not a cylinder around y" for i, u in enumerate(us) if not u.contains(y)]
+    if off:
+        return off
+    failures: list[str] = []
     for i, n in enumerate(terms):
-        if not us[i + 1].subset_of(us[i]):
+        u, v = us[i], us[i + 1]
+        # U_i's constraints inside U_{i+1}'s, shifted by 0 and by n
+        deeper = not v.trivial and u.coord_depth <= v.coord_depth
+        if not (u.trivial or (deeper and u.pos_depth <= v.pos_depth)):
             failures.append(f"U_{i + 1} is not contained in U_{i}")
-        if not us[i + 1].shift_image_subset(n, us[i]):
+        if not (u.trivial or (deeper and u.pos_depth + n <= v.pos_depth and u.contains(y, n))):
             failures.append(f"T^{n} U_{i + 1} is not contained in U_{i}")
-        if not us[i + 1].contains(x, n):
+        if not v.contains(x, n):
             failures.append(f"T^{n} x misses U_{i + 1}")
-        if not us[i + 1].contains(y, n):
+        if not v.contains(y, n):
             failures.append(f"T^{n} y misses U_{i + 1}")
     for i, u in enumerate(us):
-        if not u.within_ball(y, i):
+        k = min(y.coord_count, i)
+        if k and (u.coord_depth < k or u.pos_depth < i):
             failures.append(f"U_{i} is not inside the 2^-{i} ball at y")
     return failures
 

@@ -27,6 +27,12 @@ from epshift.dynamics import (
     shift,
     stack_points,
 )
+from epshift.ipcore import (
+    IpConstructionCertificate,
+    IpGenerator,
+    ip_sequence_construct,
+    verify_ip_certificate,
+)
 
 INF = math.inf
 
@@ -571,39 +577,6 @@ class TestCylinder:
                     for n in range(horizon):
                         assert u.contains(z, n) == u.contains(shift(z, n))
 
-    def test_subset_of(self):
-        ref = pt("(01);(0011)")
-        small = Cylinder(ref, 2, 4)
-        big = Cylinder(ref, 1, 2)
-        assert small.subset_of(big)
-        assert not big.subset_of(small)
-        assert small.subset_of(Cylinder(pt("(10);(0)"), 0, 3))
-        other = Cylinder(pt("(10);(0011)"), 1, 2)
-        assert not small.subset_of(other)
-
-    def test_subset_of_pointwise_soundness(self):
-        refs = [pt("(01)"), pt("(10)"), pt("(0011)"), pt("1(10)")]
-        cyls = [Cylinder(r, 1, k) for r in refs for k in range(3)]
-        samples = [pt("(01)"), pt("(10)"), pt("(0011)"), pt("(1100)"), pt("1(10)"), pt("0(0)")]
-        for a in cyls:
-            for b in cyls:
-                if a.subset_of(b):
-                    for z in samples:
-                        assert not a.contains(z) or b.contains(z)
-                else:
-                    # completeness: some point separates them
-                    assert any(a.contains(z) and not b.contains(z) for z in samples)
-
-    def test_shift_image_subset(self):
-        ref = pt("(0011)")
-        u = Cylinder(ref, 1, 4)
-        v = Cylinder(pt("(1100)"), 1, 2)
-        assert u.shift_image_subset(2, v)
-        assert not u.shift_image_subset(1, v)
-        assert not u.shift_image_subset(3, v)  # position budget exhausted
-        assert u.shift_image_subset(0, Cylinder(ref, 1, 3))
-        assert u.shift_image_subset(5, Cylinder(ref, 0, 0))
-
     def test_shift_image_subset_pointwise(self):
         ref = pt("(0011)")
         u = Cylinder(ref, 1, 4)
@@ -612,21 +585,6 @@ class TestCylinder:
         for z in samples:
             if u.contains(z):
                 assert v.contains(shift(z, 2))
-
-    @given(same_size_pair())
-    def test_containment_matches_window_oracles(self, pair):
-        a, b = pair
-        cyls = [
-            Cylinder(r, i, k)
-            for r in (a, b)
-            for i in range(r.coord_count + 1)
-            for k in range(6)
-        ]
-        for u in cyls:
-            for v in cyls:
-                assert u.subset_of(v) == window_subset_of(u, v)
-                for n in range(7):
-                    assert u.shift_image_subset(n, v) == window_shift_image_subset(u, n, v)
 
     @given(same_size_pair(), st.integers(min_value=0, max_value=500))
     def test_deep_windows_match_window_oracles(self, pair, drawn):
@@ -644,34 +602,105 @@ class TestCylinder:
                     for z in (a, b):
                         for n in offsets:
                             assert u.contains(z, n) == window_contains(u, z, n)
-                        for r in depths:
-                            assert u.within_ball(z, r) == window_within_ball(u, z, r)
 
-    def test_containment_across_sizes_rejected(self):
-        u = Cylinder(pt("(01);(0011)"), 2, 3)
-        with pytest.raises(InputError, match="different sizes"):
-            u.subset_of(Cylinder(pt("(01)"), 1, 2))
-        with pytest.raises(InputError, match="different sizes"):
-            u.shift_image_subset(1, Cylinder(pt("(10)"), 1, 2))
 
-    def test_within_ball(self):
-        y = pt("(01);(0011)")
-        u = Cylinder(y, 2, 3)
-        assert u.within_ball(y, 3)
-        assert u.within_ball(y, 1)
-        assert not u.within_ball(y, 4)
-        assert not Cylinder(y, 1, 3).within_ball(y, 2)
-        assert Cylinder(y, 1, 3).within_ball(y, 1)
+def window_replay(cert: IpConstructionCertificate) -> list[str]:
+    """Oracle: the certificate replay with each neighbourhood a cylinder
+    around any point, every condition checked by the window oracles."""
+    x, y = cert.source, cert.target
+    us, terms = cert.neighborhoods, cert.generator.head
+    if len(us) != len(terms) + 1:
+        return [f"expected {len(terms) + 1} neighborhoods for {len(terms)} terms, got {len(us)}"]
+    off = [i for i, u in enumerate(us) if not window_contains(u, y, 0)]
+    if off:
+        return [f"U_{i} is not a cylinder around y" for i in off]
+    failures = []
+    for i, n in enumerate(terms):
+        if not window_subset_of(us[i + 1], us[i]):
+            failures.append(f"U_{i + 1} is not contained in U_{i}")
+        if not window_shift_image_subset(us[i + 1], n, us[i]):
+            failures.append(f"T^{n} U_{i + 1} is not contained in U_{i}")
+        if not window_contains(us[i + 1], x, n):
+            failures.append(f"T^{n} x misses U_{i + 1}")
+        if not window_contains(us[i + 1], y, n):
+            failures.append(f"T^{n} y misses U_{i + 1}")
+    for i, u in enumerate(us):
+        if not window_within_ball(u, y, i):
+            failures.append(f"U_{i} is not inside the 2^-{i} ball at y")
+    return failures
 
-    def test_within_ball_pointwise(self):
-        y = pt("(01);(0011)")
-        u = Cylinder(y, 2, 4)
-        samples = [pt("(01);(0011)"), pt("(01);(0011)").shift(4), pt("01(10);0011(10)"), pt("(10);(0011)")]
-        for k in range(1, 5):
-            if u.within_ball(y, k):
-                for z in samples:
-                    if u.contains(z):
-                        assert distance_exponent(z, y) >= k
+
+def tamper(cert: IpConstructionCertificate, edits) -> IpConstructionCertificate:
+    """Apply one-field edits to a certificate, every neighbourhood kept
+    centred on y.
+
+    ("coord", j, c) sets U_j's coordinate depth to c; ("pos", j, a, d) sets
+    U_j's position depth to d past bound a of those the checks compare it
+    with (j, and U_{j-1}'s and U_{j+1}'s position depths with and without
+    the term between them); ("term", j, a) moves n_j to target a: just past
+    n_{j-1}, one below or above n_j, or just below n_{j+1}, where the head
+    stays increasing; ("truncate", k) drops the last neighbourhood (k = 0),
+    the last term (k = 1) or both (k = 2), keeping one of each.
+    """
+    y = cert.target
+    us, terms = list(cert.neighborhoods), list(cert.generator.head)
+    for kind, j, *args in edits:
+        if kind == "coord":
+            j = min(j, len(us) - 1)
+            us[j] = Cylinder(y, args[0] % (y.coord_count + 1), us[j].pos_depth)
+        elif kind == "pos":
+            j = min(j, len(us) - 1)
+            bounds = [j]  # the depths each check compares U_j's with
+            if 0 < j <= len(terms):
+                bounds += [us[j - 1].pos_depth, us[j - 1].pos_depth + terms[j - 1]]
+            if j + 1 < len(us) and j < len(terms):
+                bounds += [us[j + 1].pos_depth, us[j + 1].pos_depth - terms[j]]
+            pos = max(bounds[args[0] % len(bounds)] + args[1], 0)
+            us[j] = Cylinder(y, us[j].coord_depth, pos)
+        elif kind == "term":
+            j = min(j, len(terms) - 1)
+            lo = terms[j - 1] if j else 0
+            hi = terms[j + 1] if j + 1 < len(terms) else terms[j] + 2
+            t = [lo + 1, terms[j] - 1, terms[j] + 1, hi - 1][args[0]]
+            if lo < t < hi:
+                terms[j] = t
+        else:
+            if j != 1 and len(us) > 1:
+                us.pop()
+            if j != 0 and len(terms) > 1:
+                terms.pop()
+    return IpConstructionCertificate(
+        IpGenerator(tuple(terms), cert.generator.tail_diffs), tuple(us), y, cert.source
+    )
+
+
+edits = st.lists(
+    st.one_of(
+        st.tuples(st.just("coord"), st.integers(1, 4), st.integers(0, 3)),
+        st.tuples(st.just("pos"), st.integers(1, 4), st.integers(0, 4), st.integers(-1, 0)),
+        st.tuples(st.just("term"), st.integers(1, 4), st.integers(0, 3)),
+        st.tuples(st.just("truncate"), st.integers(0, 2)),
+    ),
+    max_size=3,
+)
+
+
+class TestCertificateReplay:
+    @given(points, st.integers(min_value=1, max_value=4), edits)
+    # the depth guard of the shift condition counts the shift n
+    @example(pt("(10)"), 3, [("pos", 2, 2, -1)])
+    # the ball bound needs position depth i, not i - 1
+    @example(pt("(10)"), 3, [("pos", 2, 0, -1)])
+    # T^n y must lie in U_i once the depths fit
+    @example(pt("(10)"), 3, [("term", 1, 1)])
+    # nested cylinders may share a depth
+    @example(pt("(10)"), 3, [("pos", 2, 1, 0)])
+    def test_matches_window_replay(self, x, count, drawn):
+        """Built certificates and one to three edits of depths, terms and
+        length: the depth replay lists the failures the window replay
+        lists."""
+        cert = tamper(ip_sequence_construct(x, ae_solve(x), count=count), drawn)
+        assert verify_ip_certificate(cert) == window_replay(cert)
 
 
 def orbit_copy_covering_bound(y: SymbolicPoint, u: Cylinder) -> int:

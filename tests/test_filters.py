@@ -143,8 +143,8 @@ def two_bfs_member(g: IpGenerator, x: EpSet) -> MemberResult:
     found by two separate searches (a saturation, then a breadth-first
     search that stops at the target residue)."""
     p, m_x = len(x.per), len(x.pre)
-    start, cycle = g.residue_structure(p)
-    m = start
+    cycle = g.residue_structure(p)
+    m = len(g.head) - 1
     while g.term(m) < m_x:
         m += 1
     gens = set(cycle)

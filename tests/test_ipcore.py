@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 
 from epshift.epcore import ConstructionError, EpSet, InputError, LiteralError
 from epshift.dynamics import (
-    Cylinder,
     SymbolicPoint,
     ae_solve,
     distance_exponent,
@@ -95,15 +95,15 @@ class TestGenerator:
 
     @given(generators, st.integers(min_value=1, max_value=12))
     def test_residue_structure(self, g, p):
-        start, cycle = g.residue_structure(p)
-        assert start == len(g.head) - 1
+        cycle = g.residue_structure(p)
+        start = len(g.head) - 1
         assert 1 <= len(cycle) <= p * len(g.tail_diffs)
         for j in range(3 * len(cycle) + 5):
             assert g.term(start + j) % p == cycle[j % len(cycle)]
 
     def test_residue_frozen(self):
-        assert IpGenerator.parse("2+(2)").residue_structure(2) == (0, (0,))
-        assert IpGenerator.parse("1,2+(3,1)").residue_structure(2) == (1, (0, 1))
+        assert IpGenerator.parse("2+(2)").residue_structure(2) == (0,)
+        assert IpGenerator.parse("1,2+(3,1)").residue_structure(2) == (0, 1)
 
 
 class TestFsEnumerate:
@@ -200,24 +200,41 @@ class TestIpConstruction:
                 assert distance_exponent(shift(x, s), y) >= idxs[0]
 
     def test_verifier_catches_tampering(self):
+        """Each failure message, from a tamper of one field."""
         x = pt("1(10)")
         cert = ip_sequence_construct(x, ae_solve(x), count=3)
         y = cert.target
+        assert (cert.generator.head, y) == ((2, 4, 6), pt("(01)"))
+        assert [(u.coord_depth, u.pos_depth) for u in cert.neighborhoods] == [
+            (0, 0), (1, 2), (1, 6), (1, 12)
+        ]
 
-        shrunk = cert.neighborhoods[:2] + (Cylinder(y, 0, 0),) + cert.neighborhoods[3:]
-        bad = IpConstructionCertificate(cert.generator, shrunk, y, x)
-        assert any("ball" in f for f in verify_ip_certificate(bad))
+        def check(**fields):
+            return verify_ip_certificate(replace(cert, **fields))
 
-        wrong_terms = IpGenerator(tuple(n + 1 for n in cert.generator.head), (2,))
-        bad2 = IpConstructionCertificate(wrong_terms, cert.neighborhoods, y, x)
-        assert verify_ip_certificate(bad2) != []
+        def check_u(i, **fields):
+            us = list(cert.neighborhoods)
+            us[i] = replace(us[i], **fields)
+            return check(neighborhoods=tuple(us))
 
-        bad3 = IpConstructionCertificate(cert.generator, cert.neighborhoods[:-1], y, x)
-        assert any("expected" in f for f in verify_ip_certificate(bad3))
-
-        # x and y swapped: the orbit membership conditions break
-        bad4 = IpConstructionCertificate(cert.generator, cert.neighborhoods, x, y)
-        assert verify_ip_certificate(bad4) != []
+        assert check(neighborhoods=cert.neighborhoods[:-1]) == [
+            "expected 4 neighborhoods for 3 terms, got 3"
+        ]
+        assert check_u(2, reference=x) == ["U_2 is not a cylinder around y"]
+        assert check(target=x) == [f"U_{i} is not a cylinder around y" for i in (1, 2, 3)]
+        assert check_u(2, coord_depth=0) == [
+            "U_2 is not contained in U_1",
+            "T^4 U_2 is not contained in U_1",
+            "U_2 is not inside the 2^-2 ball at y",
+        ]
+        assert check_u(2, pos_depth=5) == ["T^4 U_2 is not contained in U_1"]
+        assert check(source=y.shift(1)) == [
+            "T^2 x misses U_1", "T^4 x misses U_2", "T^6 x misses U_3"
+        ]
+        assert check(generator=IpGenerator((2, 3, 6), (2,))) == [
+            "T^3 U_2 is not contained in U_1", "T^3 x misses U_2", "T^3 y misses U_2"
+        ]
+        assert check_u(1, coord_depth=0) == ["U_1 is not inside the 2^-1 ball at y"]
 
 
 class TestIpLimitCheck:
