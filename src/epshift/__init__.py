@@ -24,7 +24,6 @@ from .epcore import (
     InputError,
     LiteralError,
     generate_algebra,
-    normalize,
 )
 from .dynamics import (
     AetPairError,
@@ -61,7 +60,6 @@ from .filters import (
     central_check,
     extend_filter,
     filter_member,
-    subsemigroup_closure,
     translate_membership_set,
     ultralimit,
     verify_filter,
@@ -104,11 +102,9 @@ __all__ = [
     "ip_limit_check",
     "ip_sequence_construct",
     "is_uniformly_recurrent",
-    "normalize",
     "orbit_closure",
     "shift",
     "stack_points",
-    "subsemigroup_closure",
     "translate_membership_set",
     "ultralimit",
     "verify_filter",

@@ -8,12 +8,12 @@ coordinate.  Distances are exact dyadic exponents: d(x, y) = 2**-e where
 e is the least i + (first disagreement of coordinate i), so every ball is
 a clopen cylinder and every epsilon argument becomes finite bookkeeping.
 
-Everything here is decided exactly.  Disagreement of two eventually
-periodic sequences is decidable by comparing one preperiod-plus-lcm
-window; uniform recurrence degenerates to "every coordinate is purely
-periodic"; proximality degenerates to "the points agree from the
-preperiod join onward".  The certificate constructions re-derive those
-facts from windows rather than trusting the characterizations.
+Everything here is decided exactly.  Past both preperiods, agreement of
+two shifted sequences is one comparison of their period words rotated to
+their phases; only sequences that differ are read on a preperiod-plus-lcm
+window, to find where.  Uniform recurrence degenerates to "every
+coordinate is purely periodic"; proximality degenerates to "the points
+agree from the preperiod join onward".
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .epcore import Algebra, ConstructionError, EpSet, InputError, LiteralError
+from .epcore import Algebra, ConstructionError, EpSet, InputError, LiteralError, _canonical
 
 __all__ = [
     "AetPairError",
@@ -108,14 +108,25 @@ def shift(x: SymbolicPoint, n: int) -> SymbolicPoint:
 
 
 def _first_disagreement(u: Word, v: Word, n: int = 0, m: int = 0) -> int | None:
-    """The least j with u(n + j) != v(m + j), or None when T^n u = T^m v;
-    past their preperiod join both repeat with the lcm period."""
-    horizon = max(len(u.pre) - n, len(v.pre) - m, 0) + math.lcm(len(u.per), len(v.per))
-    a = u.window(n, n + horizon)
-    b = v.window(m, m + horizon)
-    if a == b:
+    """The least j with u(n + j) != v(m + j), or None when T^n u = T^m v.
+
+    Past both preperiods T^n u and T^m v are purely periodic with primitive
+    periods, so they are equal exactly when the periods have one length and
+    agree rotated to their phases: one word comparison.  Otherwise, or when
+    they differ, the first disagreement lies in the window of their
+    preperiod join plus the lcm period, past which both repeat.
+    """
+    a, b, p = len(u.pre), len(v.pre), len(u.per)
+    if n >= a and m >= b and p == len(v.per):
+        i, k = (n - a) % p, (m - b) % p
+        if u.per[i:] + u.per[:i] == v.per[k:] + v.per[:k]:
+            return None
+    horizon = max(a - n, b - m, 0) + math.lcm(p, len(v.per))
+    s = u.window(n, n + horizon)
+    t = v.window(m, m + horizon)
+    if s == t:
         return None
-    return next(j for j in range(horizon) if a[j] != b[j])
+    return next(j for j in range(horizon) if s[j] != t[j])
 
 
 def distance_exponent(
@@ -254,9 +265,10 @@ def ae_solve(x: SymbolicPoint) -> SymbolicPoint:
     Each coordinate becomes its residue word, its periodic tail extended
     backwards through the preperiod at its own phase, so the output is
     purely periodic and agrees with ``x`` from the preperiod join onward.
-    For eventually periodic stacks this solution is unique.
+    For eventually periodic stacks this solution is unique.  A residue word
+    is a rotation of a primitive period, so it is already canonical.
     """
-    return SymbolicPoint(tuple(EpSet("", u.residue_word) for u in x.coords))
+    return SymbolicPoint(tuple(_canonical("", u.residue_word) for u in x.coords))
 
 
 def require_aet_pair(x: SymbolicPoint, y: SymbolicPoint) -> None:

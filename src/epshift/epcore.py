@@ -33,7 +33,6 @@ __all__ = [
     "InputError",
     "LiteralError",
     "generate_algebra",
-    "normalize",
 ]
 
 
@@ -144,32 +143,22 @@ class EpSet:
         m = len(self.pre)
         return (self.pre[n] if n < m else self.per[(n - m) % len(self.per)]) == "1"
 
-    # -- boolean algebra -----------------------------------------------
+    # -- complement and translation --------------------------------------
 
     def complement(self) -> "EpSet":
-        # flipping bits commutes with the representation, no re-expansion
-        return EpSet(self.pre.translate(_COMPLEMENT), self.per.translate(_COMPLEMENT))
-
-    def union(self, other: "EpSet") -> "EpSet":
-        return _pointwise(lambda a, b: "1" if "1" in (a, b) else "0", self, other)
-
-    def intersect(self, other: "EpSet") -> "EpSet":
-        return _pointwise(lambda a, b: "1" if a == b == "1" else "0", self, other)
-
-    def issubset(self, other: "EpSet") -> bool:
-        return self.intersect(other) == self
-
-    # -- translation ----------------------------------------------------
+        # flipping bits keeps the period primitive and the last bits apart
+        return _canonical(self.pre.translate(_COMPLEMENT), self.per.translate(_COMPLEMENT))
 
     def translate_down(self, n: int) -> "EpSet":
         """The set ``X - n = {k : k + n in X}``."""
         if n < 0:
             raise InputError("translation offset must be a natural number")
         m, p = len(self.pre), len(self.per)
+        # a cut preperiod keeps its last bit; a rotated primitive word is primitive
         if n <= m:
-            return EpSet(self.pre[n:], self.per)
+            return _canonical(self.pre[n:], self.per)
         k = (n - m) % p
-        return EpSet("", self.per[k:] + self.per[:k])
+        return _canonical("", self.per[k:] + self.per[:k])
 
     # -- size and gap structure ------------------------------------------
 
@@ -210,20 +199,13 @@ class EpSet:
         return GapCertificate(bound=max([members[0], *gaps]), empty_from=None)
 
 
-def _pointwise(fn, *xs: EpSet) -> EpSet:
-    m = max(len(x.pre) for x in xs)
-    p = math.lcm(*(len(x.per) for x in xs))
-    ws = [x.window(0, m + p) for x in xs]
-    bits = "".join(fn(*col) for col in zip(*ws))
-    return EpSet(bits[:m], bits[m:])
-
-
-def normalize(pre: str, per: str) -> EpSet:
-    """Canonicalize a raw (preperiod, period) pair.
-
-    Idempotent: normalizing a canonical pair returns it unchanged.
-    """
-    return EpSet(pre, per)
+def _canonical(pre: str, per: str) -> EpSet:
+    """An :class:`EpSet` from words already in canonical form, built
+    without the checks and normalization of the constructor."""
+    x = object.__new__(EpSet)
+    object.__setattr__(x, "pre", pre)
+    object.__setattr__(x, "per", per)
+    return x
 
 
 EMPTY = EpSet("", "0")

@@ -39,6 +39,7 @@ from .epcore import (
     EpSet,
     GapCertificate,
     InputError,
+    _primitive_root,
     generate_algebra,
 )
 from .dynamics import (
@@ -59,7 +60,6 @@ __all__ = [
     "central_check",
     "extend_filter",
     "filter_member",
-    "subsemigroup_closure",
     "translate_membership_set",
     "ultralimit",
     "verify_filter",
@@ -86,19 +86,6 @@ def _sum_tree(gens, p: int) -> dict[int, tuple[int, int]]:
                 tree[s] = (r, g)
                 queue.append(s)
     return tree
-
-
-def subsemigroup_closure(residues, p: int) -> set[int]:
-    """Least subset of Z_p containing ``residues`` and closed under addition.
-
-    Every element of the finite group Z_p has finite order, so that is the
-    subgroup the residues generate: the multiples of gcd(p, *residues).
-    """
-    if p < 1:
-        raise InputError("modulus must be positive")
-    if not residues:
-        raise InputError("need at least one residue")
-    return set(range(0, p, math.gcd(p, *residues)))
 
 
 def _closure_step(g: IpGenerator, p: int) -> int:
@@ -205,6 +192,13 @@ class PartialUltrafilter:
         return [x for x in algebra.members if self.member(x)]
 
 
+def _translate_word(f: PartialUltrafilter, x: EpSet) -> str:
+    """D(X)'s bits at positions 0 .. s-1, s = ``_closure_step``."""
+    s = _closure_step(f.generator, len(x.per))
+    w = x.residue_word
+    return "".join("0" if "0" in w[n::s] else "1" for n in range(s))
+
+
 def translate_membership_set(f: PartialUltrafilter, x: EpSet) -> EpSet:
     """The set D(X) = {n : X − n ∈ F}, as an exact EpSet.
 
@@ -214,9 +208,7 @@ def translate_membership_set(f: PartialUltrafilter, x: EpSet) -> EpSet:
     X's preperiod.  For n < s, C_p + n is the residues n, n + s, ..., one
     strided read of X's residue word.
     """
-    s = _closure_step(f.generator, len(x.per))
-    w = x.residue_word
-    return EpSet("", "".join("0" if "0" in w[n::s] else "1" for n in range(s)))
+    return EpSet("", _translate_word(f, x))
 
 
 @dataclass(frozen=True)
@@ -287,15 +279,19 @@ def verify_filter(f: PartialUltrafilter, algebra: Algebra) -> FilterReport:
         dichotomy["neither"] = neither
     members = []
     for x in selected:
-        d = translate_membership_set(f, x)
+        # D(X) repeats its word w, and w[0] is "1" because X ∈ F: the gap is
+        # the longest cyclic run of zeros and the least positive member is
+        # the first "1" past position 0 of w repeated
+        w = _translate_word(f, x)
+        ww = w + w
         members.append({
             "set": x.literal,
-            "translate_set": d.literal,
+            "translate_set": f"({_primitive_root(w)})",
             "idempotent": True,
             "minimal": True,
-            "gap": d.is_syndetic().bound,
+            "gap": max(map(len, ww.split("1"))),
             "hirst": True,
-            "hirst_witness": d.first_member_at_least(1),
+            "hirst_witness": ww.index("1", 1),
         })
     return FilterReport(
         all_pass=dichotomy["pass"],

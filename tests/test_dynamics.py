@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from itertools import product
 from unittest import mock
 
 import pytest
@@ -14,6 +15,7 @@ from epshift.dynamics import (
     Cylinder,
     SymbolicPoint,
     UrReport,
+    _first_disagreement,
     ae_solve,
     apply_block_code,
     are_proximal,
@@ -178,6 +180,79 @@ class TestDistanceExponent:
         for n, m in ((-1, 0), (0, -1), (-3, -2)):
             with pytest.raises(InputError):
                 distance_exponent(x, x, n, m)
+
+
+def raw_first_disagreement(u: EpSet, v: EpSet, n: int, m: int) -> int | None:
+    """Oracle: the least j with u(n + j) != v(m + j), reading bits off the
+    words one at a time on a window past which both shifted words repeat."""
+
+    def bit(w: EpSet, k: int) -> str:
+        return w.pre[k] if k < len(w.pre) else w.per[(k - len(w.pre)) % len(w.per)]
+
+    horizon = len(u.pre) + len(v.pre) + 2 * math.lcm(len(u.per), len(v.per))
+    return next((j for j in range(horizon) if bit(u, n + j) != bit(v, m + j)), None)
+
+
+# The small universe: every canonical word with a preperiod of at most
+# UNIVERSE_PRE bits and a period of at most UNIVERSE_PER bits (40 words).
+UNIVERSE_PRE = 2
+UNIVERSE_PER = 3
+UNIVERSE = sorted(
+    {
+        EpSet("".join(pre), "".join(per))
+        for a in range(UNIVERSE_PRE + 1)
+        for p in range(1, UNIVERSE_PER + 1)
+        for pre in product("01", repeat=a)
+        for per in product("01", repeat=p)
+    },
+    key=lambda w: w.literal,
+)
+
+
+def universe_offsets():
+    """Every ordered pair of universe words with every offset n below their
+    preperiod join plus twice their lcm period."""
+    for u, v in product(UNIVERSE, repeat=2):
+        top = max(len(u.pre), len(v.pre)) + 2 * math.lcm(len(u.per), len(v.per))
+        for n in range(top):
+            yield u, v, n
+
+
+class TestFirstDisagreement:
+    def test_universe_matches_raw_oracle(self):
+        assert len(UNIVERSE) == 40
+        for u, v, n in universe_offsets():
+            for m in {0, n}:
+                assert _first_disagreement(u, v, n, m) == raw_first_disagreement(u, v, n, m), (
+                    u.literal, v.literal, n, m)
+
+    def test_universe_distance_exponent(self):
+        for u, v, n in universe_offsets():
+            x, y = SymbolicPoint((u,)), SymbolicPoint((v,))
+            for m in {0, n}:
+                d = raw_first_disagreement(u, v, n, m)
+                assert distance_exponent(x, y, n, m) == (INF if d is None else d)
+
+    def test_universe_cylinder_contains(self):
+        """Depths at and just past the first disagreement, where the
+        verdict turns, and past the whole window."""
+        for u, v, n in universe_offsets():
+            z, ref = SymbolicPoint((u,)), SymbolicPoint((v,))
+            d = raw_first_disagreement(u, v, n, 0)
+            depths = {0, 1, 20} if d is None else {0, d, d + 1, 20}
+            for k in depths:
+                assert Cylinder(ref, 1, k).contains(z, n) == (d is None or d >= k)
+
+    @given(words, words, st.integers(min_value=0, max_value=40), st.integers(min_value=0, max_value=40))
+    @example(EpSet("1", "0"), EpSet("", "0"), 0, 0)  # n inside u's preperiod
+    @example(EpSet("", "0"), EpSet("1", "0"), 0, 0)  # m inside v's preperiod
+    @example(EpSet("", "10"), EpSet("", "10"), 1, 0)  # one period, phases apart
+    def test_matches_raw_oracle(self, u, v, n, m):
+        """Longer words and far offsets, with equal words at offsets a
+        multiple of the period apart, where the shifted words agree."""
+        p, q = len(u.per), len(v.per)
+        for a, b, i, j in ((u, v, n, m), (u, u, n, m), (u, u, n, n + m * p), (v, v, n + m * q, n)):
+            assert _first_disagreement(a, b, i, j) == raw_first_disagreement(a, b, i, j)
 
 
 def brute_ur(x: SymbolicPoint) -> bool:

@@ -15,8 +15,10 @@ from epshift.epcore import (
     LiteralError,
     generate_algebra,
     _primitive_root,
-    normalize,
 )
+from epshift.dynamics import SymbolicPoint, ae_solve
+
+from setops import intersect, issubset, union
 
 # Oracle: expand (pre, per) literally, bit by bit.  No phase arithmetic, no
 # canonicalization; the implementation must agree with this on any window.
@@ -32,6 +34,7 @@ def raw_window(pre: str, per: str, start: int, stop: int) -> str:
     return "".join(raw_bit(pre, per, n) for n in range(start, stop))
 
 
+FLIP = str.maketrans("01", "10")
 bit_word = st.text(alphabet="01", min_size=0, max_size=8)
 period_word = st.text(alphabet="01", min_size=1, max_size=8)
 ep_sets = st.builds(EpSet, bit_word, period_word)
@@ -92,8 +95,23 @@ class TestCanonicalization:
     def test_primitive_root_matches_divisor_loop(self, word):
         assert _primitive_root(word) == divisor_root(word)
 
-    def test_normalize_equals_constructor(self):
-        assert normalize("0110", "1010") == EpSet("0110", "1010")
+    @given(ep_sets, st.integers(min_value=0, max_value=20))
+    def test_unchecked_paths_match_constructor(self, a, n):
+        """complement, both branches of translate_down and ae_solve build
+        their results without the normalizing constructor; each must equal
+        what the constructor makes of the raw words, literal included."""
+        m, p = len(a.pre), len(a.per)
+        cut, k = min(n, m), (n + 1) % p
+        phase0 = m + -m % p  # the first multiple of p past the preperiod
+        cases = [
+            (a.complement(), (a.pre.translate(FLIP), a.per.translate(FLIP))),
+            (a.translate_down(cut), (a.pre[cut:], a.per)),
+            (a.translate_down(m + n + 1), ("", a.per[k:] + a.per[:k])),
+            (ae_solve(SymbolicPoint((a,))).coords[0], ("", raw_window(a.pre, a.per, phase0, phase0 + p))),
+        ]
+        for got, raw in cases:
+            want = EpSet(*raw)
+            assert got == want and got.literal == want.literal
 
 
 class TestLiterals:
@@ -173,21 +191,21 @@ class TestBooleanOps:
 
     @given(ep_sets, ep_sets)
     def test_union_pointwise(self, a, b):
-        c = a.union(b)
+        c = union(a, b)
         horizon = max(len(a.pre), len(b.pre)) + 2 * math.lcm(len(a.per), len(b.per))
         for n in range(horizon):
             assert c.member(n) == (a.member(n) or b.member(n))
 
     @given(ep_sets, ep_sets)
     def test_intersect_pointwise(self, a, b):
-        c = a.intersect(b)
+        c = intersect(a, b)
         horizon = max(len(a.pre), len(b.pre)) + 2 * math.lcm(len(a.per), len(b.per))
         for n in range(horizon):
             assert c.member(n) == (a.member(n) and b.member(n))
 
     @given(ep_sets, ep_sets)
     def test_de_morgan(self, a, b):
-        assert a.union(b).complement() == a.complement().intersect(b.complement())
+        assert union(a, b).complement() == intersect(a.complement(), b.complement())
 
     @given(ep_sets, ep_sets)
     def test_subset(self, a, b):
@@ -197,14 +215,14 @@ class TestBooleanOps:
             if a.member(n) and not b.member(n):
                 expected = False
                 break
-        assert a.issubset(b) == expected
+        assert issubset(a, b) == expected
 
     @given(ep_sets)
     def test_bounds(self, a):
-        assert a.issubset(FULL)
-        assert EMPTY.issubset(a)
-        assert a.union(a.complement()) == FULL
-        assert a.intersect(a.complement()) == EMPTY
+        assert issubset(a, FULL)
+        assert issubset(EMPTY, a)
+        assert union(a, a.complement()) == FULL
+        assert intersect(a, a.complement()) == EMPTY
 
 
 class TestTranslateDown:
@@ -304,8 +322,8 @@ def brute_closure(gens, downward: bool, cap: int) -> tuple[EpSet, ...]:
         if downward:
             add(x.translate_down(1))
         for y in list(current):
-            add(x.union(y))
-            add(x.intersect(y))
+            add(union(x, y))
+            add(intersect(x, y))
     return tuple(sorted(current, key=lambda s: s.literal))
 
 
@@ -348,8 +366,8 @@ class TestAlgebra:
             assert x.complement() in members
             assert x.translate_down(1) in members
             for y in members:
-                assert x.union(y) in members
-                assert x.intersect(y) in members
+                assert union(x, y) in members
+                assert intersect(x, y) in members
 
     def test_not_downward_skips_translates(self):
         alg = generate_algebra([EpSet.parse("(10)")], downward=False)
