@@ -12,8 +12,8 @@ Everything here is decided exactly.  Past both preperiods, agreement of
 two shifted sequences is one comparison of their period words rotated to
 their phases; only sequences that differ are read on a preperiod-plus-lcm
 window, to find where.  Uniform recurrence degenerates to "every
-coordinate is purely periodic"; proximality degenerates to "the points
-agree from the preperiod join onward".
+coordinate is purely periodic"; proximality degenerates to "every
+coordinate pair has one residue word" (agreement past the preperiods).
 """
 
 from __future__ import annotations
@@ -245,9 +245,17 @@ class ProximalityReport:
     exponent: int | None = None
 
 
+def _proximal(x: SymbolicPoint, y: SymbolicPoint) -> bool:
+    """Stacks are proximal iff they agree past both preperiods, where T^J u =
+    T^J v exactly when the periods rotated to phase 0 are one word, for any J."""
+    return [u.residue_word for u in x.coords] == [v.residue_word for v in y.coords]
+
+
 def are_proximal(x: SymbolicPoint, y: SymbolicPoint) -> ProximalityReport:
+    """Decide proximality exactly (the rule is ``_proximal``), witnessed by
+    the preperiod join or by the worst exponent over one joint period."""
     join = max(x.max_preperiod, y.max_preperiod)
-    if distance_exponent(x, y, join, join) == math.inf:
+    if _proximal(x, y):
         return ProximalityReport(proximal=True, witness=join)
     # beyond the join both points are periodic, so the disagreement pattern
     # repeats with the joint period; its worst exponent bounds all offsets
@@ -278,7 +286,7 @@ def require_aet_pair(x: SymbolicPoint, y: SymbolicPoint) -> None:
         raise AetPairError("pair check failed: coordinate counts differ")
     if not _recurrent(y):
         raise AetPairError("pair check failed: y is not uniformly recurrent")
-    if not are_proximal(x, y).proximal:
+    if not _proximal(x, y):
         raise AetPairError("pair check failed: x and y are not proximal")
 
 

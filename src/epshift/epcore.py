@@ -67,6 +67,16 @@ def _primitive_root(word: str) -> str:
     return word[:(word + word).find(word, 1)]
 
 
+def _normal_words(pre: str, per: str) -> tuple[str, str]:
+    """The canonical form of words known to be 0/1, ``per`` nonempty."""
+    per = _primitive_root(per)
+    # absorbing a trailing preperiod bit rotates the period right once
+    while pre and pre[-1] == per[-1]:
+        pre = pre[:-1]
+        per = per[-1] + per[:-1]
+    return pre, per
+
+
 @dataclass(frozen=True)
 class EpSet:
     """An eventually periodic subset of N.
@@ -87,12 +97,7 @@ class EpSet:
             raise InputError("period word must be nonempty")
         if set(self.pre) - {"0", "1"} or set(self.per) - {"0", "1"}:
             raise InputError("membership words must be over the alphabet {0,1}")
-        per = _primitive_root(self.per)
-        pre = self.pre
-        # absorbing a trailing preperiod bit rotates the period right once
-        while pre and pre[-1] == per[-1]:
-            pre = pre[:-1]
-            per = per[-1] + per[:-1]
+        pre, per = _normal_words(self.pre, self.per)
         object.__setattr__(self, "pre", pre)
         object.__setattr__(self, "per", per)
 
@@ -295,5 +300,5 @@ def generate_algebra(gens, downward: bool, cap: int = 65536) -> Algebra:
     for atom in atoms.values():
         masks += [mask | atom for mask in masks]
     words = (format(mask, f"0{width}b")[::-1] for mask in masks)
-    members = tuple(sorted((EpSet(w[:m], w[m:]) for w in words), key=lambda s: s.literal))
+    members = tuple(sorted((_canonical(*_normal_words(w[:m], w[m:])) for w in words), key=str))
     return Algebra(members=members, generators=gens, downward_closed=downward)

@@ -29,6 +29,7 @@ from .epcore import ConstructionError, EpSet, InputError, LiteralError
 from .dynamics import (
     Cylinder,
     SymbolicPoint,
+    _first_disagreement,
     ae_solve,
     distance_exponent,
     encode_point,
@@ -184,6 +185,13 @@ class IpConstructionCertificate:
     source: SymbolicPoint
 
 
+def _agreement_profile(z: SymbolicPoint, y: SymbolicPoint, n: int, depth: int) -> list:
+    """Entry c: the least first disagreement of T^n z_j with y_j over j < c.
+    T^n z lies in the cylinder around y with depths (c, k) iff it is >= k."""
+    ds = (_first_disagreement(u, v, n) for u, v in zip(z.coords[:depth], y.coords))
+    return list(accumulate((math.inf if d is None else d for d in ds), min, initial=math.inf))
+
+
 def verify_ip_certificate(cert: IpConstructionCertificate) -> list[str]:
     """Re-check every certificate condition from scratch; list the failures.
 
@@ -192,32 +200,46 @@ def verify_ip_certificate(cert: IpConstructionCertificate) -> list[str]:
     memberships T^{n_i} x ∈ U_{i+1} and T^{n_i} y ∈ U_{i+1}, and the ball
     bound U_i ⊆ B(y, 2^-i).
 
-    Each U_i must first contain y, so it is the cylinder around y with its
-    own depths.  Two cylinders around y nest exactly when their depths do,
-    and the ball bound is a depth bound.  T^n U_{i+1} ⊆ U_i holds exactly
-    when U_i's constraints fit inside U_{i+1}'s shifted by n and T^n y
-    lies in U_i.
+    Each U_i must first contain y (as it does its reference), so it is the
+    cylinder around y with its own depths.  Two cylinders around y nest
+    exactly when their depths do, and the ball bound is a depth bound.
+    T^n U_{i+1} ⊆ U_i holds exactly when U_i's constraints fit inside
+    U_{i+1}'s shifted by n and T^n y lies in U_i.  Each membership of
+    T^n x or T^n y is one read of its ``_agreement_profile``.
     """
     x, y = cert.source, cert.target
     us = cert.neighborhoods
     terms = cert.generator.head
     if len(us) != len(terms) + 1:
         return [f"expected {len(terms) + 1} neighborhoods for {len(terms)} terms, got {len(us)}"]
-    off = [f"U_{i} is not a cylinder around y" for i, u in enumerate(us) if not u.contains(y)]
+    off = [f"U_{i} is not a cylinder around y" for i, u in enumerate(us)
+           if u.reference != y and not u.contains(y)]
     if off:
         return off
+    if x.coord_count != y.coord_count:
+        raise InputError("points live in products of different sizes")
+    # past `lead`, T^n x and T^n y repeat with `period` on `head`: one profile pair per phase
+    depth = max(u.coord_depth for u in us)
+    head = x.coords[:depth] + y.coords[:depth]
+    lead = max((len(c.pre) for c in head), default=0)
+    period = math.lcm(*(len(c.per) for c in head))
+    profiles: dict[int, list[list]] = {}
     failures: list[str] = []
     for i, n in enumerate(terms):
-        u, v = us[i], us[i + 1]
+        phase = n if n < lead else lead + (n - lead) % period
+        if phase not in profiles:
+            profiles[phase] = [_agreement_profile(z, y, phase, depth) for z in (x, y)]
+        (px, py), u, v = profiles[phase], us[i], us[i + 1]
         # U_i's constraints inside U_{i+1}'s, shifted by 0 and by n
         deeper = not v.trivial and u.coord_depth <= v.coord_depth
         if not (u.trivial or (deeper and u.pos_depth <= v.pos_depth)):
             failures.append(f"U_{i + 1} is not contained in U_{i}")
-        if not (u.trivial or (deeper and u.pos_depth + n <= v.pos_depth and u.contains(y, n))):
+        if not (u.trivial or (deeper and u.pos_depth + n <= v.pos_depth
+                              and py[u.coord_depth] >= u.pos_depth)):
             failures.append(f"T^{n} U_{i + 1} is not contained in U_{i}")
-        if not v.contains(x, n):
+        if px[v.coord_depth] < v.pos_depth:
             failures.append(f"T^{n} x misses U_{i + 1}")
-        if not v.contains(y, n):
+        if py[v.coord_depth] < v.pos_depth:
             failures.append(f"T^{n} y misses U_{i + 1}")
     for i, u in enumerate(us):
         k = min(y.coord_count, i)

@@ -1,7 +1,8 @@
 from __future__ import annotations
 
 import math
-from itertools import product
+from dataclasses import replace
+from itertools import combinations, product
 from unittest import mock
 
 import pytest
@@ -13,9 +14,11 @@ from epshift.dynamics import (
     AetPairError,
     BlockCode,
     Cylinder,
+    ProximalityReport,
     SymbolicPoint,
     UrReport,
     _first_disagreement,
+    _proximal,
     ae_solve,
     apply_block_code,
     are_proximal,
@@ -382,7 +385,31 @@ def brute_proximal(x: SymbolicPoint, y: SymbolicPoint) -> bool:
     return any(shift(x, n) == shift(y, n) for n in range(top + 1))
 
 
+def join_rule_proximal(x: SymbolicPoint, y: SymbolicPoint) -> ProximalityReport:
+    """Oracle: the pair is proximal iff the points agree at the preperiod
+    join; otherwise the worst exponent over one joint period past it."""
+    join = max(x.max_preperiod, y.max_preperiod)
+    if distance_exponent(x, y, join, join) == INF:
+        return ProximalityReport(proximal=True, witness=join)
+    period = math.lcm(x.lcm_period, y.lcm_period)
+    worst = max(distance_exponent(x, y, n, n) for n in range(join, join + period))
+    return ProximalityReport(proximal=False, exponent=int(worst))
+
+
 class TestProximality:
+    def test_universe_residue_rule(self):
+        """Every ordered pair of universe words, and 2-coordinate stacks of
+        them against each other and their AE solutions: equal residue words
+        are agreement from the join on."""
+        singles = [SymbolicPoint((u,)) for u in UNIVERSE]
+        stacks = [SymbolicPoint((u, v)) for u, v in product(UNIVERSE[::6], UNIVERSE[1::6])]
+        pairs = list(product(singles, repeat=2))
+        pairs += product(stacks, stacks + [ae_solve(x) for x in stacks])
+        for x, y in pairs:
+            join = max(x.max_preperiod, y.max_preperiod)
+            assert _proximal(x, y) == (distance_exponent(x, y, join, join) == INF)
+            assert are_proximal(x, y) == join_rule_proximal(x, y)
+
     def test_frozen(self):
         r = are_proximal(pt("(01)"), pt("(10)"))
         assert not r.proximal and r.exponent == 0
@@ -776,6 +803,23 @@ class TestCertificateReplay:
         lists."""
         cert = tamper(ip_sequence_construct(x, ae_solve(x), count=count), drawn)
         assert verify_ip_certificate(cert) == window_replay(cert)
+
+    def test_universe_every_term_pair(self):
+        """Points of one universe word and 2-coordinate stacks of them,
+        each certificate's terms set to every increasing pair below the
+        join plus twice the lcm period, some inside x's preperiod; with
+        the built depths and with every coordinate depth 0."""
+        xs = [SymbolicPoint((u,)) for u in UNIVERSE]
+        xs += [SymbolicPoint((u, v)) for u, v in product(UNIVERSE[::3], UNIVERSE[1::3])]
+        for x in xs:
+            cert = ip_sequence_construct(x, ae_solve(x), count=2)
+            flat = replace(cert, neighborhoods=tuple(
+                Cylinder(cert.target, 0, u.pos_depth) for u in cert.neighborhoods))
+            top = x.max_preperiod + 2 * x.lcm_period
+            for terms in combinations(range(1, top), 2):
+                for c in (cert, flat):
+                    c = replace(c, generator=IpGenerator(terms, c.generator.tail_diffs))
+                    assert verify_ip_certificate(c) == window_replay(c), (x.literal, terms)
 
 
 def orbit_copy_covering_bound(y: SymbolicPoint, u: Cylinder) -> int:

@@ -97,9 +97,10 @@ class TestCanonicalization:
 
     @given(ep_sets, st.integers(min_value=0, max_value=20))
     def test_unchecked_paths_match_constructor(self, a, n):
-        """complement, both branches of translate_down and ae_solve build
-        their results without the normalizing constructor; each must equal
-        what the constructor makes of the raw words, literal included."""
+        """complement, both branches of translate_down, ae_solve and the
+        members of generate_algebra build their results without the
+        constructor's checks; each must equal what the constructor makes of
+        the raw words, literal included."""
         m, p = len(a.pre), len(a.per)
         cut, k = min(n, m), (n + 1) % p
         phase0 = m + -m % p  # the first multiple of p past the preperiod
@@ -109,6 +110,9 @@ class TestCanonicalization:
             (a.translate_down(m + n + 1), ("", a.per[k:] + a.per[:k])),
             (ae_solve(SymbolicPoint((a,))).coords[0], ("", raw_window(a.pre, a.per, phase0, phase0 + p))),
         ]
+        # a member's raw words are its bits on the closure window [0, m + p)
+        for got in generate_algebra([a, a.translate_down(n)], downward=False).members:
+            cases.append((got, (got.window(0, m), got.window(m, m + p))))
         for got, raw in cases:
             want = EpSet(*raw)
             assert got == want and got.literal == want.literal

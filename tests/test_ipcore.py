@@ -3,16 +3,19 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epshift.epcore import ConstructionError, EpSet, InputError, LiteralError
+from epshift import dynamics, ipcore
+from epshift.epcore import ConstructionError, EpSet, InputError, LiteralError, generate_algebra
 from epshift.dynamics import (
     SymbolicPoint,
     ae_solve,
     distance_exponent,
+    encode_point,
     shift,
 )
 from epshift.ipcore import (
@@ -198,6 +201,25 @@ class TestIpConstruction:
             for idxs in combinations(range(6), size):
                 s = sum(heads[i] for i in idxs)
                 assert distance_exponent(shift(x, s), y) >= idxs[0]
+
+    @pytest.mark.parametrize("gens", [["(10)"], ["(100)"], ["01(10)", "(110)"]])
+    def test_few_disagreement_calls(self, gens):
+        """The pair check compares residue words and the replay builds one
+        agreement profile per point and phase, so a certificate over the
+        encoded point of a 4-256 member algebra costs at most 16 word
+        comparisons; one per coordinate and check would cost 136."""
+        x = encode_point(generate_algebra([EpSet.parse(t) for t in gens], downward=True))
+        first = dynamics._first_disagreement
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return first(*args)
+
+        with mock.patch.object(dynamics, "_first_disagreement", counted), \
+                mock.patch.object(ipcore, "_first_disagreement", counted):
+            ip_sequence_construct(x, ae_solve(x))
+        assert len(calls) <= 16
 
     def test_verifier_catches_tampering(self):
         """Each failure message, from a tamper of one field."""
