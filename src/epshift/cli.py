@@ -68,6 +68,11 @@ def _classes(text: str) -> tuple[EpSet, ...]:
     return tuple(EpSet.parse(part) for part in text.split(";"))
 
 
+def _points(cert: IpConstructionCertificate) -> dict:
+    """The certified pair (x, y) as the ``stages`` fields of a payload."""
+    return {"encoded_point": cert.source.literal, "ae_point": cert.target.literal}
+
+
 def _cert_dict(cert: IpConstructionCertificate) -> dict:
     return {
         "generator": cert.generator.literal,
@@ -231,11 +236,12 @@ def _cmd_ip_iht(ns) -> dict:
 def _cmd_ip_pipeline(ns) -> dict:
     colorings = [_classes(c) for c in ns.coloring]
     res = aet_to_iht_pipeline(colorings, terms=ns.terms)
+    cert = res.certificate
     return {
         "witness": list(res.witness),
         "colors": list(res.colors),
-        "stages": dict(res.stages),
-        "certificate": _cert_dict(res.certificate),
+        "stages": {**_points(cert), "generator": cert.generator.literal},
+        "certificate": _cert_dict(cert),
     }
 
 
@@ -249,23 +255,16 @@ def _cmd_filter_member(ns) -> dict:
     return {"member": False, "witness_sum": res.witness_sum}
 
 
-def _build_payload(f: PartialUltrafilter) -> dict:
+def _cmd_filter_build(ns) -> dict:
+    alg = generate_algebra(_sets(ns.sets), downward=True, cap=ns.cap)
+    f = build_partial_ultrafilter(alg)
     return {
         "all_pass": True,
         "generator": f.generator.literal,
         "scope_size": len(f.scope),
-        "members": [x.literal for x in f.trace["members"]],
-        "stages": {
-            "encoded_point": f.trace["encoded_point"],
-            "ae_point": f.trace["ae_point"],
-            "certificate": _cert_dict(f.trace["certificate"]),
-        },
+        "members": [x.literal for x in f.members],
+        "stages": {**_points(f.certificate), "certificate": _cert_dict(f.certificate)},
     }
-
-
-def _cmd_filter_build(ns) -> dict:
-    alg = generate_algebra(_sets(ns.sets), downward=True, cap=ns.cap)
-    return _build_payload(build_partial_ultrafilter(alg, count=ns.count))
 
 
 def _cmd_filter_verify(ns) -> dict:
@@ -287,15 +286,14 @@ def _cmd_filter_ulimit(ns) -> dict:
 def _cmd_filter_extend(ns) -> dict:
     base = generate_algebra(_sets(ns.base), downward=True, cap=ns.cap)
     wider = generate_algebra(_sets(ns.base + ns.new), downward=True, cap=ns.cap)
-    f = build_partial_ultrafilter(base, count=ns.count)
-    g = extend_filter(f, wider, count=ns.count)
+    g = extend_filter(build_partial_ultrafilter(base), wider)
     return {
         "agreement": True,
         "all_pass": True,
         "generator": g.generator.literal,
         "base_size": len(base),
         "new_size": len(wider),
-        "members": [x.literal for x in g.trace["members"]],
+        "members": [x.literal for x in g.members],
     }
 
 
@@ -392,11 +390,8 @@ def _cmd_scenario_run(ns) -> dict:
 # ------------------------------------------------------------------ parser
 
 
-def _add_common(p: argparse.ArgumentParser, *flags: str) -> None:
-    if "cap" in flags:
-        p.add_argument("--cap", type=int, default=65536, help="algebra size cap")
-    if "count" in flags:
-        p.add_argument("--count", type=int, default=8, help="certificate length")
+def _add_cap(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--cap", type=int, default=65536, help="algebra size cap")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -435,7 +430,7 @@ def _parser() -> argparse.ArgumentParser:
     p = set_cmds.add_parser("algebra", help="closure under boolean ops and translation")
     p.add_argument("sets", nargs="+", metavar="set")
     p.add_argument("--downward", action="store_true", help="close under all X-n")
-    _add_common(p, "cap")
+    _add_cap(p)
     p.set_defaults(handler=_cmd_set_algebra)
 
     g_dyn = groups.add_parser("dyn", help="shift dynamics on symbolic points")
@@ -494,7 +489,7 @@ def _parser() -> argparse.ArgumentParser:
     p = ip_cmds.add_parser("construct", help="certified IP sequence for an AET pair")
     p.add_argument("x")
     p.add_argument("y")
-    _add_common(p, "count")
+    p.add_argument("--count", type=int, default=8, help="certificate length")
     p.set_defaults(handler=_cmd_ip_construct)
 
     p = ip_cmds.add_parser("limit", help="bounded IP-limit check")
@@ -532,14 +527,14 @@ def _parser() -> argparse.ArgumentParser:
 
     p = f_cmds.add_parser("build", help="construct and audit a minimal idempotent filter")
     p.add_argument("sets", nargs="+", metavar="set", help="algebra generators")
-    _add_common(p, "cap", "count")
+    _add_cap(p)
     p.set_defaults(handler=_cmd_filter_build)
 
     p = f_cmds.add_parser("verify", help="audit a generator against an algebra")
     p.add_argument("--gen", required=True)
     p.add_argument("sets", nargs="+", metavar="set")
     p.add_argument("--downward", action="store_true")
-    _add_common(p, "cap")
+    _add_cap(p)
     p.set_defaults(handler=_cmd_filter_verify)
 
     p = f_cmds.add_parser("dset", help="translate-membership set D(X)")
@@ -555,13 +550,13 @@ def _parser() -> argparse.ArgumentParser:
     p = f_cmds.add_parser("extend", help="extend a built filter to a wider scope")
     p.add_argument("--base", action="append", required=True, metavar="SET")
     p.add_argument("--new", action="append", required=True, metavar="SET")
-    _add_common(p, "cap", "count")
+    _add_cap(p)
     p.set_defaults(handler=_cmd_filter_extend)
 
     p = f_cmds.add_parser("central", help="syndetic + IP + filter membership report")
     p.add_argument("set")
     p.add_argument("--bound", type=int, default=128, help="IP witness sum bound")
-    _add_common(p, "cap")
+    _add_cap(p)
     p.set_defaults(handler=_cmd_filter_central)
 
     g_scn = groups.add_parser("scenario", help="run a named-step scenario file")

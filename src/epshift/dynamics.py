@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .epcore import Algebra, ConstructionError, EpSet, InputError, LiteralError, _canonical
 
@@ -127,6 +128,13 @@ def _first_disagreement(u: Word, v: Word, n: int = 0, m: int = 0) -> int | None:
     if s == t:
         return None
     return next(j for j in range(horizon) if s[j] != t[j])
+
+
+def _agreement_profile(z: SymbolicPoint, y: SymbolicPoint, n: int, depth: int) -> list:
+    """Entry c: the least first disagreement of T^n z_j with y_j over j < c.
+    T^n z lies in the cylinder around y with depths (c, k) iff it is >= k."""
+    ds = (_first_disagreement(u, v, n) for u, v in zip(z.coords[:depth], y.coords))
+    return list(accumulate((math.inf if d is None else d for d in ds), min, initial=math.inf))
 
 
 def distance_exponent(
@@ -328,19 +336,15 @@ def eaet_prime(t0: SymbolicPoint, codes) -> list[SymbolicPoint]:
 
 
 def orbit_closure(y: SymbolicPoint) -> list[SymbolicPoint]:
-    """All shift images of ``y``, deduplicated in first-visit order.
+    """All shift images of ``y``, in first-visit order.
 
     For an eventually periodic stack the orbit closure is finite: the
-    transient shifts below the preperiod bound plus one full period cycle.
+    transient shifts below the preperiod join plus one full period cycle.
+    These are pairwise distinct, since coordinates are canonical: below
+    the join the longest coordinate preperiod shrinks strictly, and past
+    it the periods are primitive, so T^n y = T^m y needs lcm | m - n.
     """
-    seen: set[SymbolicPoint] = set()
-    out: list[SymbolicPoint] = []
-    for n in range(y.max_preperiod + y.lcm_period):
-        z = y.shift(n)
-        if z not in seen:
-            seen.add(z)
-            out.append(z)
-    return out
+    return [y.shift(n) for n in range(y.max_preperiod + y.lcm_period)]
 
 
 @dataclass(frozen=True)
@@ -376,11 +380,7 @@ class Cylinder:
             raise InputError("points live in products of different sizes")
         if n < 0:
             raise InputError("shift count must be a natural number")
-        for u, v in zip(z.coords[:self.coord_depth], self.reference.coords):
-            d = _first_disagreement(u, v, n)
-            if d is not None and d < self.pos_depth:
-                return False
-        return True
+        return _agreement_profile(z, self.reference, n, self.coord_depth)[-1] >= self.pos_depth
 
 
 def covering_bound(y: SymbolicPoint, u: Cylinder) -> int:

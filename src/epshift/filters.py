@@ -34,6 +34,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .epcore import (
+    FULL,
     Algebra,
     ConstructionError,
     EpSet,
@@ -49,7 +50,7 @@ from .dynamics import (
     require_aet_pair,
     stack_points,
 )
-from .ipcore import IpGenerator, _least_witness, ip_sequence_construct
+from .ipcore import IpConstructionCertificate, IpGenerator, _least_witness, ip_sequence_construct
 
 __all__ = [
     "CentralReport",
@@ -173,16 +174,20 @@ class PartialUltrafilter:
     Membership of X depends only on p = period(X): X ∈ F iff X's residue
     word is "1" at every multiple of ``_closure_step`` (see the module
     docstring), the same verdict ``filter_member`` gives.
+
+    A built or extended filter keeps the record of its construction:
+    ``certificate``, the certified IP construction whose generator it
+    installs, and ``members``, the scope's selected sets in scope order.
+    A filter from ``for_generator`` has neither.
     """
 
     generator: IpGenerator
     scope: Algebra
-    trace: dict | None = None
+    certificate: IpConstructionCertificate | None = None
+    members: tuple[EpSet, ...] | None = None
 
     @classmethod
     def for_generator(cls, generator: IpGenerator) -> "PartialUltrafilter":
-        from .epcore import FULL
-
         return cls(generator=generator, scope=generate_algebra([FULL], downward=True))
 
     def member(self, x: EpSet) -> bool:
@@ -249,14 +254,14 @@ class FilterReport:
         }
 
 
-def _split(f: PartialUltrafilter, algebra: Algebra) -> tuple[list[EpSet], list[str]]:
-    """The members of ``algebra`` in F, and the literals of those with
-    neither X nor X̄ in F: X ∈ F iff C_p ⊆ G(X), and X̄ ∈ F iff
+def _split(g: IpGenerator, algebra: Algebra) -> tuple[list[EpSet], list[str]]:
+    """The members of ``algebra`` in F((n_i)), and the literals of those
+    with neither X nor X̄ in F: X ∈ F iff C_p ⊆ G(X), and X̄ ∈ F iff
     C_p ∩ G(X) = ∅, so C_p ≠ ∅ never puts both in F."""
     selected = []
     neither = []
     for x in algebra.members:
-        w = x.residue_word[:: _closure_step(f.generator, len(x.per))]
+        w = x.residue_word[:: _closure_step(g, len(x.per))]
         if "0" not in w:
             selected.append(x)
         elif "1" in w:
@@ -273,7 +278,7 @@ def verify_filter(f: PartialUltrafilter, algebra: Algebra) -> FilterReport:
     are verdicts with witnesses, not exceptions: a generator may
     legitimately fail dichotomy on an algebra it was not built for.
     """
-    selected, neither = _split(f, algebra)
+    selected, neither = _split(f.generator, algebra)
     dichotomy = {"pass": not neither}
     if neither:
         dichotomy["neither"] = neither
@@ -305,34 +310,32 @@ def verify_filter(f: PartialUltrafilter, algebra: Algebra) -> FilterReport:
     )
 
 
-def build_partial_ultrafilter(algebra: Algebra, count: int = 8) -> PartialUltrafilter:
+def _certified(
+    scope: Algebra, x: SymbolicPoint, y: SymbolicPoint, what: str
+) -> PartialUltrafilter:
+    """The filter of the certified IP construction over (x, y), on
+    ``scope``, with its record.  A member of the scope it decides neither
+    way raises, since it would mean a bug in the construction rather than
+    bad input."""
+    cert = ip_sequence_construct(x, y)
+    selected, neither = _split(cert.generator, scope)
+    if neither:
+        raise ConstructionError(f"{what} filter decides neither way on " + ", ".join(neither))
+    return PartialUltrafilter(cert.generator, scope, cert, tuple(selected))
+
+
+def build_partial_ultrafilter(algebra: Algebra) -> PartialUltrafilter:
     """Construct a partial minimal idempotent ultrafilter for the algebra.
 
-    Encodes the algebra as a point, solves for its recurrent proximal
-    companion, runs the certified IP construction, and installs the
-    resulting generator, with the selected sets as ``trace["members"]``.
-    A member deciding neither way raises, since it would mean a bug in
-    the construction rather than bad input.
+    Encodes the algebra as a point x, solves for its recurrent proximal
+    companion y, and installs the generator of the certified IP
+    construction over (x, y), so ``certificate.source`` is x.  Dichotomy
+    is checked on the algebra (see ``_certified``).
     """
     if not algebra.downward_closed:
         raise InputError("filters need a downward-translation algebra")
     x = encode_point(algebra)
-    y = ae_solve(x)
-    cert = ip_sequence_construct(x, y, count=count)
-    f = PartialUltrafilter(
-        generator=cert.generator,
-        scope=algebra,
-        trace={
-            "encoded_point": x.literal,
-            "ae_point": y.literal,
-            "certificate": cert,
-        },
-    )
-    selected, neither = _split(f, algebra)
-    if neither:
-        raise ConstructionError("built filter decides neither way on " + ", ".join(neither))
-    f.trace["members"] = selected
-    return f
+    return _certified(algebra, x, ae_solve(x), "built")
 
 
 def ultralimit(f: PartialUltrafilter, x: SymbolicPoint) -> SymbolicPoint:
@@ -353,17 +356,15 @@ def ultralimit(f: PartialUltrafilter, x: SymbolicPoint) -> SymbolicPoint:
     return y
 
 
-def extend_filter(
-    f: PartialUltrafilter, new_scope: Algebra, count: int = 8
-) -> PartialUltrafilter:
+def extend_filter(f: PartialUltrafilter, new_scope: Algebra) -> PartialUltrafilter:
     """Extend a filter to a larger algebra, preserving old decisions.
 
     Solves the extension problem on the encoded points: the old scope's
     point paired with the filter's own ultralimit is extended by the new
     scope's point, and the certified IP construction over the stacked
-    pair yields the new generator.  Exhaustive agreement on the old scope
-    and dichotomy on the new one (selected sets in ``trace["members"]``)
-    are checked before returning.
+    pair yields the new generator.  Dichotomy on the new scope (see
+    ``_certified``) and exhaustive agreement on the old one are checked
+    before returning.
     """
     if not new_scope.downward_closed:
         raise InputError("filters need a downward-translation algebra")
@@ -377,15 +378,8 @@ def extend_filter(
     y1 = ultralimit(f, x1)
     x2 = encode_point(new_scope)
     # ultralimit has checked (x1, y1); ip_sequence_construct checks the stack
-    y2 = ae_solve(x2)
-    cert = ip_sequence_construct(stack_points(x1, x2), stack_points(y1, y2), count=count)
-    extended = PartialUltrafilter(
-        generator=cert.generator,
-        scope=new_scope,
-        trace={
-            "base_generator": f.generator.literal,
-            "certificate": cert,
-        },
+    extended = _certified(
+        new_scope, stack_points(x1, x2), stack_points(y1, ae_solve(x2)), "extended"
     )
     disagreements = [
         x.literal for x in f.scope.members if extended.member(x) != f.member(x)
@@ -394,10 +388,6 @@ def extend_filter(
         raise ConstructionError(
             "extension changed old-scope decisions on " + ", ".join(disagreements)
         )
-    selected, neither = _split(extended, new_scope)
-    if neither:
-        raise ConstructionError("extended filter decides neither way on " + ", ".join(neither))
-    extended.trace["members"] = selected
     return extended
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, combinations
 from operator import or_
@@ -29,7 +29,7 @@ from .epcore import ConstructionError, EpSet, InputError, LiteralError
 from .dynamics import (
     Cylinder,
     SymbolicPoint,
-    _first_disagreement,
+    _agreement_profile,
     ae_solve,
     distance_exponent,
     encode_point,
@@ -183,13 +183,6 @@ class IpConstructionCertificate:
     neighborhoods: tuple[Cylinder, ...]
     target: SymbolicPoint
     source: SymbolicPoint
-
-
-def _agreement_profile(z: SymbolicPoint, y: SymbolicPoint, n: int, depth: int) -> list:
-    """Entry c: the least first disagreement of T^n z_j with y_j over j < c.
-    T^n z lies in the cylinder around y with depths (c, k) iff it is >= k."""
-    ds = (_first_disagreement(u, v, n) for u, v in zip(z.coords[:depth], y.coords))
-    return list(accumulate((math.inf if d is None else d for d in ds), min, initial=math.inf))
 
 
 def verify_ip_certificate(cert: IpConstructionCertificate) -> list[str]:
@@ -568,10 +561,13 @@ def verify_iht_witness(witness, colorings) -> list[str]:
 
 @dataclass(frozen=True)
 class PipelineResult:
+    """A witness, its colors, and the certified IP construction whose
+    generator head it is: ``certificate.source`` is the encoded point and
+    ``certificate.target`` its recurrent proximal companion."""
+
     witness: tuple[int, ...]
     colors: tuple[int, ...]
     certificate: IpConstructionCertificate
-    stages: dict = field(repr=False, default_factory=dict)
 
 
 def aet_to_iht_pipeline(colorings, terms: int) -> PipelineResult:
@@ -594,8 +590,7 @@ def aet_to_iht_pipeline(colorings, terms: int) -> PipelineResult:
         raise InputError("witness capped at 16 terms")
 
     x = encode_point([c[0] for c in colorings])
-    y = ae_solve(x)
-    cert = ip_sequence_construct(x, y, count=terms)
+    cert = ip_sequence_construct(x, ae_solve(x), count=terms)
     witness = cert.generator.head
     failures = verify_iht_witness(witness, colorings)
     if failures:
@@ -603,9 +598,4 @@ def aet_to_iht_pipeline(colorings, terms: int) -> PipelineResult:
             "pipeline witness failed homogeneity audit: " + "; ".join(failures)
         )
     colors = tuple(color_of(c, witness[j]) for j, c in enumerate(colorings))
-    stages = {
-        "encoded_point": x.literal,
-        "ae_point": y.literal,
-        "generator": cert.generator.literal,
-    }
-    return PipelineResult(witness=witness, colors=colors, certificate=cert, stages=stages)
+    return PipelineResult(witness=witness, colors=colors, certificate=cert)

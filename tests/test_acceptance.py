@@ -239,9 +239,9 @@ def test_criterion_06_extension_chains():
         if not (len(a0) < len(a1) < len(a2)):
             continue
         chains += 1
-        f0 = build_partial_ultrafilter(a0, count=6)
-        f1 = extend_filter(f0, a1, count=6)
-        f2 = extend_filter(f1, a2, count=6)
+        f0 = build_partial_ultrafilter(a0)
+        f1 = extend_filter(f0, a1)
+        f2 = extend_filter(f1, a2)
         for a in a0.members:
             if f1.member(a) != f0.member(a):
                 failures.append(("first extension", g1.literal, a.literal))

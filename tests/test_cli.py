@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +36,23 @@ class TestPinnedOutputs:
         assert code == 2
         assert out == ""
         assert "()" in err
+
+
+# the benchmark's CLI corpus with its pinned exit codes and stdout bytes;
+# read here, never written
+PINNED_CORPUS = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "pins.json").read_text(encoding="utf-8")
+)["cli"]["corpus"]
+
+
+@pytest.mark.parametrize(
+    "case",
+    PINNED_CORPUS,
+    ids=[f"{i}-{c['argv'][0]}-{c['argv'][1]}" for i, c in enumerate(PINNED_CORPUS)],
+)
+def test_benchmark_corpus_bytes(run, case):
+    code, out, _ = run(*case["argv"])
+    assert {"exit": code, "stdout": out} == case["expect"]
 
 
 class TestExitCodes:
@@ -246,6 +264,19 @@ class TestSubcommandSchemas:
         d = json.loads(out)
         assert d["all_pass"] is True and d["members"] == ["(1)", "(10)"]
         assert d["stages"]["encoded_point"] == "(1);(10);(0);(01)"
+
+    @pytest.mark.parametrize("argv", [
+        ("filter", "build", "1(10)"),
+        ("ip", "pipeline", "--coloring", "1(10);0(01)", "--terms", "3"),
+    ])
+    def test_stages_are_the_certified_pair(self, run, argv):
+        """A preperiodic encoded point differs from its companion, so the
+        stages must name the certificate's source and target in order."""
+        d = json.loads(run(*argv)[1])
+        x, y = d["stages"]["encoded_point"], d["stages"]["ae_point"]
+        cert = d.get("certificate") or d["stages"]["certificate"]
+        assert x != y and (cert["source"], cert["target"]) == (x, y)
+        assert json.loads(run("dyn", "ae", x)[1]) == {"point": y}
 
     def test_filter_build_4096_members(self, run):
         code, out, _ = run("filter", "build", "(1101)", "(100)", "--cap", "4096")

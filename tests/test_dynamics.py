@@ -576,7 +576,31 @@ class TestEaetPrime:
         assert are_proximal(stack_points(*xs), ystack).proximal
 
 
+def first_visit_orbit(y: SymbolicPoint, top: int) -> list[SymbolicPoint]:
+    """Oracle: the shifts T^n y for n < top, deduplicated in first-visit order."""
+    seen: set[SymbolicPoint] = set()
+    out: list[SymbolicPoint] = []
+    for n in range(top):
+        z = shift(y, n)
+        if z not in seen:
+            seen.add(z)
+            out.append(z)
+    return out
+
+
 class TestOrbitClosure:
+    def test_universe_matches_first_visit_oracle(self):
+        """On every one- and two-word stack of the universe, the shifts
+        below join plus lcm are pairwise distinct, so ``orbit_closure``
+        needs no dedup; one shift more would repeat T^join y."""
+        stacks = [SymbolicPoint((u,)) for u in UNIVERSE]
+        stacks += [SymbolicPoint(pair) for pair in product(UNIVERSE, repeat=2)]
+        for y in stacks:
+            top = y.max_preperiod + y.lcm_period
+            want = first_visit_orbit(y, top)
+            assert orbit_closure(y) == want, y.literal
+            assert [shift(y, n) for n in range(top + 1)] != want, y.literal
+
     def test_frozen(self):
         assert [p.literal for p in orbit_closure(pt("(01)"))] == ["(01)", "(10)"]
         assert [p.literal for p in orbit_closure(pt("(0)"))] == ["(0)"]

@@ -315,8 +315,8 @@ class TestBuildFilter:
         alg = generate_algebra([EVENS], downward=True)
         f = build_partial_ultrafilter(alg)
         assert {x.literal for x in f.members_of(alg)} == {"(1)", "(10)"}
-        assert f.trace["members"] == f.members_of(alg)
-        assert f.trace["encoded_point"]
+        assert f.members == tuple(f.members_of(alg))
+        assert f.certificate.source == encode_point(alg)
 
     def test_trivial_algebra(self):
         alg = generate_algebra([FULL], downward=True)
@@ -613,6 +613,31 @@ class TestExtendFilter:
             extend_filter(f, flat)
 
 
+class TestRecords:
+    """A built or extended filter keeps its certificate and its members;
+    a filter for a bare generator keeps neither."""
+
+    @given(st.lists(scope_sets, min_size=1, max_size=2))
+    def test_built(self, gens):
+        alg = small_algebra(gens, True, cap=64)
+        f = build_partial_ultrafilter(alg)
+        assert f.certificate.generator == f.generator
+        assert f.certificate.source == encode_point(alg)
+        assert f.members == tuple(f.members_of(f.scope))
+
+    @given(st.lists(scope_sets, min_size=2, max_size=2))
+    def test_extended(self, gens):
+        a0, a1 = (small_algebra(gens[:k], True, cap=64) for k in (1, 2))
+        f = extend_filter(build_partial_ultrafilter(a0), a1)
+        assert f.scope is a1
+        assert f.certificate.generator == f.generator
+        assert f.members == tuple(f.members_of(f.scope))
+
+    def test_for_generator(self):
+        f = PartialUltrafilter.for_generator(IpGenerator.parse("2+(2)"))
+        assert f.certificate is None and f.members is None
+
+
 class TestFailClosed:
     def test_neither_member_raises(self, monkeypatch):
         # 1,2+(3,1) decides neither evens nor odds; it agrees with the
@@ -641,7 +666,7 @@ class TestClosedForm:
         f = build_partial_ultrafilter(alg)
         want = [x for x in alg.members if closed_form_member(x)]
         assert f.members_of(alg) == want
-        assert f.trace["members"] == want
+        assert f.members == tuple(want)
 
     @given(st.lists(scope_sets, min_size=3, max_size=3))
     def test_extend_chain(self, gens):
@@ -651,7 +676,7 @@ class TestClosedForm:
         for f, alg in ((f1, a1), (f2, a2)):
             want = [x for x in alg.members if closed_form_member(x)]
             assert f.members_of(alg) == want
-            assert f.trace["members"] == want
+            assert f.members == tuple(want)
 
     @given(st.lists(scope_sets, min_size=1, max_size=2))
     def test_ultralimit(self, gens):

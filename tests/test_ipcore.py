@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epshift import dynamics, ipcore
+from epshift import dynamics
 from epshift.epcore import ConstructionError, EpSet, InputError, LiteralError, generate_algebra
 from epshift.dynamics import (
     SymbolicPoint,
@@ -216,8 +216,7 @@ class TestIpConstruction:
             calls.append(args)
             return first(*args)
 
-        with mock.patch.object(dynamics, "_first_disagreement", counted), \
-                mock.patch.object(ipcore, "_first_disagreement", counted):
+        with mock.patch.object(dynamics, "_first_disagreement", counted):
             ip_sequence_construct(x, ae_solve(x))
         assert len(calls) <= 16
 
@@ -577,8 +576,8 @@ class TestPipeline:
         r = aet_to_iht_pipeline([PARITY], terms=4)
         assert r.witness == (2, 4, 6, 8)
         assert r.colors == (0,)
-        assert r.stages["encoded_point"] == "(01)"
-        assert r.stages["ae_point"] == "(01)"
+        assert r.certificate.source.literal == "(01)"
+        assert r.certificate.target.literal == "(01)"
         assert verify_ip_certificate(r.certificate) == []
 
     def test_single_class_rejected_two_required(self):
