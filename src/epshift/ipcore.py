@@ -402,9 +402,10 @@ def _least_witness(colorings, length: int, bound: int) -> FsSearchResult:
 
     A coloring's classes need not cover the naturals: the element that
     opens coloring j's suffix is drawn from ``covered[j]``, the union of
-    its classes.  For a partition that union is every position, so
-    ``iht_search`` and ``hindman_search`` keep their order;
-    ``filters.central_check`` searches a single class this way.
+    its classes less the openers the Davenport rule below cuts.  For a
+    partition that union is every position, so ``iht_search`` and
+    ``hindman_search`` keep their order; ``filters.central_check``
+    searches a single class this way.
 
     Sets of naturals are Python ints used as bitsets, bit n standing for n:
 
@@ -420,15 +421,29 @@ def _least_witness(colorings, length: int, bound: int) -> FsSearchResult:
     is ``a & (a >> v)``: one shift per suffix per child, however many sums
     the suffix has.
 
-    Two bounds cut the search without changing its order.  A witness's
-    2**N subset sums are distinct and lie in [0, total], so a bound below
-    2**N - 1 is exhausted before any mask is built.  At depth d the
-    rem = N - d elements still to choose are v and rem - 1 larger ones,
-    adding at least rem*v + rem*(rem-1)/2, so a candidate v lies in
-    (last, (bound - total - rem*(rem-1)/2) // rem].  Each candidate must
-    also keep the sums pairwise distinct: v + s for s in {0} ∪ ``sums``
-    is an old sum iff bit s of ``sums >> v`` is set, which one
-    ``sums >> v & (sums | 1)`` tests.
+    Each candidate must keep the sums pairwise distinct: v + s for s in
+    {0} ∪ ``sums`` is an old sum iff bit s of ``sums >> v`` is set, which
+    one ``sums >> v & (sums | 1)`` tests.  Four cuts prune the search;
+    each removes only nodes with no completion, so the least witness is
+    the one an unpruned scan returns.
+
+    - Total: a witness's 2**N - 1 nonempty subset sums are distinct
+      positive integers, so its total is at least 2**N - 1, and a bound
+      below that is exhausted before any mask is built.
+    - Range: at depth d the rem = N - d elements still to choose are v
+      and rem - 1 larger ones, adding at least rem*v + rem*(rem-1)/2, so
+      a candidate v lies in (last, (bound - total - rem*(rem-1)/2) // rem].
+    - Davenport opening rule: the Davenport constant of Z_p is p, so any
+      p residues have a nonempty subset summing to 0 mod p.  Coloring
+      d's suffix has N - d elements, all >= its opening element v.  If v
+      lies in class c with v >= |c.pre|, N - d >= |c.per| and residue 0
+      not periodic in c, some finite sum of the suffix is >= |c.pre| and
+      ≡ 0 (mod |c.per|), so it lies outside c at any bound.  Such a class
+      enters ``covered[d]`` cut to its preperiod positions.
+    - Counting floor: at depth d >= 1 the 2**N - 2**d sums still to come
+      are distinct, exceed ``last``, are <= bound, lie in suffix 0's
+      class and miss every old sum; a node whose class has fewer such
+      places left is dead.
     """
     # no witness has total < 2**length - 1; compared without building 2**length
     if length >= (bound + 1).bit_length():
@@ -453,7 +468,14 @@ def _least_witness(colorings, length: int, bound: int) -> FsSearchResult:
             x ^= low
 
     on = [[class_mask(x) for x in c] for c in colorings]
-    covered = [reduce(or_, masks) for masks in on]
+    covered = [
+        reduce(or_, (
+            m & ((1 << len(x.pre)) - 1)
+            if length - d >= len(x.per) and x.residue_word[0] == "0" else m
+            for x, m in zip(classes, masks)
+        ))
+        for d, (classes, masks) in enumerate(zip(colorings, on))
+    ]
 
     def extend(
         chosen: list[int],
@@ -478,6 +500,12 @@ def _least_witness(colorings, length: int, bound: int) -> FsSearchResult:
                 sums=tuple(bits(sums)),
             )
         last = chosen[-1] if chosen else 0
+        # the counting floor: places left in suffix 0's class above last
+        if d and (
+            (on[0][colors[0]] >> (last + 1)).bit_count() - (sums >> (last + 1)).bit_count()
+            < (1 << length) - (1 << d)
+        ):
+            return None
         rem = length - d
         top = (bound - total - rem * (rem - 1) // 2) // rem
         if top <= last:

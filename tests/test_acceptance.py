@@ -7,9 +7,11 @@ emitted certificates from scratch, and prints a single PASS/FAIL line.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -376,40 +378,12 @@ def test_criterion_09_orbit_closure_and_covering_bounds():
     _report(9, "orbit closures are minimal and covering bounds are sufficient and tight, 100 points", failures)
 
 
+# criterion 10 runs the benchmark's pinned CLI corpus; read here, never written
 CLI_CORPUS = [
-    ("set", "normalize", "110(010)"),
-    ("set", "member", "(10)", "6"),
-    ("set", "syndetic", "(10)"),
-    ("set", "syndetic", "11(0)"),
-    ("set", "algebra", "(10)", "(1100)", "--downward"),
-    ("dyn", "shift", "1(10);(0011)", "2"),
-    ("dyn", "ur", "(01);(0011)"),
-    ("dyn", "ur", "10(01)"),
-    ("dyn", "proximal", "00(01)", "(01)"),
-    ("dyn", "proximal", "(10)", "(01)"),
-    ("dyn", "ae", "1101(0110)"),
-    ("dyn", "eaet", "(01)", "(01)", "(0011)"),
-    ("dyn", "eaetp", "(01)", "--code", "1:1:1:01"),
-    ("dyn", "cover", "(011)", "(011)", "1", "3"),
-    ("dyn", "orbit", "(01);(001)"),
-    ("ip", "fs", "1,2+(3,1)", "--terms", "3", "--bound", "30"),
-    ("ip", "construct", "00(01)", "(01)", "--count", "5"),
-    ("ip", "limit", "(10)", "--gen", "2+(2)", "--resolution", "6"),
-    ("ip", "limit", "(10)", "--gen", "1+(2)", "--resolution", "6"),
-    ("ip", "pipeline", "--coloring", "(10);(01)", "--terms", "4"),
-    ("filter", "member", "--gen", "2+(2)", "--set", "(01)"),
-    ("filter", "member", "--gen", "2,4+(6)", "--set", "(100)"),
-    ("filter", "build", "(10)", "(100)"),
-    ("filter", "verify", "--gen", "1,2+(3,1)", "--downward", "(10)"),
-    ("filter", "dset", "--gen", "2+(2)", "--set", "(1000)"),
-    ("filter", "ulimit", "--gen", "2+(2)", "(10);(01)"),
-    ("filter", "extend", "--base", "(10)", "--new", "(1000)"),
-    ("filter", "central", "(1100)"),
-    ("scenario", "run", "aetmin.scn"),
-    ("scenario", "run", "extend.scn"),
-    ("ip", "hindman", "(10);(01)", "--terms", "3", "--bound", "24"),
-    ("ip", "hindman", "(100);(010);(001)", "--terms", "3", "--bound", "48"),
-    ("ip", "iht", "--coloring", "(10);(01)", "--coloring", "(1000);(0111)", "--terms", "3", "--bound", "64"),
+    case["argv"]
+    for case in json.loads(
+        (Path(__file__).resolve().parents[1] / "perfbench" / "pins.json").read_text(encoding="utf-8")
+    )["cli"]["corpus"]
 ]
 
 

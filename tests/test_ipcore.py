@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, product
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -546,6 +548,96 @@ class TestSearchBoundary:
         assert got.found and got.witness == tuple(2**i for i in range(k))
         below = hindman_search([EpSet.parse("(1)")], k, 2**k - 2)
         assert below == FsSearchResult(found=False, bound=2**k - 2)
+
+
+class TestSearchPrunes:
+    """Cases the Davenport opening rule or the counting floor decides.
+    Without them the exhaustions take seconds and the large bounds give
+    no answer in minutes."""
+
+    def test_preperiod_opener_is_not_cut(self):
+        # the rule cuts (10)-residue openers of 011(10) only from its
+        # preperiod length 3 on, so 1 still opens the least witness
+        r = hindman_search([EpSet.parse("011(10)"), EpSet.parse("100(01)")], 2, 20)
+        assert r.found and r.witness == (1, 2)
+
+    @pytest.mark.parametrize("classes,p", [("(100);(011)", 3), ("(1000);(0111)", 4)])
+    def test_multiples_of_the_period_at_a_large_bound(self, classes, p):
+        r = hindman_search([EpSet.parse(s) for s in classes.split(";")], 8, 4194304)
+        assert r.found and r.witness == tuple(p * 2**i for i in range(8))
+
+    @pytest.mark.parametrize("classes,terms,bound", [
+        ("(10);(01)", 9, 1021),
+        ("(10);(01)", 8, 509),
+        ("(100);(011)", 8, 764),
+    ])
+    def test_exhausted_one_below_the_least_total(self, classes, terms, bound):
+        got = hindman_search([EpSet.parse(s) for s in classes.split(";")], terms, bound)
+        assert got == FsSearchResult(found=False, bound=bound)
+
+
+# the small universe: every partition of the naturals into a canonical set
+# and its complement, preperiod <= UNIVERSE_PRE and period <= UNIVERSE_PER,
+# neither class empty, searched at every UNIVERSE_TERMS and UNIVERSE_BOUNDS
+UNIVERSE_PRE = 3
+UNIVERSE_PER = 4
+UNIVERSE_TERMS = (2, 3)
+UNIVERSE_BOUNDS = (12, 24)
+
+
+def two_class_universe() -> list[tuple[EpSet, EpSet]]:
+    flip = str.maketrans("01", "10")
+    parts = {}
+    for m in range(UNIVERSE_PRE + 1):
+        for p in range(1, UNIVERSE_PER + 1):
+            for word in product("01", repeat=m + p):
+                a = EpSet("".join(word[:m]), "".join(word[m:]))
+                b = EpSet(a.pre.translate(flip), a.per.translate(flip))
+                if "1" in a.pre + a.per and "1" in b.pre + b.per:
+                    parts.setdefault(frozenset((a, b)), (a, b))
+    return list(parts.values())
+
+
+class TestSearchSmallUniverse:
+    def test_every_two_class_partition_matches_brute(self):
+        universe = two_class_universe()
+        assert len(universe) == 87
+        wrong = [
+            (a.literal, b.literal, terms, bound)
+            for a, b in universe
+            for terms in UNIVERSE_TERMS
+            for bound in UNIVERSE_BOUNDS
+            if hindman_search([a, b], terms, bound).witness
+            != brute_least_witness([[a, b]], terms, bound)
+        ]
+        assert wrong == []
+
+
+# the benchmark's pinned search cases with their expected summaries; read
+# here, never written.  An exhausted case is audited on its least witness,
+# whose total is one above the bound.
+PINNED_SEARCH = [
+    (f"{stratum}-{i}", case)
+    for stratum, pool in json.loads(
+        (Path(__file__).resolve().parents[1] / "perfbench" / "pins.json").read_text(encoding="utf-8")
+    )["search"].items()
+    for i, case in enumerate(pool)
+]
+
+
+@pytest.mark.parametrize("case", [c for _, c in PINNED_SEARCH], ids=[i for i, _ in PINNED_SEARCH])
+def test_pinned_search_answer(case):
+    colorings = [[EpSet.parse(s) for s in c] for c in case["colorings"]]
+    if len(colorings) == 1:
+        res = hindman_search(colorings[0], case["terms"], case["bound"])
+    else:
+        res = iht_search(colorings, case["terms"], case["bound"])
+    witness = res.witness if res.found else tuple(case["least"])
+    assert {
+        "found": res.found,
+        "witness": list(res.witness) if res.found else None,
+        "audit": verify_iht_witness(witness, colorings),
+    } == case["expect"]
 
 
 class TestVerifyIhtWitness:
