@@ -298,7 +298,7 @@ def _cmd_filter_extend(ns) -> dict:
 
 
 def _cmd_filter_central(ns) -> dict:
-    return central_check(EpSet.parse(ns.set), bound=ns.bound, cap=ns.cap).as_dict()
+    return central_check(EpSet.parse(ns.set), bound=ns.bound).as_dict()
 
 
 # ------------------------------------------------------------ scenario group
@@ -556,7 +556,6 @@ def _parser() -> argparse.ArgumentParser:
     p = f_cmds.add_parser("central", help="syndetic + IP + filter membership report")
     p.add_argument("set")
     p.add_argument("--bound", type=int, default=128, help="IP witness sum bound")
-    _add_cap(p)
     p.set_defaults(handler=_cmd_filter_central)
 
     g_scn = groups.add_parser("scenario", help="run a named-step scenario file")

@@ -138,9 +138,6 @@ class EpSet:
             parts.append(reps[phase:phase + length])
         return "".join(parts)
 
-    def bit(self, n: int) -> str:
-        return self.window(n, n + 1)
-
     def member(self, n: int) -> bool:
         """True iff ``n`` is in the set."""
         if n < 0:
@@ -177,15 +174,6 @@ class EpSet:
     def is_infinite(self) -> bool:
         """True iff the set is infinite, i.e. the periodic part has a member."""
         return "1" in self.per
-
-    def first_member_at_least(self, n: int) -> int | None:
-        """The least member ``>= n``, or None when there is none."""
-        if n < 0:
-            raise InputError("position must be a natural number")
-        m, p = len(self.pre), len(self.per)
-        w = self.window(n, max(n, m) + p)
-        i = w.find("1")
-        return None if i < 0 else n + i
 
     def is_syndetic(self) -> "GapCertificate":
         """Decide bounded gaps exactly.

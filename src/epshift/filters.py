@@ -406,6 +406,9 @@ class CentralReport:
     ``central_check``), or a per-residue refutation.  ``filter_member``
     asks whether the set belongs to the filter built from its own
     downward-translation algebra; it always equals the IP verdict.
+    ``filter_generator`` is that filter's generator, which the certified
+    construction over the set's own one-coordinate point gives without
+    building the algebra (see ``central_check``).
     """
 
     set: str
@@ -431,8 +434,20 @@ class CentralReport:
         }
 
 
-def central_check(x: EpSet, bound: int = 128, cap: int = 65536) -> CentralReport:
-    """Report syndeticity, IP-ness, and own-algebra filter membership."""
+def central_check(x: EpSet, bound: int = 128) -> CentralReport:
+    """Report syndeticity, IP-ness, and own-algebra filter membership.
+
+    The filter is the one ``build_partial_ultrafilter`` installs on X's
+    downward-translation algebra, but it is certified on X's own point.
+    The construction's terms are the least multiples of the companion's
+    period lcm past the preperiod join, so they depend on the point only
+    through those two numbers, and both are X's own on either point: X is
+    a member of its algebra, every member's period divides p and no
+    translate or Boolean combination has a preperiod longer than m.  So
+    the algebra, up to 2^(m + p) members, is never built, and no cap
+    applies.  The construction still replays its certificate, and
+    ``filter_member`` still checks a non-member's witness sum.
+    """
     if bound < 1:
         raise InputError("bound must be positive")
     syndetic = x.is_syndetic()
@@ -475,12 +490,12 @@ def central_check(x: EpSet, bound: int = 128, cap: int = 65536) -> CentralReport
             )
         ip = {"ip": False, "reason": "no residue class closes up", "refutations": refutations}
 
-    algebra = generate_algebra([x], downward=True, cap=cap)
-    f = build_partial_ultrafilter(algebra)
+    point = encode_point([x])
+    g = ip_sequence_construct(point, ae_solve(point)).generator
     return CentralReport(
         set=x.literal,
         syndetic=syndetic,
         ip=ip,
-        filter_member=f.member(x),
-        filter_generator=f.generator.literal,
+        filter_member=filter_member(g, x).member,
+        filter_generator=g.literal,
     )

@@ -3,7 +3,8 @@
 The library builds algebras from atoms and never combines two sets
 pointwise, so union, intersection and inclusion live here: each reads both
 sets on one window of their preperiod join plus their lcm period, past
-which both repeat.
+which both repeat.  The least member at or past a position is read off
+one window the same way.
 """
 
 from __future__ import annotations
@@ -31,3 +32,11 @@ def intersect(a: EpSet, b: EpSet) -> EpSet:
 
 def issubset(a: EpSet, b: EpSet) -> bool:
     return intersect(a, b) == a
+
+
+def first_member_at_least(x: EpSet, n: int) -> int | None:
+    """The least member of ``x`` that is ``>= n``, or None when there is
+    none: past ``max(n, preperiod)`` one period holds every residue."""
+    m, p = len(x.pre), len(x.per)
+    i = x.window(n, max(n, m) + p).find("1")
+    return None if i < 0 else n + i

@@ -43,6 +43,8 @@ from epshift.filters import (
 )
 from epshift.cli import main
 
+from setops import first_member_at_least
+
 
 def _report(n: int, claim: str, failures: list) -> None:
     verdict = "PASS" if not failures else "FAIL"
@@ -132,7 +134,7 @@ def test_criterion_03_build_and_audit_random_algebras(built_filters):
             if (
                 entry["translate_set"] != d.literal
                 or entry["gap"] != d.is_syndetic().bound
-                or entry["hirst_witness"] != d.first_member_at_least(1)
+                or entry["hirst_witness"] != first_member_at_least(d, 1)
                 or not filter_member(f.generator, d).member
             ):
                 failures.append((f.generator.literal, entry))
@@ -219,9 +221,9 @@ def test_criterion_05_ultralimit_coherence(built_filters):
         if not are_proximal(x, y).proximal:
             failures.append(("not proximal", f.generator.literal))
         for a, c in zip(alg.members, y.coords):
-            if f.member(a) != (c.bit(0) == "0"):
+            if f.member(a) != (c.window(0, 1) == "0"):
                 failures.append(("biconditional", f.generator.literal, a.literal))
-            if _closed_form_member(a) != (c.bit(0) == "0"):
+            if _closed_form_member(a) != (c.window(0, 1) == "0"):
                 failures.append(("closed form", f.generator.literal, a.literal))
     _report(5, "ultralimit of every built filter is UR, proximal, and tracks membership", failures)
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 from pathlib import Path
@@ -53,6 +54,46 @@ PINNED_CORPUS = json.loads(
 def test_benchmark_corpus_bytes(run, case):
     code, out, _ = run(*case["argv"])
     assert {"exit": code, "stdout": out} == case["expect"]
+
+
+# every optional flag of every parser, keyed by subcommand; a change that
+# adds or drops a knob edits this table
+OPTION_INVENTORY = {
+    "set algebra": ["--downward", "--cap"],
+    "dyn eaetp": ["--code"],
+    "ip fs": ["--from", "--terms", "--bound"],
+    "ip construct": ["--count"],
+    "ip limit": ["--gen", "--resolution", "--terms", "--window"],
+    "ip hindman": ["--terms", "--bound"],
+    "ip iht": ["--coloring", "--terms", "--bound"],
+    "ip pipeline": ["--coloring", "--terms"],
+    "filter member": ["--gen", "--set"],
+    "filter build": ["--cap"],
+    "filter verify": ["--gen", "--downward", "--cap"],
+    "filter dset": ["--gen", "--set"],
+    "filter ulimit": ["--gen"],
+    "filter extend": ["--base", "--new", "--cap"],
+    "filter central": ["--bound"],
+}
+
+
+def test_option_inventory():
+    found = {}
+
+    def walk(parser, path):
+        flags = []
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for name, sub in action.choices.items():
+                    walk(sub, path + [name])
+            elif action.option_strings and not isinstance(action, argparse._HelpAction):
+                flags.append(action.option_strings[-1])
+        if flags:
+            found[" ".join(path)] = flags
+
+    walk(build_parser(), [])
+    assert found == OPTION_INVENTORY
+    assert sum(map(len, found.values())) == 31
 
 
 class TestExitCodes:
@@ -317,10 +358,21 @@ class TestSubcommandSchemas:
         code, out, _ = run("filter", "central", "(10)", "--bound", "1000000000")
         assert code == 0 and json.loads(out)["ip"]["witness"] == [2, 4, 8, 16]
 
-    def test_central_long_period_hits_cap(self, run):
-        # 319 refutations, each read in closed form, before the algebra cap
-        code, out, err = run("filter", "central", "(0" + "1" * 319 + ")")
-        assert code == 3 and out == "" and "cap" in err
+    def test_central_long_period_answers(self, run):
+        # the filter is certified on the set's own point, whose generator
+        # depends only on the period and preperiod, so no algebra is built
+        code, out, _ = run("filter", "central", "(0" + "1" * 319 + ")")
+        assert code == 0
+        d = json.loads(out)
+        assert len(d["ip"]["refutations"]) == 319
+        assert d["filter"]["member"] is False and d["filter"]["member"] == d["ip"]["ip"]
+        assert d["filter"]["generator"] == "320,640,960,1280,1600,1920,2240,2560+(320)"
+        code, out, _ = run("filter", "central", "1" * 40 + "(0)")
+        assert code == 0
+        d = json.loads(out)
+        assert d["ip"] == {"ip": False, "reason": "finite"}
+        assert d["filter"] == {"member": False, "generator": "40,41,42,43,44,45,46,47+(1)"}
+        assert run("filter", "central", "(1100)", "--cap", "16")[0] == 2
 
 
 class TestScenarios:

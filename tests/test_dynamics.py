@@ -113,7 +113,7 @@ class TestEncodePoint:
         x = encode_point(sets)
         for a, c in zip(sets, x.coords):
             for n in range(len(a.pre) + 2 * len(a.per)):
-                assert (c.bit(n) == "0") == a.member(n)
+                assert (c.window(n, n + 1) == "0") == a.member(n)
 
 
 class TestDistanceExponent:

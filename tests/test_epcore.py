@@ -18,7 +18,7 @@ from epshift.epcore import (
 )
 from epshift.dynamics import SymbolicPoint, ae_solve
 
-from setops import intersect, issubset, union
+from setops import first_member_at_least, intersect, issubset, union
 
 # Oracle: expand (pre, per) literally, bit by bit.  No phase arithmetic, no
 # canonicalization; the implementation must agree with this on any window.
@@ -298,7 +298,7 @@ class TestSyndetic:
 class TestFirstMemberAtLeast:
     @given(ep_sets, st.integers(min_value=0, max_value=20))
     def test_matches_scan(self, a, n):
-        got = a.first_member_at_least(n)
+        got = first_member_at_least(a, n)
         want = next((k for k in range(n, n + len(a.pre) + 2 * len(a.per) + 1) if a.member(k)), None)
         assert got == want
 

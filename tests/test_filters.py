@@ -2,7 +2,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd
 from unittest import mock
 
@@ -43,7 +43,7 @@ from epshift.filters import (
     verify_filter,
 )
 
-from setops import intersect, issubset
+from setops import first_member_at_least, intersect, issubset
 
 EVENS = EpSet.parse("(10)")
 ODDS = EpSet.parse("(01)")
@@ -429,7 +429,7 @@ def brute_verify(f: PartialUltrafilter, algebra) -> FilterReport:
         }
         if gap.syndetic:
             entry["gap"] = gap.bound
-        n = d.first_member_at_least(1)
+        n = first_member_at_least(d, 1)
         hirst = n is not None and member(x.translate_down(n))
         entry["hirst"] = hirst
         if hirst:
@@ -557,7 +557,7 @@ class TestUltralimit:
         f = build_partial_ultrafilter(alg)
         y = ultralimit(f, encode_point(alg))
         for a, c in zip(alg.members, y.coords):
-            assert (c.bit(0) == "0") == f.member(a)
+            assert (c.window(0, 1) == "0") == f.member(a)
 
     def test_incoherent_generator_raises(self):
         # 1,2+(3,1) decides neither evens nor odds, so the limit cannot
@@ -685,7 +685,7 @@ class TestClosedForm:
         y = ultralimit(build_partial_ultrafilter(alg), x)
         assert y == ae_solve(x)
         for a, c in zip(alg.members, y.coords):
-            assert (c.bit(0) == "0") == closed_form_member(a)
+            assert (c.window(0, 1) == "0") == closed_form_member(a)
 
     @given(st.lists(scope_sets, min_size=1, max_size=2))
     def test_audit_entries(self, gens):
@@ -695,7 +695,7 @@ class TestClosedForm:
             d = periodic_part(EpSet.parse(entry["set"]))
             assert entry["translate_set"] == d.literal
             assert entry["gap"] == d.is_syndetic().bound
-            assert entry["hirst_witness"] == d.first_member_at_least(1)
+            assert entry["hirst_witness"] == first_member_at_least(d, 1)
 
 
 def residue_search_ip(x: EpSet, bound: int) -> dict:
@@ -736,6 +736,12 @@ def residue_search_ip(x: EpSet, bound: int) -> dict:
         ip["witness"] = witness
         ip["witness_bound"] = bound
     return ip
+
+
+# every canonical set with preperiod <= CENTRAL_UNIVERSE_PRE and period
+# <= CENTRAL_UNIVERSE_PER, compared with the downward-algebra build
+CENTRAL_UNIVERSE_PRE = 3
+CENTRAL_UNIVERSE_PER = 4
 
 
 class TestCentralCheck:
@@ -779,10 +785,7 @@ class TestCentralCheck:
             assert not x.member(ref["sum"])
             assert sum(ref["elements"]) == ref["sum"]
 
-    # the filter stage audits the whole generated algebra of x, so keep
-    # periods short here; longer periods are covered by the frozen cases
-    @given(st.builds(EpSet, st.text(alphabet="01", min_size=0, max_size=2), st.text(alphabet="01", min_size=1, max_size=4)))
-    @settings(max_examples=25)
+    @given(ep_sets)
     def test_ip_verdict_certificates(self, x):
         d = central_check(x, bound=200).as_dict()
         assert d["filter"]["member"] == d["ip"]["ip"]
@@ -824,3 +827,21 @@ class TestCentralCheck:
     def test_bound_validation(self):
         with pytest.raises(InputError):
             central_check(EVENS, bound=0)
+
+    def test_filter_matches_downward_build(self):
+        # the filter of X's own point is the one built over X's whole
+        # downward-translation algebra: that algebra has period lcm p and
+        # preperiod join m, the only inputs of the construction's terms
+        universe = {
+            EpSet("".join(w[:m]), "".join(w[m:]))
+            for m in range(CENTRAL_UNIVERSE_PRE + 1)
+            for p in range(1, CENTRAL_UNIVERSE_PER + 1)
+            for w in product("01", repeat=m + p)
+        }
+        mismatches = []
+        for x in sorted(universe, key=lambda x: x.literal):
+            f = build_partial_ultrafilter(generate_algebra([x], downward=True))
+            want = {"member": f.member(x), "generator": f.generator.literal}
+            if central_check(x).as_dict()["filter"] != want:
+                mismatches.append(x.literal)
+        assert len(universe) == 176 and not mismatches
