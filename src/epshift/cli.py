@@ -87,7 +87,7 @@ def _cert_dict(cert: IpConstructionCertificate) -> dict:
 
 def _cmd_set_normalize(ns) -> dict:
     x = EpSet.parse(ns.set)
-    return {"set": x.literal, "preperiod": len(x.pre), "period": len(x.per)}
+    return {"set": x.literal, "preperiod": len(x.pre), "period": len(x.res)}
 
 
 def _cmd_set_member(ns) -> dict:

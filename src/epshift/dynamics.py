@@ -9,8 +9,8 @@ e is the least i + (first disagreement of coordinate i), so every ball is
 a clopen cylinder and every epsilon argument becomes finite bookkeeping.
 
 Everything here is decided exactly.  Past both preperiods, agreement of
-two shifted sequences is one comparison of their period words rotated to
-their phases; only sequences that differ are read on a preperiod-plus-lcm
+two shifted sequences is one comparison of their residue words rotated by
+the offsets; only sequences that differ are read on a preperiod-plus-lcm
 window, to find where.  Uniform recurrence degenerates to "every
 coordinate is purely periodic"; proximality degenerates to "every
 coordinate pair has one residue word" (agreement past the preperiods).
@@ -89,7 +89,7 @@ class SymbolicPoint:
 
     @property
     def lcm_period(self) -> int:
-        return math.lcm(*(len(c.per) for c in self.coords))
+        return math.lcm(*(len(c.res) for c in self.coords))
 
     def shift(self, n: int) -> "SymbolicPoint":
         return SymbolicPoint(tuple(c.translate_down(n) for c in self.coords))
@@ -112,17 +112,18 @@ def _first_disagreement(u: Word, v: Word, n: int = 0, m: int = 0) -> int | None:
     """The least j with u(n + j) != v(m + j), or None when T^n u = T^m v.
 
     Past both preperiods T^n u and T^m v are purely periodic with primitive
-    periods, so they are equal exactly when the periods have one length and
-    agree rotated to their phases: one word comparison.  Otherwise, or when
-    they differ, the first disagreement lies in the window of their
-    preperiod join plus the lcm period, past which both repeat.
+    periods, so they are equal exactly when the residue words have one
+    length and agree rotated by n and by m: one word comparison.
+    Otherwise, or when they differ, the first disagreement lies in the
+    window of their preperiod join plus the lcm period, past which both
+    repeat.
     """
-    a, b, p = len(u.pre), len(v.pre), len(u.per)
-    if n >= a and m >= b and p == len(v.per):
-        i, k = (n - a) % p, (m - b) % p
-        if u.per[i:] + u.per[:i] == v.per[k:] + v.per[:k]:
+    a, b, p = len(u.pre), len(v.pre), len(u.res)
+    if n >= a and m >= b and p == len(v.res):
+        i, k = n % p, m % p
+        if u.res[i:] + u.res[:i] == v.res[k:] + v.res[:k]:
             return None
-    horizon = max(a - n, b - m, 0) + math.lcm(p, len(v.per))
+    horizon = max(a - n, b - m, 0) + math.lcm(p, len(v.res))
     s = u.window(n, n + horizon)
     t = v.window(m, m + horizon)
     if s == t:
@@ -222,7 +223,7 @@ def is_uniformly_recurrent(x: SymbolicPoint) -> UrReport:
 
     i = next(j for j, c in enumerate(x.coords) if c.pre)
     u = x.coords[i]
-    m, p = len(u.pre), len(u.per)
+    m, p = len(u.pre), len(u.res)
     w = u.window(0, 2 * (m + p))
     for length in range(1, m + p + 1):
         prefix = w[:length]
@@ -255,8 +256,8 @@ class ProximalityReport:
 
 def _proximal(x: SymbolicPoint, y: SymbolicPoint) -> bool:
     """Stacks are proximal iff they agree past both preperiods, where T^J u =
-    T^J v exactly when the periods rotated to phase 0 are one word, for any J."""
-    return [u.residue_word for u in x.coords] == [v.residue_word for v in y.coords]
+    T^J v exactly when the residue words are one word, for any J."""
+    return [u.res for u in x.coords] == [v.res for v in y.coords]
 
 
 def are_proximal(x: SymbolicPoint, y: SymbolicPoint) -> ProximalityReport:
@@ -282,9 +283,9 @@ def ae_solve(x: SymbolicPoint) -> SymbolicPoint:
     backwards through the preperiod at its own phase, so the output is
     purely periodic and agrees with ``x`` from the preperiod join onward.
     For eventually periodic stacks this solution is unique.  A residue word
-    is a rotation of a primitive period, so it is already canonical.
+    is primitive, so it is already canonical.
     """
-    return SymbolicPoint(tuple(_canonical("", u.residue_word) for u in x.coords))
+    return SymbolicPoint(tuple(_canonical("", u.res) for u in x.coords))
 
 
 def require_aet_pair(x: SymbolicPoint, y: SymbolicPoint) -> None:
@@ -474,7 +475,7 @@ def apply_block_code(code: BlockCode, inputs) -> SymbolicPoint:
     if any(p.coord_count != c for p in pts):
         raise InputError(f"code expects {c}-coordinate points")
     m = max(len(u.pre) for p in pts for u in p.coords)
-    period = math.lcm(*(len(u.per) for p in pts for u in p.coords))
+    period = math.lcm(*(len(u.res) for p in pts for u in p.coords))
     horizon = m + period
     w = code.window
     views = [[u.window(0, horizon + w) for u in p.coords] for p in pts]

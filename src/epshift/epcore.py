@@ -1,18 +1,19 @@
 """Exact arithmetic of eventually periodic subsets of the naturals.
 
 An :class:`EpSet` stores a subset of N as two bit words: a finite preperiod
-and a period that repeats forever after it.  Position ``n`` is a member when
-its bit is ``'1'``.  Every value is held in canonical form (primitive period,
-shortest possible preperiod), so value equality is set equality and the
-boolean algebra generated by finitely many values is finite.
+``pre`` and ``res``, the residue word of the periodic part: from position
+``len(pre)`` on, ``n`` has bit ``res[n % len(res)]``.  Position ``n`` is a
+member when its bit is ``'1'``.  Every value is held in canonical form
+(primitive period, shortest possible preperiod), so value equality is set
+equality and the boolean algebra generated by finitely many values is finite.
 
-The canonical form is computed in two steps.  First the period is replaced
+The canonical form is computed in two steps.  First the literal's period,
+spelled from position ``len(pre)`` on, is rotated to phase 0 and replaced
 by its primitive root (the shortest word it is a power of).  Then trailing
-preperiod bits that agree with the last period bit are absorbed into the
-period, one at a time; each absorption rotates the period right by one, so
-the represented set never changes.  The result is the unique representation
-with a primitive period whose last bit differs from the last preperiod bit
-(or with an empty preperiod).
+preperiod bits equal to their periodic bit are dropped one at a time, which
+changes neither the residue word nor the set.  The result is the unique
+representation with a primitive period and a last preperiod bit unlike its
+periodic bit (or with an empty preperiod).
 """
 
 from __future__ import annotations
@@ -68,38 +69,38 @@ def _primitive_root(word: str) -> str:
 
 
 def _normal_words(pre: str, per: str) -> tuple[str, str]:
-    """The canonical form of words known to be 0/1, ``per`` nonempty."""
-    per = _primitive_root(per)
-    # absorbing a trailing preperiod bit rotates the period right once
-    while pre and pre[-1] == per[-1]:
+    """The canonical ``(pre, res)`` of 0/1 literal words, ``per`` nonempty."""
+    k = -len(pre) % len(per)
+    res = _primitive_root(per[k:] + per[:k])
+    # a trailing preperiod bit equal to its periodic bit is absorbed
+    while pre and pre[-1] == res[(len(pre) - 1) % len(res)]:
         pre = pre[:-1]
-        per = per[-1] + per[:-1]
-    return pre, per
+    return pre, res
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class EpSet:
     """An eventually periodic subset of N.
 
     ``pre`` holds the membership bits of positions ``0 .. len(pre)-1``;
-    after that the bits of ``per`` repeat forever.  Instances normalize
-    themselves on construction, so two values are ``==`` exactly when they
-    denote the same subset.
+    from there on, position ``n`` has bit ``res[n % len(res)]``.  The
+    constructor takes a literal's words ``(pre, per)`` and normalizes them,
+    so two values are ``==`` exactly when they denote the same subset.
     """
 
     pre: str
-    per: str
+    res: str
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.pre, str) or not isinstance(self.per, str):
+    def __init__(self, pre: str, per: str) -> None:
+        if not isinstance(pre, str) or not isinstance(per, str):
             raise InputError("membership words must be strings of 0/1 bits")
-        if not self.per:
+        if not per:
             raise InputError("period word must be nonempty")
-        if set(self.pre) - {"0", "1"} or set(self.per) - {"0", "1"}:
+        if set(pre) - {"0", "1"} or set(per) - {"0", "1"}:
             raise InputError("membership words must be over the alphabet {0,1}")
-        pre, per = _normal_words(self.pre, self.per)
+        pre, res = _normal_words(pre, per)
         object.__setattr__(self, "pre", pre)
-        object.__setattr__(self, "per", per)
+        object.__setattr__(self, "res", res)
 
     # -- construction and rendering ------------------------------------
 
@@ -115,6 +116,12 @@ class EpSet:
         return cls(m.group(1), m.group(2))
 
     @property
+    def per(self) -> str:
+        """The period from position ``len(pre)`` on, as the literal spells it."""
+        k = len(self.pre) % len(self.res)
+        return self.res[k:] + self.res[:k]
+
+    @property
     def literal(self) -> str:
         return f"{self.pre}({self.per})"
 
@@ -127,14 +134,14 @@ class EpSet:
         """The membership bits of positions ``start .. stop-1`` as a word."""
         if start < 0 or stop < start:
             raise InputError("window bounds must satisfy 0 <= start <= stop")
-        m, p = len(self.pre), len(self.per)
+        m, p = len(self.pre), len(self.res)
         parts = []
         if start < m:
             parts.append(self.pre[start:min(stop, m)])
         if stop > m:
-            phase = (max(start, m) - m) % p
+            phase = max(start, m) % p
             length = stop - max(start, m)
-            reps = self.per * ((phase + length) // p + 1)
+            reps = self.res * ((phase + length) // p + 1)
             parts.append(reps[phase:phase + length])
         return "".join(parts)
 
@@ -142,38 +149,28 @@ class EpSet:
         """True iff ``n`` is in the set."""
         if n < 0:
             raise InputError("position must be a natural number")
-        m = len(self.pre)
-        return (self.pre[n] if n < m else self.per[(n - m) % len(self.per)]) == "1"
+        return (self.pre[n] if n < len(self.pre) else self.res[n % len(self.res)]) == "1"
 
     # -- complement and translation --------------------------------------
 
     def complement(self) -> "EpSet":
         # flipping bits keeps the period primitive and the last bits apart
-        return _canonical(self.pre.translate(_COMPLEMENT), self.per.translate(_COMPLEMENT))
+        return _canonical(self.pre.translate(_COMPLEMENT), self.res.translate(_COMPLEMENT))
 
     def translate_down(self, n: int) -> "EpSet":
         """The set ``X - n = {k : k + n in X}``."""
         if n < 0:
             raise InputError("translation offset must be a natural number")
-        m, p = len(self.pre), len(self.per)
-        # a cut preperiod keeps its last bit; a rotated primitive word is primitive
-        if n <= m:
-            return _canonical(self.pre[n:], self.per)
-        k = (n - m) % p
-        return _canonical("", self.per[k:] + self.per[:k])
+        # residue r of X - n is residue r + n of X; a cut preperiod keeps its
+        # last bit apart, and a rotated primitive word is primitive
+        k = n % len(self.res)
+        return _canonical(self.pre[n:], self.res[k:] + self.res[:k])
 
     # -- size and gap structure ------------------------------------------
 
-    @property
-    def residue_word(self) -> str:
-        """The period rotated to phase 0: character r is "1" iff every n past
-        the preperiod with n ≡ r (mod period) is a member."""
-        k = -len(self.pre) % len(self.per)
-        return self.per[k:] + self.per[:k]
-
     def is_infinite(self) -> bool:
         """True iff the set is infinite, i.e. the periodic part has a member."""
-        return "1" in self.per
+        return "1" in self.res
 
     def is_syndetic(self) -> "GapCertificate":
         """Decide bounded gaps exactly.
@@ -183,8 +180,8 @@ class EpSet:
         eventually periodic set is syndetic iff it is infinite, so the
         negative certificate is a position from which the set is empty.
         """
-        m, p = len(self.pre), len(self.per)
-        if "1" not in self.per:
+        m, p = len(self.pre), len(self.res)
+        if "1" not in self.res:
             return GapCertificate(bound=None, empty_from=m)
         w = self.window(0, m + 2 * p)
         members = [i for i, b in enumerate(w) if b == "1"]
@@ -192,12 +189,12 @@ class EpSet:
         return GapCertificate(bound=max([members[0], *gaps]), empty_from=None)
 
 
-def _canonical(pre: str, per: str) -> EpSet:
-    """An :class:`EpSet` from words already in canonical form, built
+def _canonical(pre: str, res: str) -> EpSet:
+    """An :class:`EpSet` from a canonical preperiod and residue word, built
     without the checks and normalization of the constructor."""
     x = object.__new__(EpSet)
     object.__setattr__(x, "pre", pre)
-    object.__setattr__(x, "per", per)
+    object.__setattr__(x, "res", res)
     return x
 
 
@@ -263,8 +260,8 @@ def generate_algebra(gens, downward: bool, cap: int = 65536) -> Algebra:
 
     Translation commutes with the boolean operations, so the downward
     closure is the algebra generated by the translates ``g - n`` of the
-    generators.  They repeat with period ``|per|`` once ``n >= |pre|``, so
-    the translates with ``n < |pre|+|per|`` give all of them.
+    generators.  They repeat with period ``|res|`` once ``n >= |pre|``, so
+    the translates with ``n < |pre|+|res|`` give all of them.
     """
     gens = tuple(gens)
     if not gens:
@@ -272,11 +269,11 @@ def generate_algebra(gens, downward: bool, cap: int = 65536) -> Algebra:
     if cap < 1:
         raise InputError("capacity cap must be positive")
     m = max(len(g.pre) for g in gens)
-    width = m + math.lcm(*(len(g.per) for g in gens))
+    width = m + math.lcm(*(len(g.res) for g in gens))
     basis = [
         g.translate_down(n)
         for g in gens
-        for n in (range(len(g.pre) + len(g.per)) if downward else [0])
+        for n in (range(len(g.pre) + len(g.res)) if downward else [0])
     ]
     # column of basis bits -> its atom, as a mask with bit n for position n
     atoms: dict[tuple[str, ...], int] = {}

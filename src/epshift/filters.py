@@ -9,7 +9,7 @@ the tail's residue cycle.  In the finite group Z_p that closure is the
 subgroup the cycle generates: the multiples of s = gcd(p, n_{L-1},
 d_0, ..., d_{k-1}), for the last head term and the tail differences.  So
 X ∈ F iff C_p ⊆ G(X), where G(X), the set of X's periodic residues mod p,
-is X's residue word (``EpSet.residue_word``); the test is a strided read
+is X's residue word (``EpSet.res``); the test is a strided read
 of it.  The verdict depends on X only through G(X), which gives three
 more facts: the complement is in F iff C_p ∩ G(X) = ∅; X − n has period
 p and G(X − n) = G(X) − n, so {n : X − n ∈ F} is purely periodic with
@@ -129,14 +129,14 @@ def filter_member(g: IpGenerator, x: EpSet) -> MemberResult:
     residue outside x (its links back to a root); the word's terms are then
     picked from the tail in index order.
     """
-    p = len(x.per)
+    p = len(x.res)
     m_x = len(x.pre)
     m = len(g.head) - 1  # the residue cycle starts at the last head term
     while g.term(m) < m_x:
         m += 1
     s = _closure_step(g, p)
     closure = tuple(range(0, p, s))
-    w = x.residue_word[::s]
+    w = x.res[::s]
     if "0" not in w:
         return MemberResult(member=True, tail_start=m, closure=closure)
     r = s * w.index("0")
@@ -191,7 +191,7 @@ class PartialUltrafilter:
         return cls(generator=generator, scope=generate_algebra([FULL], downward=True))
 
     def member(self, x: EpSet) -> bool:
-        return "0" not in x.residue_word[:: _closure_step(self.generator, len(x.per))]
+        return "0" not in x.res[:: _closure_step(self.generator, len(x.res))]
 
     def members_of(self, algebra: Algebra) -> list[EpSet]:
         return [x for x in algebra.members if self.member(x)]
@@ -199,8 +199,8 @@ class PartialUltrafilter:
 
 def _translate_word(f: PartialUltrafilter, x: EpSet) -> str:
     """D(X)'s bits at positions 0 .. s-1, s = ``_closure_step``."""
-    s = _closure_step(f.generator, len(x.per))
-    w = x.residue_word
+    s = _closure_step(f.generator, len(x.res))
+    w = x.res
     return "".join("0" if "0" in w[n::s] else "1" for n in range(s))
 
 
@@ -261,7 +261,7 @@ def _split(g: IpGenerator, algebra: Algebra) -> tuple[list[EpSet], list[str]]:
     selected = []
     neither = []
     for x in algebra.members:
-        w = x.residue_word[:: _closure_step(g, len(x.per))]
+        w = x.res[:: _closure_step(g, len(x.res))]
         if "0" not in w:
             selected.append(x)
         elif "1" in w:
@@ -452,9 +452,9 @@ def central_check(x: EpSet, bound: int = 128) -> CentralReport:
         raise InputError("bound must be positive")
     syndetic = x.is_syndetic()
 
-    p = len(x.per)
+    p = len(x.res)
     m = len(x.pre)
-    good = x.residue_word
+    good = x.res
     ip: dict
     if not x.is_infinite():
         ip = {"ip": False, "reason": "finite"}

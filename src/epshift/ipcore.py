@@ -215,7 +215,7 @@ def verify_ip_certificate(cert: IpConstructionCertificate) -> list[str]:
     depth = max(u.coord_depth for u in us)
     head = x.coords[:depth] + y.coords[:depth]
     lead = max((len(c.pre) for c in head), default=0)
-    period = math.lcm(*(len(c.per) for c in head))
+    period = math.lcm(*(len(c.res) for c in head))
     profiles: dict[int, list[list]] = {}
     failures: list[str] = []
     for i, n in enumerate(terms):
@@ -351,7 +351,7 @@ def validate_partition(classes) -> tuple[EpSet, ...]:
     classes = tuple(classes)
     if not classes:
         raise PartitionError("a coloring needs at least one class")
-    horizon = max(len(c.pre) for c in classes) + math.lcm(*(len(c.per) for c in classes))
+    horizon = max(len(c.pre) for c in classes) + math.lcm(*(len(c.res) for c in classes))
     for n in range(horizon):
         hits = sum(1 for c in classes if c.member(n))
         if hits != 1:
@@ -436,10 +436,11 @@ def _least_witness(colorings, length: int, bound: int) -> FsSearchResult:
     - Davenport opening rule: the Davenport constant of Z_p is p, so any
       p residues have a nonempty subset summing to 0 mod p.  Coloring
       d's suffix has N - d elements, all >= its opening element v.  If v
-      lies in class c with v >= |c.pre|, N - d >= |c.per| and residue 0
-      not periodic in c, some finite sum of the suffix is >= |c.pre| and
-      ≡ 0 (mod |c.per|), so it lies outside c at any bound.  Such a class
-      enters ``covered[d]`` cut to its preperiod positions.
+      lies in class c with v >= |c.pre|, N - d >= |c.res| and residue 0
+      not periodic in c (``c.res[0]`` is "0"), some finite sum of the
+      suffix is >= |c.pre| and ≡ 0 (mod |c.res|), so it lies outside c at
+      any bound.  Such a class enters ``covered[d]`` cut to its preperiod
+      positions.
     - Counting floor: at depth d >= 1 the 2**N - 2**d sums still to come
       are distinct, exceed ``last``, are <= bound, lie in suffix 0's
       class and miss every old sum; a node whose class has fewer such
@@ -451,14 +452,15 @@ def _least_witness(colorings, length: int, bound: int) -> FsSearchResult:
     window = (1 << (bound + 1)) - 1
 
     def class_mask(x: EpSet) -> int:
-        """The n <= bound in x: the preperiod bits, then the period word
-        doubled until it covers the window."""
-        m, w = len(x.pre), len(x.per)
-        body = int(x.per[::-1], 2)
-        while m + w <= bound:
+        """The n <= bound in x: the residue word doubled from bit 0 until it
+        covers the window, its bits below |pre| replaced by the preperiod's."""
+        m, w = len(x.pre), len(x.res)
+        body = int(x.res[::-1], 2)
+        while w <= bound:
             body |= body << w
             w *= 2
-        return (int(x.pre[::-1] or "0", 2) | body << m) & window
+        # cut to the window first, so the shifts are bound-wide, not twice that
+        return (body & window) >> m << m | int(x.pre[::-1] or "0", 2) & window
 
     def bits(x: int):
         """The positions of the set bits of x >= 0, lowest first."""
@@ -471,7 +473,7 @@ def _least_witness(colorings, length: int, bound: int) -> FsSearchResult:
     covered = [
         reduce(or_, (
             m & ((1 << len(x.pre)) - 1)
-            if length - d >= len(x.per) and x.residue_word[0] == "0" else m
+            if length - d >= len(x.res) and x.res[0] == "0" else m
             for x, m in zip(classes, masks)
         ))
         for d, (classes, masks) in enumerate(zip(colorings, on))

@@ -811,6 +811,10 @@ edits = st.lists(
 )
 
 
+# the largest position depth of the replay's every-depth-triple slice
+REPLAY_POS_DEPTH = 2
+
+
 class TestCertificateReplay:
     @given(points, st.integers(min_value=1, max_value=4), edits)
     # the depth guard of the shift condition counts the shift n
@@ -844,6 +848,25 @@ class TestCertificateReplay:
                 for c in (cert, flat):
                     c = replace(c, generator=IpGenerator(terms, c.generator.tail_diffs))
                     assert verify_ip_certificate(c) == window_replay(c), (x.literal, terms)
+
+    def test_universe_every_depth_triple(self):
+        """Points of one universe word at every term pair below the join
+        plus twice the lcm period, with the three cylinders at coordinate
+        depth 1 and every position depth up to REPLAY_POS_DEPTH, where
+        T^n y may miss U_i by exactly its depth."""
+        wrong = []
+        for u in UNIVERSE:
+            x = SymbolicPoint((u,))
+            cert = ip_sequence_construct(x, ae_solve(x), count=2)
+            cylinders = [Cylinder(cert.target, 1, k) for k in range(REPLAY_POS_DEPTH + 1)]
+            top = x.max_preperiod + 2 * x.lcm_period
+            for terms in combinations(range(1, top), 2):
+                generator = IpGenerator(terms, cert.generator.tail_diffs)
+                for us in product(cylinders, repeat=3):
+                    c = replace(cert, generator=generator, neighborhoods=us)
+                    if verify_ip_certificate(c) != window_replay(c):
+                        wrong.append((u.literal, terms, [v.pos_depth for v in us]))
+        assert wrong == []
 
 
 def orbit_copy_covering_bound(y: SymbolicPoint, u: Cylinder) -> int:

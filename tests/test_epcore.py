@@ -91,16 +91,29 @@ class TestCanonicalization:
         if a.pre:
             assert a.pre[-1] != a.per[-1]
 
+    @given(bit_word, period_word)
+    def test_residue_word_representation(self, pre, per):
+        """``res`` is the literal's period at phase 0, read off the raw
+        words; the last preperiod bit differs from the periodic bit at its
+        position; and the literal's words rebuild the value."""
+        a = EpSet(pre, per)
+        p = len(a.res)
+        phase0 = len(pre) + -len(pre) % p  # a multiple of p past both preperiods
+        assert a.res == raw_window(pre, per, phase0, phase0 + p)
+        if a.pre:
+            assert a.pre[-1] != a.res[(len(a.pre) - 1) % p]
+        assert EpSet(a.pre, a.per) == a
+
     @given(st.one_of(period_word, powers))
     def test_primitive_root_matches_divisor_loop(self, word):
         assert _primitive_root(word) == divisor_root(word)
 
     @given(ep_sets, st.integers(min_value=0, max_value=20))
     def test_unchecked_paths_match_constructor(self, a, n):
-        """complement, both branches of translate_down, ae_solve and the
-        members of generate_algebra build their results without the
-        constructor's checks; each must equal what the constructor makes of
-        the raw words, literal included."""
+        """complement, translate_down inside, at and past the end of the
+        preperiod, ae_solve and the members of generate_algebra build their
+        results without the constructor's checks; each must equal what the
+        constructor makes of the raw words, literal included."""
         m, p = len(a.pre), len(a.per)
         cut, k = min(n, m), (n + 1) % p
         phase0 = m + -m % p  # the first multiple of p past the preperiod
@@ -110,6 +123,9 @@ class TestCanonicalization:
             (a.translate_down(m + n + 1), ("", a.per[k:] + a.per[:k])),
             (ae_solve(SymbolicPoint((a,))).coords[0], ("", raw_window(a.pre, a.per, phase0, phase0 + p))),
         ]
+        for t in range(max(m - 1, 0), m + p + 2):
+            start = max(t, m)
+            cases.append((a.translate_down(t), (a.pre[t:], raw_window(a.pre, a.per, start, start + p))))
         # a member's raw words are its bits on the closure window [0, m + p)
         for got in generate_algebra([a, a.translate_down(n)], downward=False).members:
             cases.append((got, (got.window(0, m), got.window(m, m + p))))

@@ -304,24 +304,37 @@ MOD3 = [EpSet.parse("(100)"), EpSet.parse("(010)"), EpSet.parse("(001)")]
 MOD4_ZERO = [EpSet.parse("(1000)"), EpSet.parse("(0111)")]
 
 
-def brute_least_witness(colorings, terms, bound):
-    """Reference scan in lexicographic order, no pruning cleverness."""
+def brute_witnesses(colorings, terms, bound):
+    """Reference scan: every witness with all sums <= bound, in
+    lexicographic order, no pruning cleverness."""
     length = terms + len(colorings) - 1
     for combo in combinations(range(1, bound + 1), length):
+        if sum(combo) > bound:
+            continue
         sums = [
             sum(sub)
             for size in range(1, length + 1)
             for sub in combinations(combo, size)
         ]
-        if len(set(sums)) != len(sums) or max(sums) > bound:
+        if len(set(sums)) != len(sums):
             continue
         if all(
             len({color_of(c, sum(sub)) for size in range(1, length - j + 1)
                  for sub in combinations(combo[j:], size)}) == 1
             for j, c in enumerate(colorings)
         ):
-            return combo
-    return None
+            yield combo
+
+
+def brute_least_witness(colorings, terms, bound):
+    return next(brute_witnesses(colorings, terms, bound), None)
+
+
+def least_at_every_bound(colorings, terms, top):
+    """The least witness at each bound 1..top, from one listing at top:
+    at bound b it is the first listed witness whose total is <= b."""
+    listed = list(brute_witnesses(colorings, terms, top))
+    return {b: next((w for w in listed if sum(w) <= b), None) for b in range(1, top + 1)}
 
 
 class TestHindmanSearch:
@@ -583,6 +596,11 @@ UNIVERSE_PRE = 3
 UNIVERSE_PER = 4
 UNIVERSE_TERMS = (2, 3)
 UNIVERSE_BOUNDS = (12, 24)
+# every bound 1..UNIVERSE_TOP for the partitions; every bound 1..PAIR_TOP at
+# PAIR_TERMS for each ordered pair of the purely periodic ones as colorings
+UNIVERSE_TOP = 24
+PAIR_TERMS = 2
+PAIR_TOP = 18
 
 
 def two_class_universe() -> list[tuple[EpSet, EpSet]]:
@@ -609,6 +627,30 @@ class TestSearchSmallUniverse:
             for bound in UNIVERSE_BOUNDS
             if hindman_search([a, b], terms, bound).witness
             != brute_least_witness([[a, b]], terms, bound)
+        ]
+        assert wrong == []
+
+    def test_every_bound_matches_listed_witnesses(self):
+        """The class masks keep bit ``bound``: a witness whose total is the
+        bound is found there, and nothing is found below its total."""
+        wrong = [
+            (a.literal, b.literal, terms, bound)
+            for a, b in two_class_universe()
+            for terms in UNIVERSE_TERMS
+            for bound, want in least_at_every_bound([[a, b]], terms, UNIVERSE_TOP).items()
+            if hindman_search([a, b], terms, bound).witness != want
+        ]
+        assert wrong == []
+
+    def test_two_periodic_colorings_every_bound(self):
+        """Both colorings' Davenport rules cut openers, at every bound."""
+        periodic = [c for c in two_class_universe() if not c[0].pre + c[1].pre]
+        assert len(periodic) == 10
+        wrong = [
+            (";".join(x.literal for x in c), ";".join(x.literal for x in d), bound)
+            for c, d in product(periodic, repeat=2)
+            for bound, want in least_at_every_bound([c, d], PAIR_TERMS, PAIR_TOP).items()
+            if iht_search([c, d], PAIR_TERMS, bound).witness != want
         ]
         assert wrong == []
 
