@@ -312,12 +312,14 @@ def _scenario_text(name: str) -> str:
     try:
         with open(name, encoding="utf-8") as fh:
             return fh.read()
+    except UnicodeDecodeError:
+        raise _ScenarioError(f"scenario file {name!r} is not UTF-8 text")
     except OSError:
         pass
     ref = resources.files("epshift").joinpath("scenarios", name)
     try:
         return ref.read_text(encoding="utf-8")
-    except (FileNotFoundError, ModuleNotFoundError):
+    except (OSError, ModuleNotFoundError):  # a directory is no scenario either
         raise _ScenarioError(f"no scenario file or bundled scenario named {name!r}")
 
 

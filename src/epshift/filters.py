@@ -17,9 +17,9 @@ period dividing s; and neither needs the algebra to be downward closed
 or the filter to be ultra.
 Everything else here is bookkeeping around that kernel: axiom audits with
 witnesses, construction from the dynamics (encode, solve, certify), limits
-along the filter, scope extension, and the three-way central-set report,
-whose IP witness comes from the least-witness search of
-:mod:`epshift.ipcore`.
+along the filter, scope extension, which is the build on the wider scope,
+and the three-way central-set report, whose IP witness comes from the
+least-witness search of :mod:`epshift.ipcore`.
 
 Construction is fail-closed: dichotomy is the one axiom a generator can
 fail (see :class:`FilterReport`), so the constructors check it on their
@@ -44,11 +44,11 @@ from .epcore import (
     generate_algebra,
 )
 from .dynamics import (
+    AetPairError,
     SymbolicPoint,
     ae_solve,
     encode_point,
     require_aet_pair,
-    stack_points,
 )
 from .ipcore import IpConstructionCertificate, IpGenerator, _least_witness, ip_sequence_construct
 
@@ -175,10 +175,11 @@ class PartialUltrafilter:
     word is "1" at every multiple of ``_closure_step`` (see the module
     docstring), the same verdict ``filter_member`` gives.
 
-    A built or extended filter keeps the record of its construction:
-    ``certificate``, the certified IP construction whose generator it
-    installs, and ``members``, the scope's selected sets in scope order.
-    A filter from ``for_generator`` has neither.
+    A built filter keeps the record of its construction: ``certificate``,
+    the certified IP construction whose generator it installs, and
+    ``members``, the scope's selected sets in scope order; an extended
+    filter is the build on its wider scope.  A filter from
+    ``for_generator`` has neither.
     """
 
     generator: IpGenerator
@@ -310,32 +311,24 @@ def verify_filter(f: PartialUltrafilter, algebra: Algebra) -> FilterReport:
     )
 
 
-def _certified(
-    scope: Algebra, x: SymbolicPoint, y: SymbolicPoint, what: str
-) -> PartialUltrafilter:
-    """The filter of the certified IP construction over (x, y), on
-    ``scope``, with its record.  A member of the scope it decides neither
-    way raises, since it would mean a bug in the construction rather than
-    bad input."""
-    cert = ip_sequence_construct(x, y)
-    selected, neither = _split(cert.generator, scope)
-    if neither:
-        raise ConstructionError(f"{what} filter decides neither way on " + ", ".join(neither))
-    return PartialUltrafilter(cert.generator, scope, cert, tuple(selected))
-
-
 def build_partial_ultrafilter(algebra: Algebra) -> PartialUltrafilter:
     """Construct a partial minimal idempotent ultrafilter for the algebra.
 
     Encodes the algebra as a point x, solves for its recurrent proximal
     companion y, and installs the generator of the certified IP
-    construction over (x, y), so ``certificate.source`` is x.  Dichotomy
-    is checked on the algebra (see ``_certified``).
+    construction over (x, y), so ``certificate.source`` is x.  The
+    generator depends on x only through its period lcm and preperiod
+    join.  A member the filter decides neither way raises, since it would
+    mean a bug in the construction rather than bad input.
     """
     if not algebra.downward_closed:
         raise InputError("filters need a downward-translation algebra")
     x = encode_point(algebra)
-    return _certified(algebra, x, ae_solve(x), "built")
+    cert = ip_sequence_construct(x, ae_solve(x))
+    selected, neither = _split(cert.generator, algebra)
+    if neither:
+        raise ConstructionError("built filter decides neither way on " + ", ".join(neither))
+    return PartialUltrafilter(cert.generator, algebra, cert, tuple(selected))
 
 
 def ultralimit(f: PartialUltrafilter, x: SymbolicPoint) -> SymbolicPoint:
@@ -359,12 +352,14 @@ def ultralimit(f: PartialUltrafilter, x: SymbolicPoint) -> SymbolicPoint:
 def extend_filter(f: PartialUltrafilter, new_scope: Algebra) -> PartialUltrafilter:
     """Extend a filter to a larger algebra, preserving old decisions.
 
-    Solves the extension problem on the encoded points: the old scope's
-    point paired with the filter's own ultralimit is extended by the new
-    scope's point, and the certified IP construction over the stacked
-    pair yields the new generator.  Dichotomy on the new scope (see
-    ``_certified``) and exhaustive agreement on the old one are checked
-    before returning.
+    EAET stacks the old scope's point x1 and its limit y1 along the filter
+    over the new scope's point and its AE solution.  Once (x1, y1) checks,
+    y1 is x1's AE solution and the stack has the new scope's period lcm and
+    preperiod join, the only inputs of the construction's terms, so this is
+    ``build_partial_ultrafilter(new_scope)``, checked to agree on the old
+    scope.  The pair fails, raising :class:`AetPairError` as ``ultralimit``
+    would, exactly when an old member X of period p has closure step s < p:
+    then {n : X − n ∈ F} has period s, so it is not X's periodic part.
     """
     if not new_scope.downward_closed:
         raise InputError("filters need a downward-translation algebra")
@@ -374,13 +369,15 @@ def extend_filter(f: PartialUltrafilter, new_scope: Algebra) -> PartialUltrafilt
             "new scope must contain the old one; missing "
             + ", ".join(x.literal for x in missing)
         )
-    x1 = encode_point(f.scope)
-    y1 = ultralimit(f, x1)
-    x2 = encode_point(new_scope)
-    # ultralimit has checked (x1, y1); ip_sequence_construct checks the stack
-    extended = _certified(
-        new_scope, stack_points(x1, x2), stack_points(y1, ae_solve(x2)), "extended"
-    )
+    collapsed = [
+        x.literal for x in f.scope.members if _closure_step(f.generator, len(x.res)) < len(x.res)
+    ]
+    if collapsed:
+        raise AetPairError(
+            "pair check failed: the old scope's point and its limit are not proximal on "
+            + ", ".join(collapsed)
+        )
+    extended = build_partial_ultrafilter(new_scope)
     disagreements = [
         x.literal for x in f.scope.members if extended.member(x) != f.member(x)
     ]

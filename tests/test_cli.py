@@ -451,6 +451,16 @@ class TestScenarios:
         code, _, err = run("scenario", "run", "no-such.scn")
         assert code == 2 and "no-such.scn" in err
 
+    def test_directory_rejected(self, run, tmp_path):
+        code, _, err = run("scenario", "run", str(tmp_path))
+        assert code == 2 and err.startswith("epshift: error:") and "Traceback" not in err
+
+    def test_non_utf8_file_rejected(self, run, tmp_path):
+        f = tmp_path / "binary.scn"
+        f.write_bytes(b"a: set member \xff\xfe 2\n")
+        code, _, err = run("scenario", "run", str(f))
+        assert code == 2 and "UTF-8" in err and "Traceback" not in err
+
     def test_malformed_line(self, run, tmp_path):
         f = tmp_path / "bad.scn"
         f.write_text("just some words\n")

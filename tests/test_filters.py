@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import hashlib
+import json
 from collections import Counter
 from dataclasses import replace
 from itertools import combinations, product
 from math import gcd
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -28,8 +31,9 @@ from epshift.dynamics import (
     are_proximal,
     encode_point,
     is_uniformly_recurrent,
+    stack_points,
 )
-from epshift.ipcore import IpGenerator
+from epshift.ipcore import IpGenerator, ip_sequence_construct
 from epshift.filters import (
     FilterReport,
     MemberResult,
@@ -86,6 +90,20 @@ def closed_form_member(x: EpSet) -> bool:
     pℕ or empty, so X ∈ u iff p·(m + 1) ∈ X.  No residue word, closure or
     dynamics."""
     return x.member(len(x.per) * (len(x.pre) + 1))
+
+
+def canonical_sets(max_pre: int, max_per: int) -> list[EpSet]:
+    """Every canonical set with preperiod <= max_pre and period <= max_per,
+    in literal order."""
+    return sorted(
+        {
+            EpSet("".join(w[:m]), "".join(w[m:]))
+            for m in range(max_pre + 1)
+            for p in range(1, max_per + 1)
+            for w in product("01", repeat=m + p)
+        },
+        key=lambda x: x.literal,
+    )
 
 
 def periodic_part(x: EpSet) -> EpSet:
@@ -567,6 +585,63 @@ class TestUltralimit:
             ultralimit(f, encode_point([EVENS]))
 
 
+def stacked_extend(f: PartialUltrafilter, new_scope: Algebra) -> PartialUltrafilter:
+    """Oracle: the extension solved on stacked points, as EAET states it.
+
+    The old scope's point x1, paired with its limit along f (``ultralimit``
+    checks the pair), is stacked over the new scope's point and its AE
+    solution, and the certified IP construction over the stack gives the
+    generator.  Members are decided by ``filter_member``; a new member
+    decided neither way, or an old one decided otherwise than by f, raises.
+    """
+    if not new_scope.downward_closed:
+        raise InputError("filters need a downward-translation algebra")
+    if any(x not in new_scope for x in f.scope.members):
+        raise InputError("new scope must contain the old one")
+    x1 = encode_point(f.scope)
+    y1 = ultralimit(f, x1)
+    x2 = encode_point(new_scope)
+    cert = ip_sequence_construct(stack_points(x1, x2), stack_points(y1, ae_solve(x2)))
+    g = cert.generator
+    members = []
+    for x in new_scope.members:
+        if filter_member(g, x).member:
+            members.append(x)
+        elif not filter_member(g, x.complement()).member:
+            raise ConstructionError(f"stacked filter decides neither way on {x.literal}")
+    selected = set(members)
+    for x in f.scope.members:
+        if (x in selected) != filter_member(f.generator, x).member:
+            raise ConstructionError(f"stacked filter changed the decision on {x.literal}")
+    return PartialUltrafilter(g, new_scope, cert, tuple(members))
+
+
+def extension_outcome(extend, f: PartialUltrafilter, new_scope: Algebra):
+    """The generator and members ``extend`` installs, or the type it raises."""
+    try:
+        g = extend(f, new_scope)
+    except (InputError, ConstructionError) as exc:
+        return type(exc)
+    return g.generator, g.members
+
+
+# hand-made generators: drawn freely, most collapse some period's residues;
+# with the last head term and the differences multiples of 12, every period
+# up to 4 keeps closure step p and the extension builds
+handmade_generators = st.one_of(
+    generators,
+    st.builds(
+        IpGenerator,
+        st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=3).map(
+            lambda ns: tuple(12 * n for n in sorted(set(ns)))
+        ),
+        st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=2).map(
+            lambda ds: tuple(12 * d for d in ds)
+        ),
+    ),
+)
+
+
 class TestExtendFilter:
     def test_evens_to_mult4(self):
         alg = generate_algebra([EVENS], downward=True)
@@ -612,6 +687,39 @@ class TestExtendFilter:
         with pytest.raises(InputError, match="downward"):
             extend_filter(f, flat)
 
+    def test_handmade_collapsed_generator_raises(self):
+        # 1,2+(3,1) has closure step 1 at period 2, so its limit of the
+        # evens algebra's point is not proximal to that point
+        f = PartialUltrafilter(IpGenerator.parse("1,2+(3,1)"), generate_algebra([EVENS], downward=True))
+        wider = generate_algebra([EVENS, MULT4], downward=True)
+        with pytest.raises(AetPairError, match=r"proximal on .*\(10\)"):
+            extend_filter(f, wider)
+        with pytest.raises(AetPairError, match="proximal"):
+            stacked_extend(f, wider)
+
+    @given(st.lists(scope_sets, min_size=2, max_size=3))
+    def test_built_chains_match_stacked_oracle(self, gens):
+        algebras = [small_algebra(gens[:k], True, cap=64) for k in range(1, len(gens) + 1)]
+        f = build_partial_ultrafilter(algebras[0])
+        for alg in algebras[1:]:
+            want = extension_outcome(stacked_extend, f, alg)
+            assert extension_outcome(extend_filter, f, alg) == want
+            f = extend_filter(f, alg)
+
+    @settings(max_examples=300)
+    @given(
+        handmade_generators,
+        st.lists(scope_sets, min_size=1, max_size=2),
+        st.lists(scope_sets, min_size=1, max_size=2),
+        st.sampled_from(["wider"] * 4 + ["unrelated", "flat"]),
+    )
+    def test_handmade_generators_match_stacked_oracle(self, g, old, extra, kind):
+        f = PartialUltrafilter(g, small_algebra(old, True, cap=64))
+        wider = small_algebra(extra if kind == "unrelated" else old + extra, kind != "flat", cap=64)
+        assert extension_outcome(extend_filter, f, wider) == extension_outcome(
+            stacked_extend, f, wider
+        )
+
 
 class TestRecords:
     """A built or extended filter keeps its certificate and its members;
@@ -640,8 +748,9 @@ class TestRecords:
 
 class TestFailClosed:
     def test_neither_member_raises(self, monkeypatch):
-        # 1,2+(3,1) decides neither evens nor odds; it agrees with the
-        # trivial scope's filter, so extend reaches its dichotomy check
+        # 1,2+(3,1) decides neither evens nor odds; the trivial scope's
+        # filter passes extend's pair check, so extend reaches the build's
+        # dichotomy check on the wider scope
         base = build_partial_ultrafilter(generate_algebra([FULL], downward=True))
         real = filters.ip_sequence_construct
 
@@ -652,7 +761,7 @@ class TestFailClosed:
         alg = generate_algebra([EVENS], downward=True)
         with pytest.raises(ConstructionError, match=r"^built .*\(01\), \(10\)$"):
             build_partial_ultrafilter(alg)
-        with pytest.raises(ConstructionError, match=r"^extended .*\(01\), \(10\)$"):
+        with pytest.raises(ConstructionError, match=r"^built .*\(01\), \(10\)$"):
             extend_filter(base, alg)
 
 
@@ -696,6 +805,46 @@ class TestClosedForm:
             assert entry["translate_set"] == d.literal
             assert entry["gap"] == d.is_syndetic().bound
             assert entry["hirst_witness"] == first_member_at_least(d, 1)
+
+
+# every algebra A of one canonical set with preperiod <= SCOPE_UNIVERSE_PRE
+# and period <= SCOPE_UNIVERSE_PER, widened to A ∪ B by every other one
+SCOPE_UNIVERSE_PRE = 2
+SCOPE_UNIVERSE_PER = 3
+
+
+class TestScopeUniverse:
+    """Metamorphic relations from the equivalence of AET and minimal
+    idempotent ultrafilters, on every pair of small scopes: the built
+    filter's limit of its point is the AE solution, extending it is the
+    stacked EAET extension and the build on the wider scope, and every
+    verdict is the closed form."""
+
+    def test_build_limit_and_extension(self):
+        universe = canonical_sets(SCOPE_UNIVERSE_PRE, SCOPE_UNIVERSE_PER)
+        assert len(universe) == 40
+        # the build of each wider scope, with its closed-form members
+        wider: dict[frozenset, tuple[PartialUltrafilter, tuple]] = {}
+        mismatches = []
+        for a in universe:
+            f = build_partial_ultrafilter(generate_algebra([a], downward=True))
+            point = encode_point(f.scope)
+            if ultralimit(f, point) != ae_solve(point):
+                mismatches.append(("ultralimit", a.literal))
+            for b in universe:
+                key = frozenset((a, b))
+                if key not in wider:
+                    alg = generate_algebra(sorted(key, key=lambda x: x.literal), downward=True)
+                    closed = tuple(x for x in alg.members if closed_form_member(x))
+                    wider[key] = build_partial_ultrafilter(alg), closed
+                built, closed = wider[key]
+                got = extend_filter(f, built.scope)
+                want = stacked_extend(f, built.scope)
+                if (got.generator, got.members) != (want.generator, want.members):
+                    mismatches.append(("stacked", a.literal, b.literal))
+                if got.generator != built.generator or got.members != closed:
+                    mismatches.append(("build", a.literal, b.literal))
+        assert len(wider) == 820 and mismatches == []
 
 
 def residue_search_ip(x: EpSet, bound: int) -> dict:
@@ -832,16 +981,53 @@ class TestCentralCheck:
         # the filter of X's own point is the one built over X's whole
         # downward-translation algebra: that algebra has period lcm p and
         # preperiod join m, the only inputs of the construction's terms
-        universe = {
-            EpSet("".join(w[:m]), "".join(w[m:]))
-            for m in range(CENTRAL_UNIVERSE_PRE + 1)
-            for p in range(1, CENTRAL_UNIVERSE_PER + 1)
-            for w in product("01", repeat=m + p)
-        }
+        universe = canonical_sets(CENTRAL_UNIVERSE_PRE, CENTRAL_UNIVERSE_PER)
         mismatches = []
-        for x in sorted(universe, key=lambda x: x.literal):
+        for x in universe:
             f = build_partial_ultrafilter(generate_algebra([x], downward=True))
             want = {"member": f.member(x), "generator": f.generator.literal}
             if central_check(x).as_dict()["filter"] != want:
                 mismatches.append(x.literal)
         assert len(universe) == 176 and not mismatches
+
+
+# the benchmark's pinned scope cases with their expected summaries; read
+# here, never written
+PINNED_SCOPE = [
+    (f"{stratum}-{i}", case)
+    for stratum, pool in json.loads(
+        (Path(__file__).resolve().parents[1] / "perfbench" / "pins.json").read_text(encoding="utf-8")
+    )["scope"].items()
+    for i, case in enumerate(pool)
+]
+
+
+def digest(obj) -> str:
+    """The first 16 hex digits of the sha256 of ``obj`` as sorted, compact JSON."""
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("case", [c for _, c in PINNED_SCOPE], ids=[i for i, _ in PINNED_SCOPE])
+def test_pinned_scope_summary(case):
+    # closure, build, a foreign generator's audit, and the extension chain
+    # through each prefix of the generating sets
+    gens = [EpSet.parse(s) for s in case["gens"]]
+    alg = generate_algebra(gens, downward=True)
+    built = build_partial_ultrafilter(alg)
+    foreign = PartialUltrafilter.for_generator(IpGenerator.parse(case["foreign"]))
+    report = verify_filter(foreign, alg)
+    chain = build_partial_ultrafilter(generate_algebra(gens[:1], downward=True))
+    for k in range(2, len(gens)):
+        chain = extend_filter(chain, generate_algebra(gens[:k], downward=True))
+    chain = extend_filter(chain, alg)
+    assert {
+        "size": len(alg),
+        "members": digest([x.literal for x in alg.members]),
+        "generator": built.generator.literal,
+        "selected": digest([x.literal for x in built.members_of(alg)]),
+        "foreign_pass": report.all_pass,
+        "foreign_report": digest(report.as_dict()),
+        "chain_generator": chain.generator.literal,
+        "chain_selected": digest([x.literal for x in chain.members_of(alg)]),
+    } == case["expect"]
