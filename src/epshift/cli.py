@@ -10,6 +10,7 @@ construction and no floating point is ever emitted.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import shlex
@@ -356,13 +357,7 @@ def _lookup(results: dict[str, dict], ref: str) -> str:
                 raise _ScenarioError(f"reference ${ref}: index {seg} out of range")
         else:
             raise _ScenarioError(f"reference ${ref}: no field {seg!r}")
-    if isinstance(value, str):
-        return value
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    return json.dumps(value)
+    return value if isinstance(value, str) else json.dumps(value)
 
 
 def _substitute(token: str, results: dict[str, dict]) -> str:
@@ -381,7 +376,9 @@ def _cmd_scenario_run(ns) -> dict:
         if argv[:1] == ["scenario"]:
             raise _ScenarioError(f"step {name!r}: scenarios cannot nest")
         try:
-            sub = parser.parse_args(argv)
+            # a step's --help goes to stderr: stdout stays empty on exit 2
+            with contextlib.redirect_stdout(sys.stderr):
+                sub = parser.parse_args(argv)
         except SystemExit:
             raise _ScenarioError(f"step {name!r}: cannot parse {command!r}")
         results[name] = sub.handler(sub)

@@ -316,10 +316,12 @@ def eaet_prime(t0: SymbolicPoint, codes) -> list[SymbolicPoint]:
 
     ``codes[i]`` must take i+1 input points; the solutions are fed back in:
     y0 solves for t0, then y_{i+1} solves for codes[i](y0, ..., y_i) in the
-    product with everything built so far.  Returns [y0, ..., y_n].
+    product with everything built so far.  Returns [y0, ..., y_n].  Both
+    pair checks are coordinatewise (``_recurrent``, ``_proximal``), so the
+    stacked pairs hold exactly when each pair (x_i, y_i) does, and each is
+    checked once, the last included.
     """
-    codes = tuple(codes)
-    xs = [t0]
+    x = t0
     ys = [ae_solve(t0)]
     for i, code in enumerate(codes):
         if code.arity != i + 1:
@@ -327,9 +329,9 @@ def eaet_prime(t0: SymbolicPoint, codes) -> list[SymbolicPoint]:
                 f"code {i} takes {code.arity} points, expected {i + 1}"
             )
         x_next = apply_block_code(code, ys)
-        y_next = eaet_extend(stack_points(*xs), stack_points(*ys), x_next)
-        xs.append(x_next)
-        ys.append(y_next)
+        ys.append(eaet_extend(x, ys[-1], x_next))
+        x = x_next
+    require_aet_pair(x, ys[-1])
     return ys
 
 

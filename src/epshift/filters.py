@@ -5,8 +5,8 @@ F = {X : some tail's finite sums all land in X}.  For eventually periodic
 X this membership is decidable by residue arithmetic: past the preperiods,
 a sum lies in X iff its residue mod p = period(X) hits the periodic part,
 and the achievable residues of tail sums form the additive closure C_p of
-the tail's residue cycle.  In the finite group Z_p that closure is the
-subgroup the cycle generates: the multiples of s = gcd(p, n_{L-1},
+the tail's residues.  In the finite group Z_p that closure is the
+subgroup those residues generate: the multiples of s = gcd(p, n_{L-1},
 d_0, ..., d_{k-1}), for the last head term and the tail differences.  So
 X ∈ F iff C_p ⊆ G(X), where G(X), the set of X's periodic residues mod p,
 is X's residue word (``EpSet.res``); the test is a strided read
@@ -67,24 +67,27 @@ __all__ = [
 ]
 
 
-def _sum_tree(gens, p: int) -> dict[int, tuple[int, int]]:
-    """Breadth-first tree of the residues of nonempty sums over ``gens``.
+def _sum_tree(g: IpGenerator, p: int) -> dict[int, tuple[int, int]]:
+    """Breadth-first tree of the residues of nonempty sums of tail terms.
 
-    Maps each reachable residue r mod p to (previous residue, generator
-    added), with previous residue -1 at a root (a single generator).  Each
-    level tries the generators in increasing order, so following the links
-    back from r spells a shortest word of generators summing to r mod p.
-    Only a non-member's refuting word needs it; the closure itself is a
-    gcd (see ``_closure_step``).
+    The tail's residues mod p are those of the k·p terms from the last head
+    term, k = len(tail_diffs): the walk's step on (position in the
+    difference cycle, residue) permutes k·p states, so the walk from that
+    term is a pure cycle of at most k·p terms.
+    Maps each reachable residue r to (previous residue, tail residue added),
+    with previous residue -1 at a root.  Each level tries the tail residues
+    in increasing order, so following the links back from r spells a
+    shortest word of them summing to r mod p.  Only a non-member's refuting
+    word needs it; the closure itself is a gcd (see ``_closure_step``).
     """
-    order = sorted({g % p for g in gens})
+    order = sorted({t % p for t in g.terms(len(g.tail_diffs) * p, len(g.head) - 1)})
     tree = {r: (-1, r) for r in order}
     queue = list(order)
     for r in queue:  # grows while it is read: a first-in first-out queue
-        for g in order:
-            s = (r + g) % p
+        for t in order:
+            s = (r + t) % p
             if s not in tree:
-                tree[s] = (r, g)
+                tree[s] = (r, t)
                 queue.append(s)
     return tree
 
@@ -117,21 +120,21 @@ def filter_member(g: IpGenerator, x: EpSet) -> MemberResult:
     """Decide x ∈ F((n_i)) exactly.
 
     Tail sums from index m have residues exactly the additive closure of
-    the residue cycle mod period(x), and any sum of tail terms is past
+    the tail's residues mod period(x), and any sum of tail terms is past
     x's preperiod, so membership reduces to closure ⊆ periodic residues.
-    Because every tail of the generator cycles through the same residue
+    Because every tail of the generator runs through the same residue
     set, no larger m can change the verdict; the choice below merely makes
     the certificate concrete.
 
     The closure is the multiples of ``_closure_step``, so the verdict is
-    one strided read of X's residue word.  Only for a non-member does one
-    ``_sum_tree`` over the cycle spell the shortest word reaching the least
-    residue outside x (its links back to a root); the word's terms are then
-    picked from the tail in index order.
+    one strided read of X's residue word.  Only for a non-member does
+    ``_sum_tree`` spell the shortest word of tail residues reaching the
+    least residue outside x (its links back to a root); the word's terms
+    are then picked from the tail in index order.
     """
     p = len(x.res)
     m_x = len(x.pre)
-    m = len(g.head) - 1  # the residue cycle starts at the last head term
+    m = len(g.head) - 1  # the tail's residues repeat from the last head term
     while g.term(m) < m_x:
         m += 1
     s = _closure_step(g, p)
@@ -140,7 +143,7 @@ def filter_member(g: IpGenerator, x: EpSet) -> MemberResult:
     if "0" not in w:
         return MemberResult(member=True, tail_start=m, closure=closure)
     r = s * w.index("0")
-    tree = _sum_tree(g.residue_structure(p), p)
+    tree = _sum_tree(g, p)
     need: Counter = Counter()
     while r != -1:
         r, step = tree[r]

@@ -122,26 +122,6 @@ class IpGenerator:
     def terms(self, count: int, from_index: int = 0) -> list[int]:
         return [self.term(from_index + i) for i in range(count)]
 
-    def residue_structure(self, p: int) -> tuple[int, ...]:
-        """The cycle of the residues (n_i mod p) from the last head term:
-        n_{L-1+j} ≡ cycle[j mod len] (mod p) for all j >= 0.
-
-        The walk step (j, r) → (j+1 mod k, r + d_j mod p) on (position in
-        the diff cycle, current residue) is a bijection of a finite set, so
-        the walk from the last head term is a pure cycle, which ends when
-        the first state comes back.
-        """
-        if p < 1:
-            raise InputError("modulus must be positive")
-        diffs = self.tail_diffs
-        first = (0, self.head[-1] % p)
-        state, cycle = first, []
-        while not cycle or state != first:
-            j, r = state
-            cycle.append(r)
-            state = ((j + 1) % len(diffs), (r + diffs[j]) % p)
-        return tuple(cycle)
-
 
 def fs_enumerate(g: IpGenerator, from_index: int, max_terms: int, bound: int) -> list[int]:
     """All finite sums of 1..max_terms distinct-index terms of the tail

@@ -422,6 +422,22 @@ class TestScenarios:
         assert code == 0
         assert json.loads(out)["steps"][1]["result"] == {"member": True, "n": 2}
 
+    def test_bool_reference(self, run, tmp_path):
+        f = tmp_path / "bool.scn"
+        f.write_text(
+            'a: set member "(10)" 2\n'
+            "b: dyn shift $a.member 0\n"
+        )
+        code, _, err = run("scenario", "run", str(f))
+        # $a.member splices as the JSON literal true, which no point parses
+        assert code == 2 and "'true'" in err
+
+    def test_step_help_keeps_stdout_empty(self, run, tmp_path):
+        f = tmp_path / "help.scn"
+        f.write_text("a: set --help\n")
+        code, out, err = run("scenario", "run", str(f))
+        assert code == 2 and out == "" and "Traceback" not in err
+
     def test_duplicate_name_rejected(self, run, tmp_path):
         f = tmp_path / "dup.scn"
         f.write_text('a: set member "(10)" 2\na: set member "(10)" 4\n')

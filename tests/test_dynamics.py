@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from epshift import dynamics
 from epshift.epcore import EpSet, InputError, LiteralError, generate_algebra
 from epshift.dynamics import (
     AetPairError,
@@ -560,6 +561,17 @@ class TestEaetPrime:
     def test_arity_mismatch(self):
         with pytest.raises(InputError, match="code 0"):
             eaet_prime(pt("(01)"), [AND2])
+
+    def test_last_pair_checked(self):
+        # a solver whose last (or only) answer is not uniformly recurrent
+        # must fail the pair check, not be returned
+        solved = [ae_solve(pt("(01)")), pt("1(0)")]
+        with mock.patch.object(dynamics, "ae_solve", side_effect=solved):
+            with pytest.raises(AetPairError, match="uniformly recurrent"):
+                eaet_prime(pt("(01)"), [IDENTITY])
+        with mock.patch.object(dynamics, "ae_solve", return_value=pt("1(0)")):
+            with pytest.raises(AetPairError, match="uniformly recurrent"):
+                eaet_prime(pt("(01)"), [])
 
     @given(points)
     def test_chain_verifies(self, t0):

@@ -157,12 +157,31 @@ class TestSubsemigroupClosure:
         assert {(a + b) % p for a in c for b in c} <= c
 
 
+def residue_cycle(g: IpGenerator, p: int) -> tuple[int, ...]:
+    """Oracle: the cycle of the residues (n_i mod p) from the last head
+    term, n_{L-1+j} ≡ cycle[j mod len] (mod p) for all j >= 0.
+
+    The walk step (j, r) → (j+1 mod k, r + d_j mod p) on (position in the
+    diff cycle, current residue) is a bijection of a finite set, so the
+    walk from the last head term is a pure cycle, which ends when the first
+    state comes back.
+    """
+    diffs = g.tail_diffs
+    first = (0, g.head[-1] % p)
+    state, cycle = first, []
+    while not cycle or state != first:
+        j, r = state
+        cycle.append(r)
+        state = ((j + 1) % len(diffs), (r + diffs[j]) % p)
+    return tuple(cycle)
+
+
 def two_bfs_member(g: IpGenerator, x: EpSet) -> MemberResult:
     """Oracle: filter membership with the closure and the refuting word
     found by two separate searches (a saturation, then a breadth-first
     search that stops at the target residue)."""
     p, m_x = len(x.per), len(x.pre)
-    cycle = g.residue_structure(p)
+    cycle = residue_cycle(g, p)
     m = len(g.head) - 1
     while g.term(m) < m_x:
         m += 1
@@ -845,6 +864,49 @@ class TestScopeUniverse:
                 if got.generator != built.generator or got.members != closed:
                     mismatches.append(("build", a.literal, b.literal))
         assert len(wider) == 820 and mismatches == []
+
+
+# every generator with head terms from 1..MEMBER_UNIVERSE_HEAD and tail
+# differences from 1..MEMBER_UNIVERSE_DIFF, at most MEMBER_UNIVERSE_LEN of
+# each, against every canonical set with preperiod <= MEMBER_UNIVERSE_PRE and
+# period <= MEMBER_UNIVERSE_PER
+MEMBER_UNIVERSE_HEAD = 5
+MEMBER_UNIVERSE_DIFF = 4
+MEMBER_UNIVERSE_LEN = 2
+MEMBER_UNIVERSE_PRE = 2
+MEMBER_UNIVERSE_PER = 3
+
+
+class TestMemberUniverse:
+    def test_member_and_translate_set_match_oracles(self):
+        """Every (generator, set) pair of the universe: ``filter_member``
+        equals the two-search oracle, certificate included, and the translate
+        set equals the sweep.  A preperiod of 2 moves the tail start past
+        the head term 1, and over a thousand refuting words have more than
+        one term."""
+        gens = [
+            IpGenerator(head, diffs)
+            for n in range(1, MEMBER_UNIVERSE_LEN + 1)
+            for head in combinations(range(1, MEMBER_UNIVERSE_HEAD + 1), n)
+            for k in range(1, MEMBER_UNIVERSE_LEN + 1)
+            for diffs in product(range(1, MEMBER_UNIVERSE_DIFF + 1), repeat=k)
+        ]
+        sets = canonical_sets(MEMBER_UNIVERSE_PRE, MEMBER_UNIVERSE_PER)
+        assert (len(gens), len(sets)) == (300, 40)
+        mismatches = []
+        late_starts = multi_term = 0
+        for g in gens:
+            f = PartialUltrafilter.for_generator(g)
+            for x in sets:
+                got = filter_member(g, x)
+                if got != two_bfs_member(g, x):
+                    mismatches.append(("member", g.literal, x.literal))
+                if translate_membership_set(f, x) != sweep_translate_set(g, x):
+                    mismatches.append(("translate", g.literal, x.literal))
+                late_starts += got.tail_start > len(g.head) - 1
+                multi_term += len(got.witness_indices or ()) > 1
+        assert mismatches == []
+        assert late_starts > 0 and multi_term >= 1000
 
 
 def residue_search_ip(x: EpSet, bound: int) -> dict:

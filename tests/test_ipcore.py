@@ -37,6 +37,8 @@ from epshift.ipcore import (
     verify_iht_witness,
 )
 
+from test_filters import residue_cycle
+
 pt = SymbolicPoint.parse
 
 generators = st.builds(
@@ -100,15 +102,15 @@ class TestGenerator:
 
     @given(generators, st.integers(min_value=1, max_value=12))
     def test_residue_structure(self, g, p):
-        cycle = g.residue_structure(p)
+        cycle = residue_cycle(g, p)
         start = len(g.head) - 1
         assert 1 <= len(cycle) <= p * len(g.tail_diffs)
         for j in range(3 * len(cycle) + 5):
             assert g.term(start + j) % p == cycle[j % len(cycle)]
 
     def test_residue_frozen(self):
-        assert IpGenerator.parse("2+(2)").residue_structure(2) == (0,)
-        assert IpGenerator.parse("1,2+(3,1)").residue_structure(2) == (0, 1)
+        assert residue_cycle(IpGenerator.parse("2+(2)"), 2) == (0,)
+        assert residue_cycle(IpGenerator.parse("1,2+(3,1)"), 2) == (0, 1)
 
 
 class TestFsEnumerate:
