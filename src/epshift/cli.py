@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import functools
 import json
+import re
 import shlex
 import sys
 from importlib import resources
@@ -99,10 +100,7 @@ def _cmd_set_member(ns) -> dict:
 
 
 def _cmd_set_syndetic(ns) -> dict:
-    cert = EpSet.parse(ns.set).is_syndetic()
-    if cert.syndetic:
-        return {"syndetic": True, "gap": cert.bound}
-    return {"syndetic": False, "empty_from": cert.empty_from}
+    return EpSet.parse(ns.set).is_syndetic().as_dict()
 
 
 def _cmd_set_algebra(ns) -> dict:
@@ -299,7 +297,7 @@ def _cmd_filter_extend(ns) -> dict:
 
 
 def _cmd_filter_central(ns) -> dict:
-    return central_check(EpSet.parse(ns.set), bound=ns.bound).as_dict()
+    return central_check(EpSet.parse(ns.set), bound=ns.bound)
 
 
 # ------------------------------------------------------------ scenario group
@@ -350,10 +348,10 @@ def _lookup(results: dict[str, dict], ref: str) -> str:
     for seg in path:
         if isinstance(value, dict) and seg in value:
             value = value[seg]
-        elif isinstance(value, (list, tuple)) and seg.lstrip("-").isdigit():
+        elif isinstance(value, (list, tuple)) and re.fullmatch(r"-?[0-9]+", seg):
             try:
                 value = value[int(seg)]
-            except IndexError:
+            except (IndexError, ValueError):  # int() refuses past 4300 digits
                 raise _ScenarioError(f"reference ${ref}: index {seg} out of range")
         else:
             raise _ScenarioError(f"reference ${ref}: no field {seg!r}")
@@ -372,7 +370,11 @@ def _cmd_scenario_run(ns) -> dict:
     results: dict[str, dict] = {}
     transcript = []
     for name, command in steps:
-        argv = [_substitute(tok, results) for tok in shlex.split(command)]
+        try:
+            tokens = shlex.split(command)
+        except ValueError as exc:  # an unclosed quote or a trailing escape
+            raise _ScenarioError(f"step {name!r}: cannot split {command!r}: {exc}")
+        argv = [_substitute(tok, results) for tok in tokens]
         if argv[:1] == ["scenario"]:
             raise _ScenarioError(f"step {name!r}: scenarios cannot nest")
         try:
@@ -524,7 +526,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--set", required=True)
     p.set_defaults(handler=_cmd_filter_member)
 
-    p = f_cmds.add_parser("build", help="construct and audit a minimal idempotent filter")
+    p = f_cmds.add_parser("build", help="construct a minimal idempotent filter; checks dichotomy")
     p.add_argument("sets", nargs="+", metavar="set", help="algebra generators")
     _add_cap(p)
     p.set_defaults(handler=_cmd_filter_build)

@@ -218,6 +218,12 @@ class GapCertificate:
     def syndetic(self) -> bool:
         return self.bound is not None
 
+    def as_dict(self) -> dict:
+        """The verdict as ``set syndetic`` and ``filter central`` print it."""
+        if self.syndetic:
+            return {"syndetic": True, "gap": self.bound}
+        return {"syndetic": False, "empty_from": self.empty_from}
+
 
 @dataclass(frozen=True)
 class Algebra:

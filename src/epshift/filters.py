@@ -18,8 +18,9 @@ or the filter to be ultra.
 Everything else here is bookkeeping around that kernel: axiom audits with
 witnesses, construction from the dynamics (encode, solve, certify), limits
 along the filter, scope extension, which is the build on the wider scope,
-and the three-way central-set report, whose IP witness comes from the
-least-witness search of :mod:`epshift.ipcore`.
+and ``central_check``, the JSON object of three separate verdicts on a
+set, whose IP witness comes from the least-witness search of
+:mod:`epshift.ipcore`.
 
 Construction is fail-closed: dichotomy is the one axiom a generator can
 fail (see :class:`FilterReport`), so the constructors check it on their
@@ -38,8 +39,8 @@ from .epcore import (
     Algebra,
     ConstructionError,
     EpSet,
-    GapCertificate,
     InputError,
+    _canonical,
     _primitive_root,
     generate_algebra,
 )
@@ -53,7 +54,6 @@ from .dynamics import (
 from .ipcore import IpConstructionCertificate, IpGenerator, _least_witness, ip_sequence_construct
 
 __all__ = [
-    "CentralReport",
     "FilterReport",
     "MemberResult",
     "PartialUltrafilter",
@@ -201,13 +201,6 @@ class PartialUltrafilter:
         return [x for x in algebra.members if self.member(x)]
 
 
-def _translate_word(f: PartialUltrafilter, x: EpSet) -> str:
-    """D(X)'s bits at positions 0 .. s-1, s = ``_closure_step``."""
-    s = _closure_step(f.generator, len(x.res))
-    w = x.res
-    return "".join("0" if "0" in w[n::s] else "1" for n in range(s))
-
-
 def translate_membership_set(f: PartialUltrafilter, x: EpSet) -> EpSet:
     """The set D(X) = {n : X − n ∈ F}, as an exact EpSet.
 
@@ -215,9 +208,12 @@ def translate_membership_set(f: PartialUltrafilter, x: EpSet) -> EpSet:
     every X − n has period p and periodic residues G(X) − n, so X − n ∈ F
     iff C_p + n ⊆ G(X), which depends only on n mod s, even for n inside
     X's preperiod.  For n < s, C_p + n is the residues n, n + s, ..., one
-    strided read of X's residue word.
+    strided read of X's residue word.  The word's primitive root with an
+    empty preperiod is D(X)'s canonical form.
     """
-    return EpSet("", _translate_word(f, x))
+    s = _closure_step(f.generator, len(x.res))
+    word = "".join("0" if "0" in x.res[n::s] else "1" for n in range(s))
+    return _canonical("", _primitive_root(word))
 
 
 @dataclass(frozen=True)
@@ -288,14 +284,14 @@ def verify_filter(f: PartialUltrafilter, algebra: Algebra) -> FilterReport:
         dichotomy["neither"] = neither
     members = []
     for x in selected:
-        # D(X) repeats its word w, and w[0] is "1" because X ∈ F: the gap is
-        # the longest cyclic run of zeros and the least positive member is
-        # the first "1" past position 0 of w repeated
-        w = _translate_word(f, x)
-        ww = w + w
+        # D(X) is purely periodic and 0 ∈ D(X) because X ∈ F: the gap is the
+        # longest cyclic run of zeros and the least positive member is the
+        # first "1" past position 0 of its residue word doubled
+        d = translate_membership_set(f, x)
+        ww = d.res + d.res
         members.append({
             "set": x.literal,
-            "translate_set": f"({_primitive_root(w)})",
+            "translate_set": d.literal,
             "idempotent": True,
             "minimal": True,
             "gap": max(map(len, ww.split("1"))),
@@ -394,48 +390,22 @@ def extend_filter(f: PartialUltrafilter, new_scope: Algebra) -> PartialUltrafilt
 # -- central sets ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CentralReport:
-    """Three independent verdicts about a set, never collapsed into one.
+def central_check(x: EpSet, bound: int = 128) -> dict:
+    """The JSON object ``filter central`` prints: three separate verdicts
+    about a set, never collapsed into one.
 
-    ``syndetic`` is exact.  ``ip`` is exact for eventually periodic sets:
-    the set is IP iff some residue class it contains has its additive
-    closure inside the set's periodic residues, which holds exactly for
-    class 0; the report carries either residue 0 with the least 4-term
-    witness of multiples of p = period(X) with total <= bound (see
-    ``central_check``), or a per-residue refutation.  ``filter_member``
-    asks whether the set belongs to the filter built from its own
-    downward-translation algebra; it always equals the IP verdict.
-    ``filter_generator`` is that filter's generator, which the certified
-    construction over the set's own one-coordinate point gives without
-    building the algebra (see ``central_check``).
-    """
-
-    set: str
-    syndetic: GapCertificate
-    ip: dict
-    filter_member: bool
-    filter_generator: str
-
-    def as_dict(self) -> dict:
-        syn: dict = {"syndetic": self.syndetic.syndetic}
-        if self.syndetic.syndetic:
-            syn["gap"] = self.syndetic.bound
-        else:
-            syn["empty_from"] = self.syndetic.empty_from
-        return {
-            "set": self.set,
-            "syndetic": syn,
-            "ip": self.ip,
-            "filter": {
-                "member": self.filter_member,
-                "generator": self.filter_generator,
-            },
-        }
-
-
-def central_check(x: EpSet, bound: int = 128) -> CentralReport:
-    """Report syndeticity, IP-ness, and own-algebra filter membership.
+    ``syndetic`` is exact, rendered from the set's gap certificate.
+    ``ip`` is exact for eventually periodic sets: the set is IP iff some
+    residue class it contains has its additive closure inside the set's
+    periodic residues, which holds exactly for class 0.  It carries either
+    residue 0 with the least 4-term witness of multiples of p = period(X)
+    with total <= bound, or a per-residue refutation.  ``filter`` asks
+    whether the set belongs to the filter built from its own
+    downward-translation algebra, and gives that filter's generator.  Its
+    verdict always equals the IP verdict: the built generator's terms are
+    multiples of p, so its closure step is p and X is a member iff residue
+    0 is periodic in X, the IP condition (a finite set's residue word is
+    all zeros).
 
     The filter is the one ``build_partial_ultrafilter`` installs on X's
     downward-translation algebra, but it is certified on X's own point.
@@ -450,8 +420,6 @@ def central_check(x: EpSet, bound: int = 128) -> CentralReport:
     """
     if bound < 1:
         raise InputError("bound must be positive")
-    syndetic = x.is_syndetic()
-
     p = len(x.res)
     m = len(x.pre)
     good = x.res
@@ -492,10 +460,9 @@ def central_check(x: EpSet, bound: int = 128) -> CentralReport:
 
     point = encode_point([x])
     g = ip_sequence_construct(point, ae_solve(point)).generator
-    return CentralReport(
-        set=x.literal,
-        syndetic=syndetic,
-        ip=ip,
-        filter_member=filter_member(g, x).member,
-        filter_generator=g.literal,
-    )
+    return {
+        "set": x.literal,
+        "syndetic": x.is_syndetic().as_dict(),
+        "ip": ip,
+        "filter": {"member": filter_member(g, x).member, "generator": g.literal},
+    }

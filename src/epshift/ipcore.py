@@ -413,6 +413,7 @@ def _least_witness(colorings, length: int, bound: int) -> FsSearchResult:
     - Range: at depth d the rem = N - d elements still to choose are v
       and rem - 1 larger ones, adding at least rem*v + rem*(rem-1)/2, so
       a candidate v lies in (last, (bound - total - rem*(rem-1)/2) // rem].
+      top > last always: top >= 1 at the root, and a child of v <= top has top' > v.
     - Davenport opening rule: the Davenport constant of Z_p is p, so any
       p residues have a nonempty subset summing to 0 mod p.  Coloring
       d's suffix has N - d elements, all >= its opening element v.  If v
@@ -490,8 +491,6 @@ def _least_witness(colorings, length: int, bound: int) -> FsSearchResult:
             return None
         rem = length - d
         top = (bound - total - rem * (rem - 1) // 2) // rem
-        if top <= last:
-            return None
         cand = ((1 << (top + 1)) - 1) >> (last + 1) << (last + 1)
         for a in allowed:
             cand &= a

@@ -438,6 +438,27 @@ class TestScenarios:
         code, out, err = run("scenario", "run", str(f))
         assert code == 2 and out == "" and "Traceback" not in err
 
+    def test_unclosed_quote_rejected(self, run, tmp_path):
+        f = tmp_path / "quote.scn"
+        f.write_text('a: set normalize "(10)\n')
+        code, _, err = run("scenario", "run", str(f))
+        assert code == 2 and "'a'" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "index", ["--1", "\u00b2", "9" * 5000], ids=["double-minus", "superscript", "5000-digits"]
+    )
+    def test_bad_list_index_rejected(self, run, tmp_path, index):
+        # each passes str.isdigit once its minus signs are stripped, yet int()
+        # rejects it: the last one is past int()'s digit limit
+        f = tmp_path / "index.scn"
+        f.write_text(
+            'h: ip hindman "(10);(01)" --terms 2 --bound 16\n'
+            f'm: set member "(10)" $h.witness.{index}\n',
+            encoding="utf-8",
+        )
+        code, _, err = run("scenario", "run", str(f))
+        assert code == 2 and index in err and "Traceback" not in err
+
     def test_duplicate_name_rejected(self, run, tmp_path):
         f = tmp_path / "dup.scn"
         f.write_text('a: set member "(10)" 2\na: set member "(10)" 4\n')

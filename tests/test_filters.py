@@ -953,11 +953,13 @@ def residue_search_ip(x: EpSet, bound: int) -> dict:
 # <= CENTRAL_UNIVERSE_PER, compared with the downward-algebra build
 CENTRAL_UNIVERSE_PRE = 3
 CENTRAL_UNIVERSE_PER = 4
+# the witness bounds at which the central search's cap is pinned
+CENTRAL_PIN_BOUNDS = (1, 7, 40, 128, 1000)
 
 
 class TestCentralCheck:
     def test_evens(self):
-        d = central_check(EVENS).as_dict()
+        d = central_check(EVENS)
         assert d["syndetic"] == {"syndetic": True, "gap": 1}
         assert d["ip"]["ip"] is True
         assert d["ip"]["residue"] == 0
@@ -965,7 +967,7 @@ class TestCentralCheck:
         assert d["filter"]["member"] is True
 
     def test_odds(self):
-        d = central_check(ODDS).as_dict()
+        d = central_check(ODDS)
         assert d["syndetic"]["syndetic"] is True
         assert d["ip"]["ip"] is False
         ref = d["ip"]["refutations"][0]
@@ -975,19 +977,19 @@ class TestCentralCheck:
         assert d["filter"]["member"] is False
 
     def test_finite(self):
-        d = central_check(EpSet.parse("1(0)")).as_dict()
+        d = central_check(EpSet.parse("1(0)"))
         assert d["syndetic"]["syndetic"] is False
         assert d["ip"] == {"ip": False, "reason": "finite"}
         assert d["filter"]["member"] is False
 
     def test_period_four_halves(self):
-        d = central_check(EpSet.parse("(1100)")).as_dict()
+        d = central_check(EpSet.parse("(1100)"))
         assert d["ip"]["ip"] is True and d["ip"]["residue"] == 0
         assert d["ip"]["witness"] == [4, 8, 16, 32]
 
     def test_offset_halves_not_ip(self):
         # {n : n % 4 in {1, 2}}: no residue class closes up
-        d = central_check(EpSet.parse("(0110)")).as_dict()
+        d = central_check(EpSet.parse("(0110)"))
         assert d["syndetic"]["syndetic"] is True
         assert d["ip"]["ip"] is False
         for ref in d["ip"]["refutations"]:
@@ -998,7 +1000,7 @@ class TestCentralCheck:
 
     @given(ep_sets)
     def test_ip_verdict_certificates(self, x):
-        d = central_check(x, bound=200).as_dict()
+        d = central_check(x, bound=200)
         assert d["filter"]["member"] == d["ip"]["ip"]
         ip = d["ip"]
         if ip["ip"]:
@@ -1018,7 +1020,7 @@ class TestCentralCheck:
 
     @given(ep_sets, st.integers(min_value=1, max_value=300))
     def test_ip_report_matches_residue_search(self, x, bound):
-        assert central_check(x, bound=bound).as_dict()["ip"] == residue_search_ip(x, bound)
+        assert central_check(x, bound=bound)["ip"] == residue_search_ip(x, bound)
 
     @given(
         st.text(alphabet="01", max_size=40),
@@ -1039,6 +1041,28 @@ class TestCentralCheck:
         with pytest.raises(InputError):
             central_check(EVENS, bound=0)
 
+    @pytest.mark.parametrize("bound", CENTRAL_PIN_BOUNDS)
+    def test_search_bound_is_pinned(self, bound, monkeypatch):
+        # a looser cap changes no answer (test_least_witness_total_is_capped),
+        # only the work, so the bound handed to the search is pinned here
+        real = filters._least_witness
+        calls = []
+
+        def record(colorings, length, b):
+            calls.append((length, b))
+            return real(colorings, length, b)
+
+        monkeypatch.setattr(filters, "_least_witness", record)
+        wrong = []
+        for x in canonical_sets(CENTRAL_UNIVERSE_PRE, CENTRAL_UNIVERSE_PER):
+            if x.res[0] == "1":
+                calls.clear()
+                central_check(x, bound=bound)
+                p, m = len(x.res), len(x.pre)
+                if calls != [(4, min(bound // p, 8 * max(-(-m // p), 1) + 7))]:
+                    wrong.append((x.literal, calls[:]))
+        assert wrong == []
+
     def test_filter_matches_downward_build(self):
         # the filter of X's own point is the one built over X's whole
         # downward-translation algebra: that algebra has period lcm p and
@@ -1048,7 +1072,7 @@ class TestCentralCheck:
         for x in universe:
             f = build_partial_ultrafilter(generate_algebra([x], downward=True))
             want = {"member": f.member(x), "generator": f.generator.literal}
-            if central_check(x).as_dict()["filter"] != want:
+            if central_check(x)["filter"] != want:
                 mismatches.append(x.literal)
         assert len(universe) == 176 and not mismatches
 

@@ -603,6 +603,12 @@ UNIVERSE_BOUNDS = (12, 24)
 UNIVERSE_TOP = 24
 PAIR_TERMS = 2
 PAIR_TOP = 18
+# every partition into three nonempty classes, preperiod <= THREE_PRE and
+# period <= THREE_PER, at every UNIVERSE_TERMS and every bound 1..UNIVERSE_TOP
+# as the only coloring, and at PAIR_TERMS and every bound 1..PAIR_TOP before
+# and after PARITY
+THREE_PRE = 2
+THREE_PER = 4
 
 
 def two_class_universe() -> list[tuple[EpSet, EpSet]]:
@@ -615,6 +621,21 @@ def two_class_universe() -> list[tuple[EpSet, EpSet]]:
                 b = EpSet(a.pre.translate(flip), a.per.translate(flip))
                 if "1" in a.pre + a.per and "1" in b.pre + b.per:
                     parts.setdefault(frozenset((a, b)), (a, b))
+    return list(parts.values())
+
+
+def three_class_universe() -> list[tuple[EpSet, EpSet, EpSet]]:
+    parts = {}
+    for m in range(THREE_PRE + 1):
+        for p in range(1, THREE_PER + 1):
+            for labels in product(range(3), repeat=m + p):
+                classes = tuple(
+                    EpSet(*("".join("1" if c == i else "0" for c in w)
+                            for w in (labels[:m], labels[m:])))
+                    for i in range(3)
+                )
+                if all("1" in x.pre + x.res for x in classes):
+                    parts.setdefault(frozenset(classes), classes)
     return list(parts.values())
 
 
@@ -653,6 +674,22 @@ class TestSearchSmallUniverse:
             for c, d in product(periodic, repeat=2)
             for bound, want in least_at_every_bound([c, d], PAIR_TERMS, PAIR_TOP).items()
             if iht_search([c, d], PAIR_TERMS, bound).witness != want
+        ]
+        assert wrong == []
+
+    def test_three_class_partitions_every_bound(self):
+        universe = three_class_universe()
+        assert len(universe) == 114
+        cases = [([c], terms, UNIVERSE_TOP) for c in universe for terms in UNIVERSE_TERMS] + [
+            (colorings, PAIR_TERMS, PAIR_TOP)
+            for c in universe
+            for colorings in ([c, PARITY], [PARITY, c])
+        ]
+        wrong = [
+            ([";".join(x.literal for x in c) for c in colorings], terms, bound)
+            for colorings, terms, top in cases
+            for bound, want in least_at_every_bound(colorings, terms, top).items()
+            if iht_search(colorings, terms, bound).witness != want
         ]
         assert wrong == []
 
