@@ -41,7 +41,6 @@ from .dynamics import (
     is_uniformly_recurrent,
     orbit_closure,
     shift,
-    stack_points,
 )
 from .ipcore import (
     IpGenerator,
@@ -104,7 +103,6 @@ __all__ = [
     "is_uniformly_recurrent",
     "orbit_closure",
     "shift",
-    "stack_points",
     "translate_membership_set",
     "ultralimit",
     "verify_filter",

@@ -70,11 +70,6 @@ def _classes(text: str) -> tuple[EpSet, ...]:
     return tuple(EpSet.parse(part) for part in text.split(";"))
 
 
-def _points(cert: IpConstructionCertificate) -> dict:
-    """The certified pair (x, y) as the ``stages`` fields of a payload."""
-    return {"encoded_point": cert.source.literal, "ae_point": cert.target.literal}
-
-
 def _cert_dict(cert: IpConstructionCertificate) -> dict:
     return {
         "generator": cert.generator.literal,
@@ -235,12 +230,13 @@ def _cmd_ip_iht(ns) -> dict:
 def _cmd_ip_pipeline(ns) -> dict:
     colorings = [_classes(c) for c in ns.coloring]
     res = aet_to_iht_pipeline(colorings, terms=ns.terms)
-    cert = res.certificate
+    d = _cert_dict(res.certificate)
     return {
         "witness": list(res.witness),
         "colors": list(res.colors),
-        "stages": {**_points(cert), "generator": cert.generator.literal},
-        "certificate": _cert_dict(cert),
+        "stages": {"encoded_point": d["source"], "ae_point": d["target"],
+                   "generator": d["generator"]},
+        "certificate": d,
     }
 
 
@@ -257,12 +253,13 @@ def _cmd_filter_member(ns) -> dict:
 def _cmd_filter_build(ns) -> dict:
     alg = generate_algebra(_sets(ns.sets), downward=True, cap=ns.cap)
     f = build_partial_ultrafilter(alg)
+    d = _cert_dict(f.certificate)
     return {
         "all_pass": True,
         "generator": f.generator.literal,
         "scope_size": len(f.scope),
         "members": [x.literal for x in f.members],
-        "stages": {**_points(f.certificate), "certificate": _cert_dict(f.certificate)},
+        "stages": {"encoded_point": d["source"], "ae_point": d["target"], "certificate": d},
     }
 
 
@@ -582,6 +579,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except CapacityError as exc:
         print(f"epshift: cap exceeded: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print("epshift: cap exceeded: out of memory", file=sys.stderr)
         return 3
     except ConstructionError as exc:
         print(f"epshift: internal check failed: {exc}", file=sys.stderr)

@@ -8,10 +8,10 @@ coordinate.  Distances are exact dyadic exponents: d(x, y) = 2**-e where
 e is the least i + (first disagreement of coordinate i), so every ball is
 a clopen cylinder and every epsilon argument becomes finite bookkeeping.
 
-Everything here is decided exactly.  Past both preperiods, agreement of
-two shifted sequences is one comparison of their residue words rotated by
-the offsets; only sequences that differ are read on a preperiod-plus-lcm
-window, to find where.  Uniform recurrence degenerates to "every
+Everything here is decided exactly.  Past both preperiods, two shifted
+sequences of one period are compared, and scanned, on their residue words
+rotated by the offsets; other pairs are read on a preperiod-plus-lcm
+window.  Uniform recurrence degenerates to "every
 coordinate is purely periodic"; proximality degenerates to "every
 coordinate pair has one residue word" (agreement past the preperiods).
 """
@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .epcore import Algebra, ConstructionError, EpSet, InputError, LiteralError, _canonical
+from .epcore import EpSet, InputError, LiteralError, _canonical
 
 __all__ = [
     "AetPairError",
@@ -42,7 +42,6 @@ __all__ = [
     "is_uniformly_recurrent",
     "orbit_closure",
     "shift",
-    "stack_points",
 ]
 
 # Coordinates reuse the EpSet machinery with raw-symbol semantics.
@@ -95,14 +94,6 @@ class SymbolicPoint:
         return SymbolicPoint(tuple(c.translate_down(n) for c in self.coords))
 
 
-def stack_points(*points: SymbolicPoint) -> SymbolicPoint:
-    """Concatenate the coordinate stacks of several points into one."""
-    coords: tuple[Word, ...] = ()
-    for p in points:
-        coords += p.coords
-    return SymbolicPoint(coords)
-
-
 def shift(x: SymbolicPoint, n: int) -> SymbolicPoint:
     """Apply the shift n times: result_i(k) = x_i(k + n)."""
     return x.shift(n)
@@ -111,24 +102,22 @@ def shift(x: SymbolicPoint, n: int) -> SymbolicPoint:
 def _first_disagreement(u: Word, v: Word, n: int = 0, m: int = 0) -> int | None:
     """The least j with u(n + j) != v(m + j), or None when T^n u = T^m v.
 
-    Past both preperiods T^n u and T^m v are purely periodic with primitive
-    periods, so they are equal exactly when the residue words have one
-    length and agree rotated by n and by m: one word comparison.
-    Otherwise, or when they differ, the first disagreement lies in the
-    window of their preperiod join plus the lcm period, past which both
-    repeat.
+    Past both preperiods, words of one period p are their residue words
+    rotated by n and by m, which repeat with period p, so those two words
+    are compared and scanned.  Otherwise the first disagreement lies in the
+    window of the preperiod join plus the lcm period, past which both
+    repeat, and that window is read.
     """
     a, b, p = len(u.pre), len(v.pre), len(u.res)
     if n >= a and m >= b and p == len(v.res):
         i, k = n % p, m % p
-        if u.res[i:] + u.res[:i] == v.res[k:] + v.res[:k]:
-            return None
-    horizon = max(a - n, b - m, 0) + math.lcm(p, len(v.res))
-    s = u.window(n, n + horizon)
-    t = v.window(m, m + horizon)
+        s, t = u.res[i:] + u.res[:i], v.res[k:] + v.res[:k]
+    else:
+        horizon = max(a - n, b - m, 0) + math.lcm(p, len(v.res))
+        s, t = u.window(n, n + horizon), v.window(m, m + horizon)
     if s == t:
         return None
-    return next(j for j in range(horizon) if s[j] != t[j])
+    return next(j for j in range(len(s)) if s[j] != t[j])
 
 
 def _agreement_profile(z: SymbolicPoint, y: SymbolicPoint, n: int, depth: int) -> list:
@@ -162,9 +151,9 @@ def distance_exponent(
 
 
 def encode_point(sets) -> SymbolicPoint:
-    """Code a family of sets as a point: coordinate i reads 0 at n iff n is
-    in the i-th set (the indicator convention with 0 marking membership)."""
-    items = sets.members if isinstance(sets, Algebra) else tuple(sets)
+    """Code a family of sets, in order, as a point: coordinate i reads 0 at
+    n iff n is in the i-th set (the indicator convention, 0 marking membership)."""
+    items = tuple(sets)
     if not items:
         raise InputError("cannot encode an empty family")
     return SymbolicPoint(tuple(a.complement() for a in items))
@@ -204,8 +193,10 @@ def is_uniformly_recurrent(x: SymbolicPoint) -> UrReport:
     reports their exact gap bounds for every resolution up to coordinate
     count + period: one more than the syndeticity bound of the return set,
     which repeats with that period.
-    Otherwise some coordinate has a nonempty preperiod, and the shortest
-    prefix of it that never recurs past the preperiod witnesses the failure.
+    Otherwise some coordinate u, of preperiod m and period p, is not purely
+    periodic, so it first disagrees with T^n u at some j_n for every n >= m.
+    Its prefix of length 1 + max(j_n : m <= n < m + p) is the shortest that
+    never recurs past m; it occurs at the n < m where u and T^n u agree that far.
     """
     if _recurrent(x):
         period = x.lcm_period
@@ -224,16 +215,10 @@ def is_uniformly_recurrent(x: SymbolicPoint) -> UrReport:
     i = next(j for j, c in enumerate(x.coords) if c.pre)
     u = x.coords[i]
     m, p = len(u.pre), len(u.res)
-    w = u.window(0, 2 * (m + p))
-    for length in range(1, m + p + 1):
-        prefix = w[:length]
-        if all(w[n:n + length] != prefix for n in range(m, m + p)):
-            occ = tuple(n for n in range(m) if w[n:n + length] == prefix)
-            return UrReport(recurrent=False, coord=i, word=prefix, occurrences=occ)
-    # A canonical nonempty preperiod guarantees the loop above exits: the
-    # length m+p prefix occurring at any n >= m would force the last
-    # preperiod bit to equal the last period bit.
-    raise ConstructionError("no finitely occurring prefix found for a non-periodic coordinate")
+    length = 1 + max(_first_disagreement(u, u, n) for n in range(m, m + p))
+    ds = (_first_disagreement(u, u, n) for n in range(m))
+    occ = tuple(n for n, d in enumerate(ds) if d is None or d >= length)
+    return UrReport(recurrent=False, coord=i, word=u.window(0, length), occurrences=occ)
 
 
 # -- proximality ------------------------------------------------------------

@@ -265,9 +265,11 @@ def generate_algebra(gens, downward: bool, cap: int = 65536) -> Algebra:
     built, raising a :class:`CapacityError` when it is exceeded.
 
     Translation commutes with the boolean operations, so the downward
-    closure is the algebra generated by the translates ``g - n`` of the
-    generators.  They repeat with period ``|res|`` once ``n >= |pre|``, so
-    the translates with ``n < |pre|+|res|`` give all of them.
+    closure is the algebra generated by the translates ``g - k`` of the
+    generators.  They repeat with period ``|res|`` once ``k >= |pre|``, so
+    the translates with ``k < |pre|+|res|`` give all of them.  Only their
+    bits on the window are read, and the window of ``g - k`` is ``g``'s
+    window read from offset ``k``, so no translate is built.
     """
     gens = tuple(gens)
     if not gens:
@@ -276,14 +278,14 @@ def generate_algebra(gens, downward: bool, cap: int = 65536) -> Algebra:
         raise InputError("capacity cap must be positive")
     m = max(len(g.pre) for g in gens)
     width = m + math.lcm(*(len(g.res) for g in gens))
-    basis = [
-        g.translate_down(n)
+    rows = [
+        g.window(k, k + width)
         for g in gens
-        for n in (range(len(g.pre) + len(g.res)) if downward else [0])
+        for k in (range(len(g.pre) + len(g.res)) if downward else [0])
     ]
-    # column of basis bits -> its atom, as a mask with bit n for position n
+    # column of row bits -> its atom, as a mask with bit n for position n
     atoms: dict[tuple[str, ...], int] = {}
-    for n, column in enumerate(zip(*(x.window(0, width) for x in basis))):
+    for n, column in enumerate(zip(*rows)):
         atoms[column] = atoms.get(column, 0) | 1 << n
     if 2 ** len(atoms) > cap:
         raise CapacityError(f"algebra closure exceeded the cap of {cap} members")

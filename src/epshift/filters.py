@@ -322,7 +322,7 @@ def build_partial_ultrafilter(algebra: Algebra) -> PartialUltrafilter:
     """
     if not algebra.downward_closed:
         raise InputError("filters need a downward-translation algebra")
-    x = encode_point(algebra)
+    x = encode_point(algebra.members)
     cert = ip_sequence_construct(x, ae_solve(x))
     selected, neither = _split(cert.generator, algebra)
     if neither:

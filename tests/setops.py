@@ -4,13 +4,15 @@ The library builds algebras from atoms and never combines two sets
 pointwise, so union, intersection and inclusion live here: each reads both
 sets on one window of their preperiod join plus their lcm period, past
 which both repeat.  The least member at or past a position is read off
-one window the same way.
+one window the same way.  The library never stacks two points either, so
+``stack_points`` lives here for the stacked-extension oracles.
 """
 
 from __future__ import annotations
 
 import math
 
+from epshift.dynamics import SymbolicPoint
 from epshift.epcore import EpSet
 
 
@@ -40,3 +42,8 @@ def first_member_at_least(x: EpSet, n: int) -> int | None:
     m, p = len(x.pre), len(x.per)
     i = x.window(n, max(n, m) + p).find("1")
     return None if i < 0 else n + i
+
+
+def stack_points(*points: SymbolicPoint) -> SymbolicPoint:
+    """Concatenate the coordinate stacks of several points into one."""
+    return SymbolicPoint(tuple(c for p in points for c in p.coords))

@@ -214,7 +214,7 @@ def test_criterion_04_decision_procedure_vs_brute_force():
 def test_criterion_05_ultralimit_coherence(built_filters):
     failures = []
     for alg, f in built_filters:
-        x = encode_point(alg)
+        x = encode_point(alg.members)
         y = ultralimit(f, x)
         if not is_uniformly_recurrent(y).recurrent:
             failures.append(("not UR", f.generator.literal))

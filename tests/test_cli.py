@@ -3,6 +3,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -136,6 +139,24 @@ class TestExitCodes:
         """A generator that decides neither evens nor odds is bad input."""
         code, out, err = run("filter", "ulimit", "--gen", "1+(2)", "(10)")
         assert code == 2 and out == "" and "pair check failed" in err
+
+    def test_out_of_memory_is_a_blown_cap(self):
+        """A mask of 10^11 bits cannot be allocated under a 1 GiB address
+        space; the child exits 3 instead of printing a traceback."""
+        resource = pytest.importorskip("resource")
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "epshift.cli",
+             "ip", "hindman", "(10);(01)", "--terms", "3", "--bound", "100000000000"],
+            capture_output=True, text=True, timeout=60, preexec_fn=limit,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert "out of memory" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_help_exits_zero(self, run):
         assert run("--help")[0] == 0

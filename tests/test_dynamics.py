@@ -31,7 +31,6 @@ from epshift.dynamics import (
     is_uniformly_recurrent,
     orbit_closure,
     shift,
-    stack_points,
 )
 from epshift.ipcore import (
     IpConstructionCertificate,
@@ -39,6 +38,8 @@ from epshift.ipcore import (
     ip_sequence_construct,
     verify_ip_certificate,
 )
+
+from setops import stack_points
 
 INF = math.inf
 
@@ -102,7 +103,7 @@ class TestEncodePoint:
 
     def test_algebra_follows_member_order(self):
         alg = generate_algebra([EpSet.parse("(10)")], downward=True)
-        x = encode_point(alg)
+        x = encode_point(alg.members)
         assert x.coords == tuple(a.complement() for a in alg.members)
 
     def test_empty_rejected(self):
@@ -229,6 +230,18 @@ class TestFirstDisagreement:
             for m in {0, n}:
                 assert _first_disagreement(u, v, n, m) == raw_first_disagreement(u, v, n, m), (
                     u.literal, v.literal, n, m)
+
+    def test_one_period_past_preperiods_reads_no_window(self):
+        """Past both preperiods, words of one period are compared and
+        scanned on their rotated residue words; no window is read."""
+        pairs = 0
+        with mock.patch.object(EpSet, "window", side_effect=AssertionError):
+            for u, v, n in universe_offsets():
+                for m in {0, n}:
+                    if len(u.res) == len(v.res) and n >= len(u.pre) and m >= len(v.pre):
+                        pairs += 1
+                        assert _first_disagreement(u, v, n, m) == raw_first_disagreement(u, v, n, m)
+        assert pairs == 4756
 
     def test_universe_distance_exponent(self):
         for u, v, n in universe_offsets():
@@ -378,6 +391,46 @@ class TestUniformRecurrence:
         hits = tuple(n for n in range(horizon) if w[n:n + length] == r.word)
         assert hits == r.occurrences
         assert all(n < m for n in hits)
+
+
+def prefix_scan_ur(x: SymbolicPoint) -> UrReport:
+    """Oracle for a stack that is not purely periodic: the shortest prefix
+    of its first coordinate with a preperiod that occurs at no offset of
+    one period past that preperiod, found by slicing a 2(m + p) window."""
+    i = next(j for j, c in enumerate(x.coords) if c.pre)
+    u = x.coords[i]
+    m, p = len(u.pre), len(u.per)
+    w = u.window(0, 2 * (m + p))
+    for length in range(1, m + p + 1):
+        prefix = w[:length]
+        if all(w[n:n + length] != prefix for n in range(m, m + p)):
+            occ = tuple(n for n in range(m) if w[n:n + length] == prefix)
+            return UrReport(recurrent=False, coord=i, word=prefix, occurrences=occ)
+    raise AssertionError(f"no finitely occurring prefix in {u.literal}")
+
+
+# every canonical word with a nonempty preperiod of at most NONRECURRENT_PRE
+# bits and a period of at most NONRECURRENT_PER bits
+NONRECURRENT_PRE = 5
+NONRECURRENT_PER = 5
+
+
+class TestNonRecurrenceCertificate:
+    def test_matches_prefix_scan(self):
+        """Each word alone, and behind its purely periodic residue word, so
+        the certificate reads coordinate 1."""
+        words = {
+            EpSet("".join(pre), "".join(per))
+            for a in range(1, NONRECURRENT_PRE + 1)
+            for p in range(1, NONRECURRENT_PER + 1)
+            for pre in product("01", repeat=a)
+            for per in product("01", repeat=p)
+        }
+        xs = [SymbolicPoint((u,)) for u in words if u.pre]
+        xs += [SymbolicPoint((EpSet("", u.res), u)) for u in words if u.pre]
+        assert len(xs) == 3224
+        mismatches = [x.literal for x in xs if is_uniformly_recurrent(x) != prefix_scan_ur(x)]
+        assert mismatches == []
 
 
 def brute_proximal(x: SymbolicPoint, y: SymbolicPoint) -> bool:

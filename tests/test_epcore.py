@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -393,6 +394,15 @@ class TestAlgebra:
         alg = generate_algebra([EpSet.parse("(10)")], downward=False)
         assert {m.literal for m in alg.members} == {"(0)", "(1)", "(10)", "(01)"}
         assert not alg.downward_closed
+
+    def test_translates_are_read_not_built(self):
+        """Each row of the downward closure is a generator's window read at
+        an offset; no translate g - k is built."""
+        gens = [EpSet.parse("01(100)"), EpSet.parse("1(10)")]
+        want = generate_algebra(gens, downward=True)
+        with mock.patch.object(EpSet, "translate_down", side_effect=AssertionError):
+            assert generate_algebra(gens, downward=True) == want
+        assert len(want) == 2 ** 8
 
     def test_members_sorted_deterministically(self):
         alg = generate_algebra([EpSet.parse("(100)")], downward=True)

@@ -31,7 +31,6 @@ from epshift.dynamics import (
     are_proximal,
     encode_point,
     is_uniformly_recurrent,
-    stack_points,
 )
 from epshift.ipcore import IpGenerator, ip_sequence_construct
 from epshift.filters import (
@@ -47,7 +46,7 @@ from epshift.filters import (
     verify_filter,
 )
 
-from setops import first_member_at_least, intersect, issubset
+from setops import first_member_at_least, intersect, issubset, stack_points
 
 EVENS = EpSet.parse("(10)")
 ODDS = EpSet.parse("(01)")
@@ -111,6 +110,14 @@ def periodic_part(x: EpSet) -> EpSet:
     {n : X − n ∈ u} for any idempotent u."""
     p = len(x.per)
     return x.translate_down(p * -(-len(x.pre) // p))
+
+
+def raw_gap_and_hirst(d: EpSet) -> tuple[int, int]:
+    """Oracle: the gap and least positive member of a set holding 0, from
+    a raw member scan over m + 3p positions (``TestSyndetic.naive``)."""
+    members = [n for n in range(len(d.pre) + 3 * len(d.per)) if d.member(n)]
+    gaps = [b - a - 1 for a, b in zip(members, members[1:])]
+    return max([members[0], *gaps]), next(n for n in members if n > 0)
 
 
 def sweep_translate_set(g: IpGenerator, x: EpSet) -> EpSet:
@@ -353,7 +360,7 @@ class TestBuildFilter:
         f = build_partial_ultrafilter(alg)
         assert {x.literal for x in f.members_of(alg)} == {"(1)", "(10)"}
         assert f.members == tuple(f.members_of(alg))
-        assert f.certificate.source == encode_point(alg)
+        assert f.certificate.source == encode_point(alg.members)
 
     def test_trivial_algebra(self):
         alg = generate_algebra([FULL], downward=True)
@@ -583,7 +590,7 @@ class TestUltralimit:
         for gens in (["(10)"], ["(100)"], ["(10)", "(1000)"]):
             alg = generate_algebra([EpSet.parse(t) for t in gens], downward=True)
             f = build_partial_ultrafilter(alg)
-            x = encode_point(alg)
+            x = encode_point(alg.members)
             y = ultralimit(f, x)
             assert y == ae_solve(x)
             assert is_uniformly_recurrent(y).recurrent
@@ -592,7 +599,7 @@ class TestUltralimit:
     def test_biconditional(self):
         alg = generate_algebra([EpSet.parse("(100)")], downward=True)
         f = build_partial_ultrafilter(alg)
-        y = ultralimit(f, encode_point(alg))
+        y = ultralimit(f, encode_point(alg.members))
         for a, c in zip(alg.members, y.coords):
             assert (c.window(0, 1) == "0") == f.member(a)
 
@@ -617,9 +624,9 @@ def stacked_extend(f: PartialUltrafilter, new_scope: Algebra) -> PartialUltrafil
         raise InputError("filters need a downward-translation algebra")
     if any(x not in new_scope for x in f.scope.members):
         raise InputError("new scope must contain the old one")
-    x1 = encode_point(f.scope)
+    x1 = encode_point(f.scope.members)
     y1 = ultralimit(f, x1)
-    x2 = encode_point(new_scope)
+    x2 = encode_point(new_scope.members)
     cert = ip_sequence_construct(stack_points(x1, x2), stack_points(y1, ae_solve(x2)))
     g = cert.generator
     members = []
@@ -749,7 +756,7 @@ class TestRecords:
         alg = small_algebra(gens, True, cap=64)
         f = build_partial_ultrafilter(alg)
         assert f.certificate.generator == f.generator
-        assert f.certificate.source == encode_point(alg)
+        assert f.certificate.source == encode_point(alg.members)
         assert f.members == tuple(f.members_of(f.scope))
 
     @given(st.lists(scope_sets, min_size=2, max_size=2))
@@ -809,7 +816,7 @@ class TestClosedForm:
     @given(st.lists(scope_sets, min_size=1, max_size=2))
     def test_ultralimit(self, gens):
         alg = small_algebra(gens, True, cap=64)
-        x = encode_point(alg)
+        x = encode_point(alg.members)
         y = ultralimit(build_partial_ultrafilter(alg), x)
         assert y == ae_solve(x)
         for a, c in zip(alg.members, y.coords):
@@ -836,8 +843,9 @@ class TestScopeUniverse:
     """Metamorphic relations from the equivalence of AET and minimal
     idempotent ultrafilters, on every pair of small scopes: the built
     filter's limit of its point is the AE solution, extending it is the
-    stacked EAET extension and the build on the wider scope, and every
-    verdict is the closed form."""
+    stacked EAET extension and the build on the wider scope, every verdict
+    is the closed form, and each wider build's audit entry reads the
+    periodic part of its set."""
 
     def test_build_limit_and_extension(self):
         universe = canonical_sets(SCOPE_UNIVERSE_PRE, SCOPE_UNIVERSE_PER)
@@ -845,9 +853,12 @@ class TestScopeUniverse:
         # the build of each wider scope, with its closed-form members
         wider: dict[frozenset, tuple[PartialUltrafilter, tuple]] = {}
         mismatches = []
+        # each selected set's audit entry, from its periodic part by raw scan
+        audit: dict[EpSet, tuple] = {}
+        audited = 0
         for a in universe:
             f = build_partial_ultrafilter(generate_algebra([a], downward=True))
-            point = encode_point(f.scope)
+            point = encode_point(f.scope.members)
             if ultralimit(f, point) != ae_solve(point):
                 mismatches.append(("ultralimit", a.literal))
             for b in universe:
@@ -855,7 +866,16 @@ class TestScopeUniverse:
                 if key not in wider:
                     alg = generate_algebra(sorted(key, key=lambda x: x.literal), downward=True)
                     closed = tuple(x for x in alg.members if closed_form_member(x))
-                    wider[key] = build_partial_ultrafilter(alg), closed
+                    built = build_partial_ultrafilter(alg)
+                    wider[key] = built, closed
+                    for x, entry in zip(built.members, verify_filter(built, alg).members, strict=True):
+                        if x not in audit:
+                            d = periodic_part(x)
+                            audit[x] = (x.literal, d.literal, *raw_gap_and_hirst(d))
+                        audited += 1
+                        row = (entry["set"], entry["translate_set"], entry["gap"], entry["hirst_witness"])
+                        if row != audit[x]:
+                            mismatches.append(("audit", x.literal, a.literal, b.literal))
                 built, closed = wider[key]
                 got = extend_filter(f, built.scope)
                 want = stacked_extend(f, built.scope)
@@ -863,7 +883,7 @@ class TestScopeUniverse:
                     mismatches.append(("stacked", a.literal, b.literal))
                 if got.generator != built.generator or got.members != closed:
                     mismatches.append(("build", a.literal, b.literal))
-        assert len(wider) == 820 and mismatches == []
+        assert len(wider) == 820 and audited == 28655 and mismatches == []
 
 
 # every generator with head terms from 1..MEMBER_UNIVERSE_HEAD and tail

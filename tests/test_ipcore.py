@@ -212,7 +212,7 @@ class TestIpConstruction:
         agreement profile per point and phase, so a certificate over the
         encoded point of a 4-256 member algebra costs at most 16 word
         comparisons; one per coordinate and check would cost 136."""
-        x = encode_point(generate_algebra([EpSet.parse(t) for t in gens], downward=True))
+        x = encode_point(generate_algebra([EpSet.parse(t) for t in gens], downward=True).members)
         first = dynamics._first_disagreement
         calls = []
 
