@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property
 
 __all__ = [
     "Algebra",
@@ -232,21 +231,45 @@ class Algebra:
     When ``downward_closed`` is set the family is also closed under every
     downward translation ``X - n``.  Members are canonical, duplicate free,
     and sorted by literal so iteration order is deterministic.
+
+    Every member has preperiod at most ``lead`` and period dividing
+    ``period``, so it is fixed by its bits on the window
+    ``[0, lead + period)``.  ``masks[i]`` holds those bits of
+    ``members[i]``, bit n for position n, and ``atoms`` holds the atoms'
+    masks: the members are exactly the unions of atoms.
     """
 
     members: tuple[EpSet, ...]
     generators: tuple[EpSet, ...]
     downward_closed: bool
-
-    @cached_property
-    def member_set(self) -> frozenset[EpSet]:
-        return frozenset(self.members)
+    lead: int
+    period: int
+    atoms: tuple[int, ...]
+    masks: tuple[int, ...]
 
     def __contains__(self, x: EpSet) -> bool:
-        return x in self.member_set
+        """A set is a member iff it fits the window (preperiod at most
+        ``lead``, period dividing ``period``) and its window bits are a
+        union of atoms: then it is the member with those bits."""
+        if len(x.pre) > self.lead or self.period % len(x.res):
+            return False
+        mask = int(x.window(0, self.lead + self.period)[::-1], 2)
+        return all((mask & atom) in (0, atom) for atom in self.atoms)
 
     def __len__(self) -> int:
         return len(self.members)
+
+
+def _periodic_parts(masks, m: int, period: int) -> list[int]:
+    """The window mask of each window mask's periodic part: position n of
+    the window ``[0, m + period)`` reads the bit of the position in
+    ``[m, m + period)`` congruent to n mod ``period``."""
+    ones, full = (1 << period) - 1, (1 << m + period) - 1
+    # the bits from m on, tiled from position 0, then read from the first
+    # multiple of the period at or past m
+    tile = sum(1 << n for n in range(0, m + 2 * period, period))
+    k = -m % period
+    return [((mask >> m & ones) * tile >> k) & full for mask in masks]
 
 
 def generate_algebra(gens, downward: bool, cap: int = 65536) -> Algebra:
@@ -270,6 +293,10 @@ def generate_algebra(gens, downward: bool, cap: int = 65536) -> Algebra:
     the translates with ``k < |pre|+|res|`` give all of them.  Only their
     bits on the window are read, and the window of ``g - k`` is ``g``'s
     window read from offset ``k``, so no translate is built.
+
+    A member's literal is its window word cut at its canonical preperiod
+    and period lengths, so members are sorted by literal without rendering
+    them, and each keeps its window mask (see :class:`Algebra`).
     """
     gens = tuple(gens)
     if not gens:
@@ -277,7 +304,8 @@ def generate_algebra(gens, downward: bool, cap: int = 65536) -> Algebra:
     if cap < 1:
         raise InputError("capacity cap must be positive")
     m = max(len(g.pre) for g in gens)
-    width = m + math.lcm(*(len(g.res) for g in gens))
+    period = math.lcm(*(len(g.res) for g in gens))
+    width = m + period
     rows = [
         g.window(k, k + width)
         for g in gens
@@ -292,6 +320,24 @@ def generate_algebra(gens, downward: bool, cap: int = 65536) -> Algebra:
     masks = [0]
     for atom in atoms.values():
         masks += [mask | atom for mask in masks]
-    words = (format(mask, f"0{width}b")[::-1] for mask in masks)
-    members = tuple(sorted((_canonical(*_normal_words(w[:m], w[m:])) for w in words), key=str))
-    return Algebra(members=members, generators=gens, downward_closed=downward)
+    # _normal_words on each window word: its bits from m on, rotated to
+    # phase 0, have the residue word as primitive root, and the preperiod
+    # ends past the last bit below m that its periodic part does not share
+    spec, k, low = f"0{width}b", -m % period, (1 << m) - 1
+    entries = []
+    for mask, periodic in zip(masks, _periodic_parts(masks, m, period)):
+        w = format(mask, spec)[::-1]
+        res = _primitive_root(w[m + k:] + w[m:m + k])
+        a = ((mask ^ periodic) & low).bit_length()
+        pre = w[:a]
+        entries.append((f"{pre}({w[a:a + len(res)]})", mask, pre, res))
+    entries.sort()  # literals are distinct, so only they are compared
+    return Algebra(
+        members=tuple(_canonical(pre, res) for _, _, pre, res in entries),
+        generators=gens,
+        downward_closed=downward,
+        lead=m,
+        period=period,
+        atoms=tuple(atoms.values()),
+        masks=tuple(mask for _, mask, _, _ in entries),
+    )

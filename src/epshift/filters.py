@@ -15,6 +15,16 @@ more facts: the complement is in F iff C_p ∩ G(X) = ∅; X − n has period
 p and G(X − n) = G(X) − n, so {n : X − n ∈ F} is purely periodic with
 period dividing s; and neither needs the algebra to be downward closed
 or the filter to be ultra.
+
+On a generated algebra each of these questions is one bit test.  Every
+member of the algebra has preperiod at most m and period p dividing L,
+the algebra's window lead and period, so its window mask (bit n for
+position n < m + L) reads its residue word's bit n mod p at every
+n >= m.  Let s be the closure step at L and Z the window positions n in
+[m, m + L) with s | n: they reduce mod any member period p to exactly
+C_p, so X ∈ F iff its mask contains Z, and X̄ ∈ F iff its mask misses Z
+(see :class:`FilterReport`).  Members are unions of atoms, so dichotomy
+holds iff Z lies in one atom.
 Everything else here is bookkeeping around that kernel: axiom audits with
 witnesses, construction from the dynamics (encode, solve, certify), limits
 along the filter, scope extension, which is the build on the wider scope,
@@ -41,6 +51,7 @@ from .epcore import (
     EpSet,
     InputError,
     _canonical,
+    _periodic_parts,
     _primitive_root,
     generate_algebra,
 )
@@ -170,6 +181,10 @@ def filter_member(g: IpGenerator, x: EpSet) -> MemberResult:
     )
 
 
+# the scope of a filter for a bare generator: the two sets EMPTY and FULL
+_TRIVIAL_SCOPE = generate_algebra([FULL], downward=True)
+
+
 @dataclass(frozen=True, eq=False)
 class PartialUltrafilter:
     """F((n_i)) restricted to a scope algebra.
@@ -192,7 +207,7 @@ class PartialUltrafilter:
 
     @classmethod
     def for_generator(cls, generator: IpGenerator) -> "PartialUltrafilter":
-        return cls(generator=generator, scope=generate_algebra([FULL], downward=True))
+        return cls(generator=generator, scope=_TRIVIAL_SCOPE)
 
     def member(self, x: EpSet) -> bool:
         return "0" not in x.res[:: _closure_step(self.generator, len(x.res))]
@@ -211,7 +226,11 @@ def translate_membership_set(f: PartialUltrafilter, x: EpSet) -> EpSet:
     strided read of X's residue word.  The word's primitive root with an
     empty preperiod is D(X)'s canonical form.
     """
-    s = _closure_step(f.generator, len(x.res))
+    return _translate_set(x, _closure_step(f.generator, len(x.res)))
+
+
+def _translate_set(x: EpSet, s: int) -> EpSet:
+    """D(X) for X of closure step s (see ``translate_membership_set``)."""
     word = "".join("0" if "0" in x.res[n::s] else "1" for n in range(s))
     return _canonical("", _primitive_root(word))
 
@@ -230,6 +249,17 @@ class FilterReport:
     positive member at most s (Hirst); and D's period divides s, which
     divides n_{L-1} and every d_i, so D's own closure step is its period
     and D(X) ∈ F iff 0 ∈ D(X), which holds (idempotent).
+
+    The verdicts are read off the algebra's window masks.  A member X
+    with period p | L and preperiod at most m reads G(X)'s bit n mod p at
+    each window position n in [m, m + L).  Those L positions are one
+    of each residue mod L and s = gcd(L, n_{L-1}, d_0, ...) divides L, so
+    the multiples of s among them, Z, are the multiples of s mod L, and
+    mod p the multiples of gcd(p, s) = gcd(p, n_{L-1}, d_0, ...), which
+    is C_p.  Hence X ∈ F iff mask(X) ⊇ Z and X̄ ∈ F iff mask(X) ∩ Z = ∅.
+    Z is nonempty and every member is a union of atoms, so when Z lies
+    in one atom each member contains Z or misses it, and when Z meets two
+    atoms, either of them is a member decided neither way.
     """
 
     all_pass: bool
@@ -256,17 +286,16 @@ class FilterReport:
 
 def _split(g: IpGenerator, algebra: Algebra) -> tuple[list[EpSet], list[str]]:
     """The members of ``algebra`` in F((n_i)), and the literals of those
-    with neither X nor X̄ in F: X ∈ F iff C_p ⊆ G(X), and X̄ ∈ F iff
-    C_p ∩ G(X) = ∅, so C_p ≠ ∅ never puts both in F."""
-    selected = []
-    neither = []
-    for x in algebra.members:
-        w = x.res[:: _closure_step(g, len(x.res))]
-        if "0" not in w:
-            selected.append(x)
-        elif "1" in w:
-            neither.append(x.literal)
-    return selected, neither
+    with neither X nor X̄ in F: X ∈ F iff its window mask contains Z, and
+    X̄ ∈ F iff it misses Z (see :class:`FilterReport`), so Z ≠ ∅ never puts
+    both in F."""
+    m, s = algebra.lead, _closure_step(g, algebra.period)
+    z = sum(1 << n for n in range(m + -m % s, m + algebra.period, s))
+    members, masks = algebra.members, algebra.masks
+    selected = [x for x, mask in zip(members, masks) if mask & z == z]
+    if any(atom & z == z for atom in algebra.atoms):
+        return selected, []  # each member holds Z's atom or misses it
+    return selected, [x.literal for x, mask in zip(members, masks) if mask & z not in (0, z)]
 
 
 def verify_filter(f: PartialUltrafilter, algebra: Algebra) -> FilterReport:
@@ -282,12 +311,14 @@ def verify_filter(f: PartialUltrafilter, algebra: Algebra) -> FilterReport:
     dichotomy = {"pass": not neither}
     if neither:
         dichotomy["neither"] = neither
+    # X's closure step is gcd(p, s) for the step s at the algebra's period
+    s = _closure_step(f.generator, algebra.period)
     members = []
     for x in selected:
         # D(X) is purely periodic and 0 ∈ D(X) because X ∈ F: the gap is the
         # longest cyclic run of zeros and the least positive member is the
         # first "1" past position 0 of its residue word doubled
-        d = translate_membership_set(f, x)
+        d = _translate_set(x, math.gcd(len(x.res), s))
         ww = d.res + d.res
         members.append({
             "set": x.literal,
@@ -310,11 +341,38 @@ def verify_filter(f: PartialUltrafilter, algebra: Algebra) -> FilterReport:
     )
 
 
+def _encoded_pair(algebra: Algebra) -> tuple[SymbolicPoint, SymbolicPoint]:
+    """``encode_point(algebra.members)`` and its ``ae_solve``, gathered from
+    the algebra's own members by window mask.
+
+    Coordinate i of the point is the complement of member i, the member
+    whose mask is the window's full mask less member i's.  Its companion
+    ("", res) reads res at every position, so its mask is the
+    complement's periodic part (``_periodic_parts``).  It is the
+    complement's translate by a multiple of its period past m, so a
+    downward-closed algebra holds it.
+    """
+    full = (1 << algebra.lead + algebra.period) - 1
+    member = dict(zip(algebra.masks, algebra.members)).__getitem__
+    complements = [full ^ mask for mask in algebra.masks]
+    try:
+        x = SymbolicPoint(tuple(map(member, complements)))
+        y = SymbolicPoint(tuple(map(
+            member, _periodic_parts(complements, algebra.lead, algebra.period)
+        )))
+    except KeyError as exc:
+        raise ConstructionError(
+            f"the algebra has no member with window mask {exc.args[0]:#x}"
+        ) from None
+    return x, y
+
+
 def build_partial_ultrafilter(algebra: Algebra) -> PartialUltrafilter:
     """Construct a partial minimal idempotent ultrafilter for the algebra.
 
-    Encodes the algebra as a point x, solves for its recurrent proximal
-    companion y, and installs the generator of the certified IP
+    Encodes the algebra as a point x, takes its recurrent proximal
+    companion y, both gathered from the algebra's members
+    (``_encoded_pair``), and installs the generator of the certified IP
     construction over (x, y), so ``certificate.source`` is x.  The
     generator depends on x only through its period lcm and preperiod
     join.  A member the filter decides neither way raises, since it would
@@ -322,8 +380,7 @@ def build_partial_ultrafilter(algebra: Algebra) -> PartialUltrafilter:
     """
     if not algebra.downward_closed:
         raise InputError("filters need a downward-translation algebra")
-    x = encode_point(algebra.members)
-    cert = ip_sequence_construct(x, ae_solve(x))
+    cert = ip_sequence_construct(*_encoded_pair(algebra))
     selected, neither = _split(cert.generator, algebra)
     if neither:
         raise ConstructionError("built filter decides neither way on " + ", ".join(neither))
@@ -359,31 +416,39 @@ def extend_filter(f: PartialUltrafilter, new_scope: Algebra) -> PartialUltrafilt
     scope.  The pair fails, raising :class:`AetPairError` as ``ultralimit``
     would, exactly when an old member X of period p has closure step s < p:
     then {n : X − n ∈ F} has period s, so it is not X's periodic part.
+
+    Each check is decided once for the whole old scope, and its members
+    are walked only to name the offenders.  The old scope is generated by
+    its generators, so the downward-closed new scope contains it iff it
+    contains them.  Old periods divide L, the old scope's period, and the
+    generators' periods have lcm L, so some old member has s < p iff the
+    step at L is below L.  With no collapse both filters select X iff the
+    residue word's multiples of gcd(p, step at L) are all "1", so they
+    agree when the extension's step at L is L as well.
     """
     if not new_scope.downward_closed:
         raise InputError("filters need a downward-translation algebra")
-    missing = [x for x in f.scope.members if x not in new_scope]
-    if missing:
+    old = f.scope
+    if not all(g in new_scope for g in old.generators):
         raise InputError(
             "new scope must contain the old one; missing "
-            + ", ".join(x.literal for x in missing)
+            + ", ".join(x.literal for x in old.members if x not in new_scope)
         )
-    collapsed = [
-        x.literal for x in f.scope.members if _closure_step(f.generator, len(x.res)) < len(x.res)
-    ]
-    if collapsed:
+    if _closure_step(f.generator, old.period) < old.period:
         raise AetPairError(
             "pair check failed: the old scope's point and its limit are not proximal on "
-            + ", ".join(collapsed)
+            + ", ".join(
+                x.literal for x in old.members
+                if _closure_step(f.generator, len(x.res)) < len(x.res)
+            )
         )
     extended = build_partial_ultrafilter(new_scope)
-    disagreements = [
-        x.literal for x in f.scope.members if extended.member(x) != f.member(x)
-    ]
-    if disagreements:
-        raise ConstructionError(
-            "extension changed old-scope decisions on " + ", ".join(disagreements)
-        )
+    if _closure_step(extended.generator, old.period) < old.period:
+        disagreements = [x.literal for x in old.members if extended.member(x) != f.member(x)]
+        if disagreements:
+            raise ConstructionError(
+                "extension changed old-scope decisions on " + ", ".join(disagreements)
+            )
     return extended
 
 

@@ -236,7 +236,7 @@ def ip_sequence_construct(
         raise InputError("need at least one generator term")
     require_aet_pair(x, y)
     period = y.lcm_period
-    join = max(x.max_preperiod, y.max_preperiod)
+    join = x.max_preperiod  # the pair check found y purely periodic
     q0 = max(1, -(-join // period))
     terms = tuple(period * (q0 + i) for i in range(count))
 

@@ -349,6 +349,14 @@ class TestSubcommandSchemas:
             "3a59ef3c185d478c8f17056bc428f863e67b282e4c325ecfc80911ba3d05168b"
         )
 
+    def test_filter_build_32768_members(self, run):
+        code, out, _ = run("filter", "build", "(11010)", "(100)", "--cap", "32768")
+        d = json.loads(out)
+        assert code == 0 and d["scope_size"] == 32768 and d["all_pass"] is True
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "88107cc615ca672c1488608f3c4924423e03ac016db3498c2dd6d9c678e369ed"
+        )
+
     def test_filter_verify_fail_verdict(self, run):
         code, out, _ = run("filter", "verify", "--gen", "1,2+(3,1)", "--downward", "(10)")
         d = json.loads(out)

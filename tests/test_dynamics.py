@@ -38,6 +38,7 @@ from epshift.ipcore import (
     ip_sequence_construct,
     verify_ip_certificate,
 )
+from epshift.filters import build_partial_ultrafilter
 
 from setops import stack_points
 
@@ -102,9 +103,22 @@ class TestEncodePoint:
         assert encode_point([EpSet.parse("(0)")]).literal == "(1)"
 
     def test_algebra_follows_member_order(self):
-        alg = generate_algebra([EpSet.parse("(10)")], downward=True)
-        x = encode_point(alg.members)
-        assert x.coords == tuple(a.complement() for a in alg.members)
+        """A build encodes its algebra's members in member order, and its
+        certificate's target is that point's AE solution: checked on the
+        downward algebra of every canonical set with preperiod <= 2 and
+        period <= 3."""
+        sets = {
+            EpSet(w[:m], w[m:])
+            for m in range(3)
+            for p in range(1, 4)
+            for w in map("".join, product("01", repeat=m + p))
+        }
+        assert len(sets) == 40
+        for a in sets:
+            alg = generate_algebra([a], downward=True)
+            cert = build_partial_ultrafilter(alg).certificate
+            assert cert.source == encode_point(alg.members)
+            assert cert.target == ae_solve(cert.source)
 
     def test_empty_rejected(self):
         with pytest.raises(InputError):

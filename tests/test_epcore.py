@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
+from itertools import combinations, product
 from unittest import mock
 
 import pytest
@@ -440,3 +442,75 @@ class TestAlgebra:
         for g in gens:
             assert g in alg
         assert EMPTY in alg and FULL in alg
+
+
+def canonical_universe(max_pre: int, max_per: int) -> list[EpSet]:
+    """Every canonical set with preperiod <= max_pre and period <= max_per."""
+    return sorted(
+        {
+            EpSet(w[:m], w[m:])
+            for m in range(max_pre + 1)
+            for p in range(1, max_per + 1)
+            for w in map("".join, product("01", repeat=m + p))
+        },
+        key=lambda x: x.literal,
+    )
+
+
+# the 40 canonical sets with preperiod <= 2 and period <= 3
+UNIVERSE = canonical_universe(2, 3)
+
+
+def universe_algebras():
+    """The algebra of each universe set, with and without translates, and
+    the downward algebra of each pair."""
+    for a in UNIVERSE:
+        for downward in (True, False):
+            yield generate_algebra([a], downward=downward)
+    for a, b in combinations(UNIVERSE, 2):
+        yield generate_algebra([a, b], downward=True)
+
+
+class TestAlgebraMasks:
+    """An algebra keeps its window [0, lead + period), its atoms and each
+    member's window mask, and answers membership by atom unions."""
+
+    def test_window_atoms_and_masks(self):
+        count = 0
+        for alg in universe_algebras():
+            gens = alg.generators
+            assert alg.lead == max(len(g.pre) for g in gens)
+            assert alg.period == math.lcm(*(len(g.res) for g in gens))
+            width = alg.lead + alg.period
+            assert alg.masks == tuple(int(x.window(0, width)[::-1], 2) for x in alg.members)
+            # the atoms partition the window and the members are their unions
+            assert 0 not in alg.atoms and sum(alg.atoms) == (1 << width) - 1
+            assert all(a & b == 0 for a, b in combinations(alg.atoms, 2))
+            unions = {
+                sum(c) for k in range(len(alg.atoms) + 1) for c in combinations(alg.atoms, k)
+            }
+            assert set(alg.masks) == unions and len(alg.masks) == len(unions)
+            # the literal read off the window word orders members as str does
+            assert alg.members == tuple(sorted(alg.members, key=str))
+            count += 1
+        assert count == 80 + 780
+
+    def test_contains_matches_member_list(self):
+        """Probes run past the universe: preperiods longer than any lead,
+        periods that divide no window period, and windows that cut atoms."""
+        probes = canonical_universe(3, 4)
+        kinds: Counter = Counter()
+        for a in UNIVERSE:
+            for downward in (True, False):
+                alg = generate_algebra([a], downward=downward)
+                listed = frozenset(alg.members)
+                for x in probes:
+                    got = x in alg
+                    assert got == (x in listed), (a.literal, downward, x.literal)
+                    if len(x.pre) > alg.lead:
+                        kinds["longer preperiod"] += 1
+                    elif alg.period % len(x.res):
+                        kinds["period not dividing"] += 1
+                    else:
+                        kinds["member" if got else "not a union of atoms"] += 1
+        assert len(kinds) == 4 and min(kinds.values()) > 100

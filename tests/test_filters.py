@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from epshift import filters
+from epshift import dynamics, epcore, filters
 from epshift.epcore import (
     EMPTY,
     FULL,
@@ -352,6 +352,8 @@ class TestPartialUltrafilter:
         f = PartialUltrafilter.for_generator(IpGenerator.parse("2+(2)"))
         assert {m.literal for m in f.scope.members} == {"(0)", "(1)"}
         assert f.scope.downward_closed
+        # one scope serves every bare generator
+        assert PartialUltrafilter.for_generator(IpGenerator.parse("1+(3)")).scope is f.scope
 
 
 class TestBuildFilter:
@@ -398,6 +400,34 @@ class TestBuildFilter:
         with mock.patch.object(EpSet, "window", counted):
             build_partial_ultrafilter(alg)
         assert len(calls) <= 8
+
+    @pytest.mark.parametrize("gens", [["(10)", "(100)"], ["01(10)", "(110)"], ["1(10)", "(1000)"]])
+    def test_builds_no_set(self, gens):
+        """The encoded point and its companion are gathered from the
+        algebra's members, so a build complements, canonicalizes and
+        constructs no set."""
+        alg = generate_algebra([EpSet.parse(t) for t in gens], downward=True)
+        with mock.patch.object(EpSet, "complement", side_effect=AssertionError), \
+                mock.patch.object(EpSet, "__init__", side_effect=AssertionError), \
+                mock.patch.object(epcore, "_canonical", side_effect=AssertionError), \
+                mock.patch.object(dynamics, "_canonical", side_effect=AssertionError), \
+                mock.patch.object(filters, "_canonical", side_effect=AssertionError):
+            f = build_partial_ultrafilter(alg)
+        assert f.certificate.source == encode_point(alg.members)
+        assert f.certificate.target == ae_solve(f.certificate.source)
+
+    def test_memberless_mask_raises(self):
+        """A downward algebra holds every complement and companion; an
+        algebra missing one is a library fault."""
+        alg = generate_algebra([EpSet.parse("1(10)")], downward=True)
+        i = alg.members.index(EpSet.parse("(10)"))
+        broken = replace(
+            alg,
+            members=alg.members[:i] + alg.members[i + 1:],
+            masks=alg.masks[:i] + alg.masks[i + 1:],
+        )
+        with pytest.raises(ConstructionError, match="no member with window mask 0x"):
+            build_partial_ultrafilter(broken)
 
     @pytest.mark.parametrize("gens", [["(10)"], ["(100)"], ["1(10)"], ["(110)"], ["(10)", "(100)"]])
     def test_built_filters_verify(self, gens):
@@ -491,6 +521,73 @@ def brute_verify(f: PartialUltrafilter, algebra) -> FilterReport:
         infiniteness=infiniteness,
         members=tuple(member_reports),
     )
+
+
+def per_member_split(g: IpGenerator, algebra: Algebra) -> tuple[list[EpSet], list[str]]:
+    """Oracle: the split read member by member off each residue word at its
+    own closure step, with no window mask: X ∈ F iff the word is "1" at
+    every multiple of the step, and X̄ ∈ F iff it is "0" at every one."""
+    selected = []
+    neither = []
+    for x in algebra.members:
+        w = x.res[:: gcd(len(x.res), g.head[-1], *g.tail_diffs)]
+        if "0" not in w:
+            selected.append(x)
+        elif "1" in w:
+            neither.append(x.literal)
+    return selected, neither
+
+
+# generators drawn by hand for audits: most split some period's residues
+FOREIGN = ["1,2+(3,1)", "1+(2)", "2,4+(6)", "3+(3)", "1+(12)", "5+(4,6)"]
+
+
+def opaque(algebra: Algebra) -> Algebra:
+    """``algebra`` with each member replaced by a token that has no residue
+    word, literal or window: any read of a member raises."""
+    return replace(algebra, members=tuple(object() for _ in algebra.members))
+
+
+class TestMaskSplit:
+    """``_split`` decides each member by one bit test of its window mask
+    against Z; ``per_member_split`` reads residue words instead."""
+
+    def test_handmade_examples(self):
+        alg = generate_algebra([EVENS], downward=True)
+        assert filters._split(IpGenerator.parse("1,2+(3,1)"), alg) == (
+            [FULL], ["(01)", "(10)"]
+        )
+        assert filters._split(IpGenerator.parse("2+(2)"), alg) == ([FULL, EVENS], [])
+
+    @given(st.lists(scope_sets, min_size=1, max_size=3), st.booleans(), generators)
+    def test_matches_per_member_split(self, gens, downward, g):
+        alg = small_algebra(gens, downward, cap=64)
+        assert filters._split(g, alg) == per_member_split(g, alg)
+
+    @pytest.mark.parametrize("downward", [True, False], ids=["downward", "flat"])
+    def test_pinned_scope_cases(self, downward):
+        """Each pinned scope case's algebra, and its algebra without
+        translates, under its built and its foreign generator."""
+        mismatches = []
+        for name, case in PINNED_SCOPE:
+            alg = generate_algebra([EpSet.parse(t) for t in case["gens"]], downward=downward)
+            for text in (case["expect"]["generator"], case["foreign"]):
+                g = IpGenerator.parse(text)
+                if filters._split(g, alg) != per_member_split(g, alg):
+                    mismatches.append((name, text))
+        assert len(PINNED_SCOPE) == 78 and mismatches == []
+
+    @pytest.mark.parametrize("gens", [["(10)", "(100)"], ["01(10)", "(110)"], ["1(10)", "(1000)"]])
+    def test_success_path_reads_no_member(self, gens):
+        """On a scope the generator decides, the split picks members by
+        position alone; only a "neither" literal needs its member."""
+        alg = generate_algebra([EpSet.parse(t) for t in gens], downward=True)
+        g = build_partial_ultrafilter(alg).generator
+        tokens = opaque(alg)
+        picked, neither = filters._split(g, tokens)
+        assert neither == []
+        want = per_member_split(g, alg)[0]
+        assert [alg.members[tokens.members.index(t)] for t in picked] == want
 
 
 class TestVerifyFilter:
@@ -666,6 +763,105 @@ handmade_generators = st.one_of(
         ),
     ),
 )
+
+
+def per_member_extend(f: PartialUltrafilter, new_scope: Algebra) -> PartialUltrafilter:
+    """Oracle: ``extend_filter`` with each check a per-member list.  The
+    old members missing from the new scope's member list, those whose
+    closure step is below their period, and those the extension decides
+    otherwise than f are listed, and a nonempty list raises."""
+    if not new_scope.downward_closed:
+        raise InputError("filters need a downward-translation algebra")
+    listed = frozenset(new_scope.members)
+    missing = [x.literal for x in f.scope.members if x not in listed]
+    if missing:
+        raise InputError("new scope must contain the old one; missing " + ", ".join(missing))
+    g = f.generator
+    collapsed = [
+        x.literal for x in f.scope.members
+        if gcd(len(x.res), g.head[-1], *g.tail_diffs) < len(x.res)
+    ]
+    if collapsed:
+        raise AetPairError(
+            "pair check failed: the old scope's point and its limit are not proximal on "
+            + ", ".join(collapsed)
+        )
+    extended = filters.build_partial_ultrafilter(new_scope)
+    changed = [
+        x.literal for x in f.scope.members
+        if filter_member(extended.generator, x).member != filter_member(g, x).member
+    ]
+    if changed:
+        raise ConstructionError("extension changed old-scope decisions on " + ", ".join(changed))
+    return extended
+
+
+def extension_message(extend, f: PartialUltrafilter, new_scope: Algebra):
+    """The generator and members ``extend`` installs, or the type and
+    message of what it raises."""
+    try:
+        g = extend(f, new_scope)
+    except (InputError, ConstructionError) as exc:
+        return type(exc), str(exc)
+    return g.generator, g.members
+
+
+class TestExtendDecisions:
+    """``extend_filter`` decides containment on the old generators and
+    collapse and agreement by one gcd at the old period; it names the same
+    members as the per-member lists of ``per_member_extend``."""
+
+    def test_collapse_names_members(self):
+        f = PartialUltrafilter(IpGenerator.parse("1,2+(3,1)"), generate_algebra([EVENS], downward=True))
+        wider = generate_algebra([EVENS, MULT4], downward=True)
+        got = extension_message(extend_filter, f, wider)
+        assert got == extension_message(per_member_extend, f, wider)
+        assert got == (AetPairError, "pair check failed: the old scope's point and its "
+                       "limit are not proximal on (01), (10)")
+
+    def test_missing_names_members(self):
+        f = build_partial_ultrafilter(generate_algebra([EpSet.parse("(100)")], downward=True))
+        other = generate_algebra([EVENS], downward=True)
+        got = extension_message(extend_filter, f, other)
+        assert got == extension_message(per_member_extend, f, other)
+        assert got[0] is InputError and got[1].endswith("(001), (010), (011), (100), (101), (110)")
+
+    def test_disagreement_names_members(self, monkeypatch):
+        """A build that skipped its dichotomy check: the one gcd sees the
+        extension's step 1 below the old period 2, and the walk names the
+        evens, which f selects and the extension does not."""
+        f = build_partial_ultrafilter(generate_algebra([EVENS], downward=True))
+        wider = generate_algebra([EVENS, MULT4], downward=True)
+        monkeypatch.setattr(
+            filters, "build_partial_ultrafilter",
+            lambda scope: PartialUltrafilter(IpGenerator.parse("1+(1)"), scope),
+        )
+        got = extension_message(extend_filter, f, wider)
+        assert got == extension_message(per_member_extend, f, wider)
+        assert got == (ConstructionError, "extension changed old-scope decisions on (10)")
+
+    @settings(max_examples=300)
+    @given(
+        handmade_generators,
+        st.lists(scope_sets, min_size=1, max_size=2),
+        st.lists(scope_sets, min_size=1, max_size=2),
+        st.sampled_from(["wider"] * 3 + ["unrelated"] * 2 + ["flat"]),
+    )
+    def test_matches_per_member_lists(self, g, old, extra, kind):
+        f = PartialUltrafilter(g, small_algebra(old, True, cap=64))
+        wider = small_algebra(extra if kind == "unrelated" else old + extra, kind != "flat", cap=64)
+        assert extension_message(extend_filter, f, wider) == extension_message(
+            per_member_extend, f, wider
+        )
+
+    @given(st.lists(scope_sets, min_size=2, max_size=3))
+    def test_success_path_reads_no_old_member(self, gens):
+        """A built filter's extension reads the old scope's generators and
+        period, never its members."""
+        a0, a1 = small_algebra(gens[:1], True, cap=64), small_algebra(gens, True, cap=64)
+        f = build_partial_ultrafilter(a0)
+        got = extend_filter(replace(f, scope=opaque(a0)), a1)
+        assert (got.generator, got.members) == extension_message(per_member_extend, f, a1)
 
 
 class TestExtendFilter:
@@ -845,7 +1041,9 @@ class TestScopeUniverse:
     filter's limit of its point is the AE solution, extending it is the
     stacked EAET extension and the build on the wider scope, every verdict
     is the closed form, and each wider build's audit entry reads the
-    periodic part of its set."""
+    periodic part of its set.  Each wider build encodes its members in
+    order, and the mask split equals the per-member split under its
+    generator and the foreign ones."""
 
     def test_build_limit_and_extension(self):
         universe = canonical_sets(SCOPE_UNIVERSE_PRE, SCOPE_UNIVERSE_PER)
@@ -868,6 +1066,12 @@ class TestScopeUniverse:
                     closed = tuple(x for x in alg.members if closed_form_member(x))
                     built = build_partial_ultrafilter(alg)
                     wider[key] = built, closed
+                    source = built.certificate.source
+                    if source != encode_point(alg.members) or built.certificate.target != ae_solve(source):
+                        mismatches.append(("encode", a.literal, b.literal))
+                    for g in [built.generator, *map(IpGenerator.parse, FOREIGN)]:
+                        if filters._split(g, alg) != per_member_split(g, alg):
+                            mismatches.append(("split", g.literal, a.literal, b.literal))
                     for x, entry in zip(built.members, verify_filter(built, alg).members, strict=True):
                         if x not in audit:
                             d = periodic_part(x)
