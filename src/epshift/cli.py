@@ -73,7 +73,7 @@ def _classes(text: str) -> tuple[EpSet, ...]:
 def _cert_dict(cert: IpConstructionCertificate) -> dict:
     return {
         "generator": cert.generator.literal,
-        "neighborhoods": [[u.coord_depth, u.pos_depth] for u in cert.neighborhoods],
+        "neighborhoods": [list(u) for u in cert.neighborhoods],
         "source": cert.source.literal,
         "target": cert.target.literal,
     }
@@ -179,13 +179,7 @@ def _cmd_ip_construct(ns) -> dict:
         SymbolicPoint.parse(ns.x), SymbolicPoint.parse(ns.y), count=ns.count
     )
     d = _cert_dict(cert)
-    return {
-        "generator": d["generator"],
-        "count": len(cert.generator.head),
-        "neighborhoods": d["neighborhoods"],
-        "source": d["source"],
-        "target": d["target"],
-    }
+    return {"generator": d.pop("generator"), "count": len(cert.generator.head), **d}
 
 
 def _cmd_ip_limit(ns) -> dict:

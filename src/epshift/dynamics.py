@@ -356,10 +356,6 @@ class Cylinder:
         if self.pos_depth < 0:
             raise InputError("position depth must be a natural number")
 
-    @property
-    def trivial(self) -> bool:
-        return self.coord_depth == 0 or self.pos_depth == 0
-
     def contains(self, z: SymbolicPoint, n: int = 0) -> bool:
         """Whether T^n z lies in the cylinder: on every constrained
         coordinate, T^n z first disagrees with the reference at or past

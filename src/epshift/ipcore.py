@@ -10,10 +10,12 @@ The centerpiece is :func:`ip_sequence_construct`, which builds, for a
 verified pair (x, y) with y uniformly recurrent and proximal to x, a
 nested chain of cylinders U_0 ⊇ U_1 ⊇ … around y together with generator
 terms n_i satisfying T^{n_i} U_{i+1} ⊆ U_i and T^{n_i} x, T^{n_i} y ∈
-U_{i+1}, with U_i inside the 2^-i ball at y.  Those conditions force
-every finite sum s with least index i₁ to satisfy d(T^s x, y) <= 2^-i₁,
-and they are re-verified from scratch on the emitted certificate rather
-than trusted from the construction.
+U_{i+1}, with U_i inside the 2^-i ball at y.  Each U_i is recorded as
+its (coordinate depth, position depth) pair: the points agreeing with y
+on the coordinates below the first at the positions below the second.
+Those conditions force every finite sum s with least index i₁ to satisfy
+d(T^s x, y) <= 2^-i₁, and they are re-verified from scratch on the
+emitted certificate rather than trusted from the construction.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from operator import or_
 
 from .epcore import ConstructionError, EpSet, InputError, LiteralError
 from .dynamics import (
-    Cylinder,
     SymbolicPoint,
     _agreement_profile,
     ae_solve,
@@ -159,8 +160,12 @@ def fs_enumerate(g: IpGenerator, from_index: int, max_terms: int, bound: int) ->
 
 @dataclass(frozen=True)
 class IpConstructionCertificate:
+    """An IP generator and its neighbourhoods U_0..U_L around ``target``,
+    each a (coordinate depth, position depth) pair; depth 0 in either
+    direction is the whole space."""
+
     generator: IpGenerator
-    neighborhoods: tuple[Cylinder, ...]
+    neighborhoods: tuple[tuple[int, int], ...]
     target: SymbolicPoint
     source: SymbolicPoint
 
@@ -173,26 +178,28 @@ def verify_ip_certificate(cert: IpConstructionCertificate) -> list[str]:
     memberships T^{n_i} x ∈ U_{i+1} and T^{n_i} y ∈ U_{i+1}, and the ball
     bound U_i ⊆ B(y, 2^-i).
 
-    Each U_i must first contain y (as it does its reference), so it is the
-    cylinder around y with its own depths.  Two cylinders around y nest
+    Each U_i is the cylinder around y with its own depths, so two nest
     exactly when their depths do, and the ball bound is a depth bound.
     T^n U_{i+1} ⊆ U_i holds exactly when U_i's constraints fit inside
     U_{i+1}'s shifted by n and T^n y lies in U_i.  Each membership of
-    T^n x or T^n y is one read of its ``_agreement_profile``.
+    T^n x or T^n y is one read of its ``_agreement_profile``.  A depth
+    pair outside the product raises ``InputError``.
     """
     x, y = cert.source, cert.target
     us = cert.neighborhoods
     terms = cert.generator.head
     if len(us) != len(terms) + 1:
         return [f"expected {len(terms) + 1} neighborhoods for {len(terms)} terms, got {len(us)}"]
-    off = [f"U_{i} is not a cylinder around y" for i, u in enumerate(us)
-           if u.reference != y and not u.contains(y)]
-    if off:
-        return off
-    if x.coord_count != y.coord_count:
+    coord_count = y.coord_count
+    for c, k in us:
+        if not 0 <= c <= coord_count:
+            raise InputError("coordinate depth out of range")
+        if k < 0:
+            raise InputError("position depth must be a natural number")
+    if x.coord_count != coord_count:
         raise InputError("points live in products of different sizes")
     # past `lead`, T^n x and T^n y repeat with `period` on `head`: one profile pair per phase
-    depth = max(u.coord_depth for u in us)
+    depth = max(c for c, _ in us)
     head = x.coords[:depth] + y.coords[:depth]
     lead = max((len(c.pre) for c in head), default=0)
     period = math.lcm(*(len(c.res) for c in head))
@@ -202,21 +209,20 @@ def verify_ip_certificate(cert: IpConstructionCertificate) -> list[str]:
         phase = n if n < lead else lead + (n - lead) % period
         if phase not in profiles:
             profiles[phase] = [_agreement_profile(z, y, phase, depth) for z in (x, y)]
-        (px, py), u, v = profiles[phase], us[i], us[i + 1]
-        # U_i's constraints inside U_{i+1}'s, shifted by 0 and by n
-        deeper = not v.trivial and u.coord_depth <= v.coord_depth
-        if not (u.trivial or (deeper and u.pos_depth <= v.pos_depth)):
+        (px, py), (uc, uk), (vc, vk) = profiles[phase], us[i], us[i + 1]
+        # U_i's constraints inside U_{i+1}'s, shifted by 0 and by n; a U_i
+        # of depth 0 is the whole space and holds anything
+        if uc and uk and not (uc <= vc and uk <= vk):
             failures.append(f"U_{i + 1} is not contained in U_{i}")
-        if not (u.trivial or (deeper and u.pos_depth + n <= v.pos_depth
-                              and py[u.coord_depth] >= u.pos_depth)):
+        if uc and uk and not (uc <= vc and uk + n <= vk and py[uc] >= uk):
             failures.append(f"T^{n} U_{i + 1} is not contained in U_{i}")
-        if px[v.coord_depth] < v.pos_depth:
+        if px[vc] < vk:
             failures.append(f"T^{n} x misses U_{i + 1}")
-        if py[v.coord_depth] < v.pos_depth:
+        if py[vc] < vk:
             failures.append(f"T^{n} y misses U_{i + 1}")
-    for i, u in enumerate(us):
-        k = min(y.coord_count, i)
-        if k and (u.coord_depth < k or u.pos_depth < i):
+    for i, (c, k) in enumerate(us):
+        j = min(coord_count, i)
+        if j and (c < j or k < i):
             failures.append(f"U_{i} is not inside the 2^-{i} ball at y")
     return failures
 
@@ -228,9 +234,11 @@ def ip_sequence_construct(
 
     Requires (x, y) to verify as a solution pair (y uniformly recurrent,
     x proximal to y).  Terms are the least multiples of y's period past
-    the preperiod join, which makes every condition hold structurally;
-    the emitted certificate is still re-verified from scratch and a
-    failure raises, since a verifier bug elsewhere must not go quiet.
+    the preperiod join, and U_{i+1} has depths (min(i + 1, K), the larger
+    of i + 1 and U_i's position depth plus n_i) for K coordinates, which
+    makes every condition hold structurally; the emitted certificate is
+    still re-verified from scratch and a failure raises, since a verifier
+    bug elsewhere must not go quiet.
     """
     if count < 1:
         raise InputError("need at least one generator term")
@@ -240,16 +248,16 @@ def ip_sequence_construct(
     q0 = max(1, -(-join // period))
     terms = tuple(period * (q0 + i) for i in range(count))
 
-    cyls = [Cylinder(y, 0, 0)]
-    cdepth = pdepth = 0
+    coord_count = y.coord_count
+    us = [(0, 0)]
+    pdepth = 0
     for i, n in enumerate(terms):
-        cdepth = min(i + 1, y.coord_count)
         pdepth = max(i + 1, pdepth + n)
-        cyls.append(Cylinder(y, cdepth, pdepth))
+        us.append((min(i + 1, coord_count), pdepth))
 
     cert = IpConstructionCertificate(
         generator=IpGenerator(terms, (period,)),
-        neighborhoods=tuple(cyls),
+        neighborhoods=tuple(us),
         target=y,
         source=x,
     )

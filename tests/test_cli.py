@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,17 @@ import pytest
 
 from epshift import cli
 from epshift.cli import build_parser, main
+from epshift.dynamics import SymbolicPoint
+from epshift.epcore import EpSet, generate_algebra
+from epshift.filters import build_partial_ultrafilter
+from epshift.ipcore import (
+    IpConstructionCertificate,
+    IpGenerator,
+    aet_to_iht_pipeline,
+    ip_sequence_construct,
+    verify_ip_certificate,
+)
+from test_dynamics import window_replay
 
 
 @pytest.fixture()
@@ -568,3 +580,79 @@ class TestDeterminism:
         assert run("set", "algebra", "(10)", "(1100)", "--downward", "--cap", "2")[0] == 3
         assert [run(*argv) for argv in clean] == first
         assert build_parser() is build_parser()
+
+
+# where each certifying subcommand prints its certificate
+PRINTED_CERTIFICATE = {
+    ("ip", "construct"): lambda out: {k: v for k, v in out.items() if k != "count"},
+    ("ip", "pipeline"): lambda out: out["certificate"],
+    ("filter", "build"): lambda out: out["stages"]["certificate"],
+}
+
+
+def parse_certificate(d: dict) -> IpConstructionCertificate:
+    """A printed certificate read back with the literal parsers alone."""
+    return IpConstructionCertificate(
+        generator=IpGenerator.parse(d["generator"]),
+        neighborhoods=tuple(tuple(u) for u in d["neighborhoods"]),
+        target=SymbolicPoint.parse(d["target"]),
+        source=SymbolicPoint.parse(d["source"]),
+    )
+
+
+def library_certificate(argv) -> IpConstructionCertificate:
+    """The certificate the library builds for a certifying subcommand."""
+    ns = build_parser().parse_args(list(argv))
+    kind = tuple(argv[:2])
+    if kind == ("ip", "construct"):
+        return ip_sequence_construct(
+            SymbolicPoint.parse(ns.x), SymbolicPoint.parse(ns.y), count=ns.count
+        )
+    if kind == ("ip", "pipeline"):
+        colorings = [tuple(EpSet.parse(t) for t in c.split(";")) for c in ns.coloring]
+        return aet_to_iht_pipeline(colorings, terms=ns.terms).certificate
+    assert kind == ("filter", "build")
+    sets = [EpSet.parse(t) for t in ns.sets]
+    return build_partial_ultrafilter(generate_algebra(sets, downward=True, cap=ns.cap)).certificate
+
+
+def certifying_calls():
+    """The corpus calls that print a certificate, and a few wider ones."""
+    corpus = [c["argv"] for c in PINNED_CORPUS if tuple(c["argv"][:2]) in PRINTED_CERTIFICATE]
+    return corpus + [
+        ["ip", "construct", "1(10);(0011)", "(01);(0011)", "--count", "6"],
+        ["ip", "construct", "1101(0110);(001)", "(0110);(001)", "--count", "3"],
+        ["ip", "construct", "(10)", "(10)", "--count", "1"],
+        ["ip", "pipeline", "--coloring", "(10);(01)", "--coloring", "(1000);(0111)", "--terms", "5"],
+        ["filter", "build", "(10)", "(1100)", "(100)"],
+    ]
+
+
+class TestCertificateRoundTrip:
+    """Each printed certificate parses back into the library's own, and
+    both replays accept it."""
+
+    def check(self, argv, out: dict) -> None:
+        cert = parse_certificate(PRINTED_CERTIFICATE[tuple(argv[:2])](out))
+        assert cert == library_certificate(argv), argv
+        assert verify_ip_certificate(cert) == [], argv
+        assert window_replay(cert) == [], argv
+
+    @pytest.mark.parametrize("argv", certifying_calls(), ids=" ".join)
+    def test_certifying_call(self, run, argv):
+        code, out, _ = run(*argv)
+        assert code == 0
+        self.check(argv, json.loads(out))
+
+    @pytest.mark.parametrize("scenario", ["aetmin.scn", "extend.scn"])
+    def test_scenario_steps(self, run, scenario):
+        code, out, _ = run("scenario", "run", scenario)
+        assert code == 0
+        results, checked = {}, 0
+        for step in json.loads(out)["steps"]:
+            argv = [cli._substitute(t, results) for t in shlex.split(step["command"])]
+            results[step["name"]] = step["result"]
+            if tuple(argv[:2]) in PRINTED_CERTIFICATE:
+                self.check(argv, step["result"])
+                checked += 1
+        assert checked >= 1

@@ -700,11 +700,16 @@ class TestOrbitClosure:
             assert set(orbit_closure(z)) == orb
 
 
+def whole_space(u: Cylinder) -> bool:
+    """A cylinder of depth 0 in either direction constrains nothing."""
+    return u.coord_depth == 0 or u.pos_depth == 0
+
+
 def window_subset_of(u: Cylinder, v: Cylinder) -> bool:
     """Oracle: U ⊆ V by its own comparison of the references' windows."""
-    if v.trivial:
+    if whole_space(v):
         return True
-    if u.trivial:
+    if whole_space(u):
         return False
     if v.coord_depth > u.coord_depth or v.pos_depth > u.pos_depth:
         return False
@@ -717,9 +722,9 @@ def window_subset_of(u: Cylinder, v: Cylinder) -> bool:
 
 def window_shift_image_subset(u: Cylinder, n: int, v: Cylinder) -> bool:
     """Oracle: T^n U ⊆ V by its own comparison of the references' windows."""
-    if v.trivial:
+    if whole_space(v):
         return True
-    if u.trivial:
+    if whole_space(u):
         return False
     if v.coord_depth > u.coord_depth or v.pos_depth + n > u.pos_depth:
         return False
@@ -810,15 +815,13 @@ class TestCylinder:
 
 
 def window_replay(cert: IpConstructionCertificate) -> list[str]:
-    """Oracle: the certificate replay with each neighbourhood a cylinder
-    around any point, every condition checked by the window oracles."""
+    """Oracle: the certificate replay with each depth pair built into its
+    cylinder around y, every condition checked by the window oracles."""
     x, y = cert.source, cert.target
-    us, terms = cert.neighborhoods, cert.generator.head
-    if len(us) != len(terms) + 1:
-        return [f"expected {len(terms) + 1} neighborhoods for {len(terms)} terms, got {len(us)}"]
-    off = [i for i, u in enumerate(us) if not window_contains(u, y, 0)]
-    if off:
-        return [f"U_{i} is not a cylinder around y" for i in off]
+    pairs, terms = cert.neighborhoods, cert.generator.head
+    if len(pairs) != len(terms) + 1:
+        return [f"expected {len(terms) + 1} neighborhoods for {len(terms)} terms, got {len(pairs)}"]
+    us = [Cylinder(y, c, k) for c, k in pairs]
     failures = []
     for i, n in enumerate(terms):
         if not window_subset_of(us[i + 1], us[i]):
@@ -836,8 +839,7 @@ def window_replay(cert: IpConstructionCertificate) -> list[str]:
 
 
 def tamper(cert: IpConstructionCertificate, edits) -> IpConstructionCertificate:
-    """Apply one-field edits to a certificate, every neighbourhood kept
-    centred on y.
+    """Apply one-field edits to a certificate's terms and depth pairs.
 
     ("coord", j, c) sets U_j's coordinate depth to c; ("pos", j, a, d) sets
     U_j's position depth to d past bound a of those the checks compare it
@@ -852,16 +854,16 @@ def tamper(cert: IpConstructionCertificate, edits) -> IpConstructionCertificate:
     for kind, j, *args in edits:
         if kind == "coord":
             j = min(j, len(us) - 1)
-            us[j] = Cylinder(y, args[0] % (y.coord_count + 1), us[j].pos_depth)
+            us[j] = (args[0] % (y.coord_count + 1), us[j][1])
         elif kind == "pos":
             j = min(j, len(us) - 1)
             bounds = [j]  # the depths each check compares U_j's with
             if 0 < j <= len(terms):
-                bounds += [us[j - 1].pos_depth, us[j - 1].pos_depth + terms[j - 1]]
+                bounds += [us[j - 1][1], us[j - 1][1] + terms[j - 1]]
             if j + 1 < len(us) and j < len(terms):
-                bounds += [us[j + 1].pos_depth, us[j + 1].pos_depth - terms[j]]
+                bounds += [us[j + 1][1], us[j + 1][1] - terms[j]]
             pos = max(bounds[args[0] % len(bounds)] + args[1], 0)
-            us[j] = Cylinder(y, us[j].coord_depth, pos)
+            us[j] = (us[j][0], pos)
         elif kind == "term":
             j = min(j, len(terms) - 1)
             lo = terms[j - 1] if j else 0
@@ -920,8 +922,7 @@ class TestCertificateReplay:
         xs += [SymbolicPoint((u, v)) for u, v in product(UNIVERSE[::3], UNIVERSE[1::3])]
         for x in xs:
             cert = ip_sequence_construct(x, ae_solve(x), count=2)
-            flat = replace(cert, neighborhoods=tuple(
-                Cylinder(cert.target, 0, u.pos_depth) for u in cert.neighborhoods))
+            flat = replace(cert, neighborhoods=tuple((0, k) for _, k in cert.neighborhoods))
             top = x.max_preperiod + 2 * x.lcm_period
             for terms in combinations(range(1, top), 2):
                 for c in (cert, flat):
@@ -930,21 +931,21 @@ class TestCertificateReplay:
 
     def test_universe_every_depth_triple(self):
         """Points of one universe word at every term pair below the join
-        plus twice the lcm period, with the three cylinders at coordinate
+        plus twice the lcm period, with the three neighbourhoods at coordinate
         depth 1 and every position depth up to REPLAY_POS_DEPTH, where
         T^n y may miss U_i by exactly its depth."""
         wrong = []
         for u in UNIVERSE:
             x = SymbolicPoint((u,))
             cert = ip_sequence_construct(x, ae_solve(x), count=2)
-            cylinders = [Cylinder(cert.target, 1, k) for k in range(REPLAY_POS_DEPTH + 1)]
+            pairs = [(1, k) for k in range(REPLAY_POS_DEPTH + 1)]
             top = x.max_preperiod + 2 * x.lcm_period
             for terms in combinations(range(1, top), 2):
                 generator = IpGenerator(terms, cert.generator.tail_diffs)
-                for us in product(cylinders, repeat=3):
+                for us in product(pairs, repeat=3):
                     c = replace(cert, generator=generator, neighborhoods=us)
                     if verify_ip_certificate(c) != window_replay(c):
-                        wrong.append((u.literal, terms, [v.pos_depth for v in us]))
+                        wrong.append((u.literal, terms, [k for _, k in us]))
         assert wrong == []
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import replace
 from itertools import combinations, product
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epshift import dynamics
+from epshift import dynamics, ipcore
 from epshift.epcore import ConstructionError, EpSet, InputError, LiteralError, generate_algebra
 from epshift.dynamics import (
     SymbolicPoint,
@@ -230,36 +231,47 @@ class TestIpConstruction:
         cert = ip_sequence_construct(x, ae_solve(x), count=3)
         y = cert.target
         assert (cert.generator.head, y) == ((2, 4, 6), pt("(01)"))
-        assert [(u.coord_depth, u.pos_depth) for u in cert.neighborhoods] == [
-            (0, 0), (1, 2), (1, 6), (1, 12)
-        ]
+        assert cert.neighborhoods == ((0, 0), (1, 2), (1, 6), (1, 12))
 
         def check(**fields):
             return verify_ip_certificate(replace(cert, **fields))
 
-        def check_u(i, **fields):
+        def check_u(i, pair):
             us = list(cert.neighborhoods)
-            us[i] = replace(us[i], **fields)
+            us[i] = pair
             return check(neighborhoods=tuple(us))
 
         assert check(neighborhoods=cert.neighborhoods[:-1]) == [
             "expected 4 neighborhoods for 3 terms, got 3"
         ]
-        assert check_u(2, reference=x) == ["U_2 is not a cylinder around y"]
-        assert check(target=x) == [f"U_{i} is not a cylinder around y" for i in (1, 2, 3)]
-        assert check_u(2, coord_depth=0) == [
+        # the same depths around another point: that point's shifts leave them
+        assert check(target=x) == [
+            "T^2 x misses U_1", "T^2 y misses U_1",
+            "T^4 U_2 is not contained in U_1", "T^4 x misses U_2", "T^4 y misses U_2",
+            "T^6 U_3 is not contained in U_2", "T^6 x misses U_3", "T^6 y misses U_3",
+        ]
+        assert check_u(2, (0, 6)) == [
             "U_2 is not contained in U_1",
             "T^4 U_2 is not contained in U_1",
             "U_2 is not inside the 2^-2 ball at y",
         ]
-        assert check_u(2, pos_depth=5) == ["T^4 U_2 is not contained in U_1"]
+        assert check_u(2, (1, 5)) == ["T^4 U_2 is not contained in U_1"]
         assert check(source=y.shift(1)) == [
             "T^2 x misses U_1", "T^4 x misses U_2", "T^6 x misses U_3"
         ]
         assert check(generator=IpGenerator((2, 3, 6), (2,))) == [
             "T^3 U_2 is not contained in U_1", "T^3 x misses U_2", "T^3 y misses U_2"
         ]
-        assert check_u(1, coord_depth=0) == ["U_1 is not inside the 2^-1 ball at y"]
+        assert check_u(1, (0, 2)) == ["U_1 is not inside the 2^-1 ball at y"]
+
+
+    @pytest.mark.parametrize("pair", [(2, 1), (-1, 1), (1, -1)])
+    def test_out_of_range_pair_raises(self, pair):
+        """A depth pair outside the product of y's coordinates, or with a
+        negative position depth, is bad input, as it is for a ``Cylinder``."""
+        cert = ip_sequence_construct(pt("(10)"), pt("(10)"), count=2)
+        with pytest.raises(InputError):
+            verify_ip_certificate(replace(cert, neighborhoods=((0, 0), pair, (1, 4))))
 
 
 class TestIpLimitCheck:
@@ -719,6 +731,32 @@ def test_pinned_search_answer(case):
         "witness": list(res.witness) if res.found else None,
         "audit": verify_iht_witness(witness, colorings),
     } == case["expect"]
+
+
+def test_pinned_search_nodes():
+    """The pinned cases visit 6,482 search nodes: calls of the ``extend``
+    closure of ``_least_witness``, counted by a profile hook.  A lost cut
+    changes the work and no answer, so only this count sees it."""
+    extend = next(
+        c for c in ipcore._least_witness.__code__.co_consts if getattr(c, "co_name", "") == "extend"
+    )
+    nodes = 0
+
+    def count(frame, event, arg):
+        nonlocal nodes
+        if event == "call" and frame.f_code is extend:
+            nodes += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        for _, case in PINNED_SEARCH:
+            colorings = [[EpSet.parse(s) for s in c] for c in case["colorings"]]
+            iht_search(colorings, case["terms"], case["bound"])
+    finally:
+        sys.setprofile(previous)
+    assert len(PINNED_SEARCH) == 66
+    assert nodes == 6482
 
 
 class TestVerifyIhtWitness:
