@@ -28,7 +28,6 @@ from .epcore import (
 from .dynamics import (
     AetPairError,
     BlockCode,
-    Cylinder,
     SymbolicPoint,
     ae_solve,
     apply_block_code,
@@ -72,7 +71,6 @@ __all__ = [
     "BlockCode",
     "CapacityError",
     "ConstructionError",
-    "Cylinder",
     "EpSet",
     "GapCertificate",
     "InputError",

@@ -27,7 +27,6 @@ from .epcore import (
 )
 from .dynamics import (
     BlockCode,
-    Cylinder,
     SymbolicPoint,
     ae_solve,
     are_proximal,
@@ -156,8 +155,9 @@ def _cmd_dyn_eaetp(ns) -> dict:
 
 
 def _cmd_dyn_cover(ns) -> dict:
-    u = Cylinder(SymbolicPoint.parse(ns.reference), ns.coord_depth, ns.pos_depth)
-    return {"bound": covering_bound(SymbolicPoint.parse(ns.point), u)}
+    reference = SymbolicPoint.parse(ns.reference)
+    y = SymbolicPoint.parse(ns.point)
+    return {"bound": covering_bound(y, reference, ns.coord_depth, ns.pos_depth)}
 
 
 def _cmd_dyn_orbit(ns) -> dict:

@@ -27,7 +27,6 @@ from .epcore import EpSet, InputError, LiteralError, _canonical
 __all__ = [
     "AetPairError",
     "BlockCode",
-    "Cylinder",
     "ProximalityReport",
     "SymbolicPoint",
     "UrReport",
@@ -320,7 +319,7 @@ def eaet_prime(t0: SymbolicPoint, codes) -> list[SymbolicPoint]:
     return ys
 
 
-# -- orbits and cylinders ---------------------------------------------------
+# -- orbits and covering bounds ---------------------------------------------
 
 
 def orbit_closure(y: SymbolicPoint) -> list[SymbolicPoint]:
@@ -335,48 +334,38 @@ def orbit_closure(y: SymbolicPoint) -> list[SymbolicPoint]:
     return [y.shift(n) for n in range(y.max_preperiod + y.lcm_period)]
 
 
-@dataclass(frozen=True)
-class Cylinder:
-    """The clopen set of points agreeing with ``reference`` on coordinates
-    below ``coord_depth`` at positions below ``pos_depth``.
-
-    Depth 0 in either direction denotes the whole space.  A cylinder always
-    contains its reference, so it is never empty.
-    """
-
-    reference: SymbolicPoint
-    coord_depth: int
-    pos_depth: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.reference, SymbolicPoint):
-            raise InputError("cylinder reference must be a point")
-        if not (0 <= self.coord_depth <= self.reference.coord_count):
+def _check_depths(point: SymbolicPoint, pairs) -> None:
+    """Raise unless each (coord depth, pos depth) pair names a cylinder
+    around ``point``: the points agreeing with it on the coordinates below
+    the first depth at the positions below the second.  Depth 0 in either
+    direction is the whole space."""
+    for c, k in pairs:
+        if not 0 <= c <= point.coord_count:
             raise InputError("coordinate depth out of range")
-        if self.pos_depth < 0:
+        if k < 0:
             raise InputError("position depth must be a natural number")
 
-    def contains(self, z: SymbolicPoint, n: int = 0) -> bool:
-        """Whether T^n z lies in the cylinder: on every constrained
-        coordinate, T^n z first disagrees with the reference at or past
-        the position depth, or never."""
-        if z.coord_count != self.reference.coord_count:
-            raise InputError("points live in products of different sizes")
-        if n < 0:
-            raise InputError("shift count must be a natural number")
-        return _agreement_profile(z, self.reference, n, self.coord_depth)[-1] >= self.pos_depth
 
-
-def covering_bound(y: SymbolicPoint, u: Cylinder) -> int:
+def covering_bound(
+    y: SymbolicPoint, reference: SymbolicPoint, coord_depth: int, pos_depth: int
+) -> int:
     """The least m such that every orbit-closure point of ``y`` enters the
-    cylinder ``u`` within m shifts: the syndeticity bound of the hitting
-    times {t : T^t y in u}."""
+    cylinder of depths (``coord_depth``, ``pos_depth``) around ``reference``
+    within m shifts: the syndeticity bound of the hitting times
+    {t : T^t y in the cylinder}.  T^t y is a hit when its agreement profile
+    with the reference reaches the position depth."""
+    _check_depths(reference, [(coord_depth, pos_depth)])
     if not _recurrent(y):
         raise InputError("covering bounds need a uniformly recurrent point")
+    if y.coord_count != reference.coord_count:
+        raise InputError("points live in products of different sizes")
     # y is purely periodic, so its orbit closure is T^s y for s < period and
     # the hitting times repeat with that period
-    hits = EpSet("", "".join("1" if u.contains(y, t) else "0" for t in range(y.lcm_period)))
-    bound = hits.is_syndetic().bound
+    hits = "".join(
+        "1" if _agreement_profile(y, reference, t, coord_depth)[-1] >= pos_depth else "0"
+        for t in range(y.lcm_period)
+    )
+    bound = EpSet("", hits).is_syndetic().bound
     if bound is None:
         listing = ", ".join(p.literal for p in orbit_closure(y))
         raise InputError(f"cylinder misses the whole orbit closure: {listing}")

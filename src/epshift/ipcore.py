@@ -31,6 +31,7 @@ from .epcore import ConstructionError, EpSet, InputError, LiteralError
 from .dynamics import (
     SymbolicPoint,
     _agreement_profile,
+    _check_depths,
     ae_solve,
     distance_exponent,
     encode_point,
@@ -182,8 +183,10 @@ def verify_ip_certificate(cert: IpConstructionCertificate) -> list[str]:
     exactly when their depths do, and the ball bound is a depth bound.
     T^n U_{i+1} ⊆ U_i holds exactly when U_i's constraints fit inside
     U_{i+1}'s shifted by n and T^n y lies in U_i.  Each membership of
-    T^n x or T^n y is one read of its ``_agreement_profile``.  A depth
-    pair outside the product raises ``InputError``.
+    T^n x or T^n y is one read of its ``_agreement_profile``.  The pairs
+    go through ``covering_bound``'s depth check, so one with a coordinate
+    depth outside [0, K] for K coordinates, or a negative position depth,
+    raises ``InputError``.
     """
     x, y = cert.source, cert.target
     us = cert.neighborhoods
@@ -191,11 +194,7 @@ def verify_ip_certificate(cert: IpConstructionCertificate) -> list[str]:
     if len(us) != len(terms) + 1:
         return [f"expected {len(terms) + 1} neighborhoods for {len(terms)} terms, got {len(us)}"]
     coord_count = y.coord_count
-    for c, k in us:
-        if not 0 <= c <= coord_count:
-            raise InputError("coordinate depth out of range")
-        if k < 0:
-            raise InputError("position depth must be a natural number")
+    _check_depths(y, us)
     if x.coord_count != coord_count:
         raise InputError("points live in products of different sizes")
     # past `lead`, T^n x and T^n y repeat with `period` on `head`: one profile pair per phase

@@ -17,7 +17,6 @@ import pytest
 
 from epshift.epcore import CapacityError, EpSet, generate_algebra
 from epshift.dynamics import (
-    Cylinder,
     SymbolicPoint,
     ae_solve,
     are_proximal,
@@ -363,11 +362,17 @@ def test_criterion_09_orbit_closure_and_covering_bounds():
                 failures.append(("closure equality", y.literal, z.literal))
 
         ref = closure[rng.randrange(len(closure))]
-        u = Cylinder(ref, rng.randrange(1, y.coord_count + 1), rng.randrange(1, y.lcm_period + 2))
-        bound = covering_bound(y, u)
+        c, k = rng.randrange(1, y.coord_count + 1), rng.randrange(1, y.lcm_period + 2)
+        bound = covering_bound(y, ref, c, k)
+        # entry times by comparing each shifted copy's windows with ref's
+        window = [ref.coords[j].window(0, k) for j in range(c)]
         entries = []
         for z in closure:
-            first = next((n for n in range(bound + 1) if u.contains(shift(z, n))), None)
+            first = next(
+                (n for n in range(bound + 1)
+                 if [shift(z, n).coords[j].window(0, k) for j in range(c)] == window),
+                None,
+            )
             if first is None:
                 failures.append(("not covered within bound", y.literal, z.literal))
                 break

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
 import json
 import os
+import pkgutil
 import shlex
 import subprocess
 import sys
@@ -11,9 +13,10 @@ from pathlib import Path
 
 import pytest
 
+import epshift
 from epshift import cli
 from epshift.cli import build_parser, main
-from epshift.dynamics import SymbolicPoint
+from epshift.dynamics import SymbolicPoint, shift
 from epshift.epcore import EpSet, generate_algebra
 from epshift.filters import build_partial_ultrafilter
 from epshift.ipcore import (
@@ -23,7 +26,7 @@ from epshift.ipcore import (
     ip_sequence_construct,
     verify_ip_certificate,
 )
-from test_dynamics import window_replay
+from test_dynamics import window_contains, window_replay
 
 
 @pytest.fixture()
@@ -109,6 +112,22 @@ def test_option_inventory():
     walk(build_parser(), [])
     assert found == OPTION_INVENTORY
     assert sum(map(len, found.values())) == 31
+
+
+def test_public_name_inventory():
+    """Every name in the package's and each module's ``__all__`` resolves,
+    ``from epshift import *`` binds them all, and no ``Cylinder`` is
+    exported: a cylinder is a reference and a depth pair."""
+    modules = [epshift] + [
+        importlib.import_module(f"epshift.{m.name}") for m in pkgutil.iter_modules(epshift.__path__)
+    ]
+    assert len(modules) == 6
+    for module in modules:
+        assert [n for n in module.__all__ if not hasattr(module, n)] == [], module.__name__
+        assert "Cylinder" not in module.__all__, module.__name__
+    namespace: dict = {}
+    exec("from epshift import *", namespace)
+    assert set(epshift.__all__) <= namespace.keys()
 
 
 class TestExitCodes:
@@ -656,3 +675,70 @@ class TestCertificateRoundTrip:
                 self.check(argv, step["result"])
                 checked += 1
         assert checked >= 1
+
+
+def rederived_cover(argv) -> int | None:
+    """The bound ``dyn cover`` must print for ``argv``, re-derived from
+    shifted copies of the point and window comparison with the reference;
+    None where the input must be refused."""
+    y, ref = SymbolicPoint.parse(argv[2]), SymbolicPoint.parse(argv[3])
+    c, k = int(argv[4]), int(argv[5])
+    period = y.lcm_period
+    # refused: depths outside the reference's product, a point that is not
+    # purely periodic (not uniformly recurrent), or products of two sizes
+    if not 0 <= c <= ref.coord_count or k < 0:
+        return None
+    if shift(y, period) != y or y.coord_count != ref.coord_count:
+        return None
+    # the orbit closure is T^s y for s < period; each copy's entry time
+    entries = [
+        next((n for n in range(period) if window_contains(ref, (c, k), shift(y, s + n), 0)), None)
+        for s in range(period)
+    ]
+    return None if None in entries else max(entries)
+
+
+# points and references for the dyn cover checker: periodic stacks of one
+# and two coordinates, and non-recurrent ones such as 1(0)
+COVER_UNIVERSE = [
+    "(0)", "(1)", "(01)", "(011)", "(0011)", "1(0)", "0(1)", "01(10)",
+    "(01);(1)", "(0011);(01)", "(0110);(10)", "1(0);(01)",
+]
+
+
+def cover_calls():
+    """Every (point, reference, depths) triple over COVER_UNIVERSE, with
+    depths one past each end of their range."""
+    for point, ref in [(p, r) for p in COVER_UNIVERSE for r in COVER_UNIVERSE]:
+        for c in range(-1, ref.count(";") + 3):
+            for k in range(-1, 4):
+                yield ["dyn", "cover", point, ref, str(c), str(k)]
+
+
+class TestCoverRederived:
+    """``dyn cover`` prints the bound that shifted copies and window
+    comparison give for (point, reference, depths), and refuses the rest."""
+
+    def check(self, run, argv) -> None:
+        code, out, err = run(*argv)
+        want = rederived_cover(argv)
+        if want is None:
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("epshift: error: ") and "Traceback" not in err, argv
+        else:
+            assert (code, json.loads(out)) == (0, {"bound": want}), argv
+
+    @pytest.mark.parametrize(
+        "argv", [c["argv"] for c in PINNED_CORPUS if c["argv"][:2] == ["dyn", "cover"]], ids=" ".join
+    )
+    def test_corpus_call(self, run, argv):
+        self.check(run, argv)
+
+    def test_universe(self, run):
+        calls = list(cover_calls())
+        assert len(calls) == 3120
+        bounds = 0
+        for argv in calls:
+            self.check(run, argv)
+            bounds += rederived_cover(argv) is not None
+        assert bounds > 0

@@ -14,10 +14,10 @@ from epshift.epcore import EpSet, InputError, LiteralError, generate_algebra
 from epshift.dynamics import (
     AetPairError,
     BlockCode,
-    Cylinder,
     ProximalityReport,
     SymbolicPoint,
     UrReport,
+    _agreement_profile,
     _first_disagreement,
     _proximal,
     ae_solve,
@@ -272,7 +272,8 @@ class TestFirstDisagreement:
             d = raw_first_disagreement(u, v, n, 0)
             depths = {0, 1, 20} if d is None else {0, d, d + 1, 20}
             for k in depths:
-                assert Cylinder(ref, 1, k).contains(z, n) == (d is None or d >= k)
+                assert profile_contains(ref, (1, k), z, n) == (d is None or d >= k)
+                assert window_contains(ref, (1, k), z, n) == (d is None or d >= k)
 
     @given(words, words, st.integers(min_value=0, max_value=40), st.integers(min_value=0, max_value=40))
     @example(EpSet("1", "0"), EpSet("", "0"), 0, 0)  # n inside u's preperiod
@@ -700,81 +701,99 @@ class TestOrbitClosure:
             assert set(orbit_closure(z)) == orb
 
 
-def whole_space(u: Cylinder) -> bool:
-    """A cylinder of depth 0 in either direction constrains nothing."""
-    return u.coord_depth == 0 or u.pos_depth == 0
+def whole_space(pair) -> bool:
+    """A depth pair with 0 in either direction constrains nothing."""
+    c, k = pair
+    return c == 0 or k == 0
 
 
-def window_subset_of(u: Cylinder, v: Cylinder) -> bool:
-    """Oracle: U ⊆ V by its own comparison of the references' windows."""
+def window_subset_of(a: SymbolicPoint, u, b: SymbolicPoint, v) -> bool:
+    """Oracle: U ⊆ V, for U the depth pair u around a and V the pair v
+    around b, by its own comparison of the references' windows."""
     if whole_space(v):
         return True
     if whole_space(u):
         return False
-    if v.coord_depth > u.coord_depth or v.pos_depth > u.pos_depth:
+    (uc, uk), (vc, vk) = u, v
+    if vc > uc or vk > uk:
         return False
-    k = v.pos_depth
-    return all(
-        u.reference.coords[j].window(0, k) == v.reference.coords[j].window(0, k)
-        for j in range(v.coord_depth)
-    )
+    return all(a.coords[j].window(0, vk) == b.coords[j].window(0, vk) for j in range(vc))
 
 
-def window_shift_image_subset(u: Cylinder, n: int, v: Cylinder) -> bool:
-    """Oracle: T^n U ⊆ V by its own comparison of the references' windows."""
+def window_shift_image_subset(a: SymbolicPoint, u, n: int, b: SymbolicPoint, v) -> bool:
+    """Oracle: T^n U ⊆ V, for U the depth pair u around a and V the pair v
+    around b, by its own comparison of the references' windows."""
     if whole_space(v):
         return True
     if whole_space(u):
         return False
-    if v.coord_depth > u.coord_depth or v.pos_depth + n > u.pos_depth:
+    (uc, uk), (vc, vk) = u, v
+    if vc > uc or vk + n > uk:
         return False
-    k = v.pos_depth
-    return all(
-        u.reference.coords[j].window(n, n + k) == v.reference.coords[j].window(0, k)
-        for j in range(v.coord_depth)
-    )
+    return all(a.coords[j].window(n, n + vk) == b.coords[j].window(0, vk) for j in range(vc))
 
 
-def window_contains(u: Cylinder, z: SymbolicPoint, n: int) -> bool:
-    """Oracle: T^n z ∈ U by comparing windows as long as the position depth."""
-    k = u.pos_depth
-    return all(
-        z.coords[j].window(n, n + k) == u.reference.coords[j].window(0, k)
-        for j in range(u.coord_depth)
-    )
+def window_contains(reference: SymbolicPoint, pair, z: SymbolicPoint, n: int) -> bool:
+    """Oracle: T^n z lies in the cylinder of ``pair`` around ``reference``,
+    by comparing windows as long as the position depth."""
+    c, k = pair
+    return all(z.coords[j].window(n, n + k) == reference.coords[j].window(0, k) for j in range(c))
 
 
-def window_within_ball(u: Cylinder, y: SymbolicPoint, k: int) -> bool:
-    """Oracle: U ⊆ B(y, 2^-k) by comparing windows as long as each depth."""
+def window_within_ball(reference: SymbolicPoint, pair, y: SymbolicPoint, k: int) -> bool:
+    """Oracle: the cylinder of ``pair`` around ``reference`` lies in
+    B(y, 2^-k), by comparing windows as long as each depth."""
+    c, pos = pair
     for i in range(min(y.coord_count, k)):
         depth = k - i
-        if i >= u.coord_depth or u.pos_depth < depth:
+        if i >= c or pos < depth:
             return False
-        if u.reference.coords[i].window(0, depth) != y.coords[i].window(0, depth):
+        if reference.coords[i].window(0, depth) != y.coords[i].window(0, depth):
             return False
     return True
 
 
+def profile_contains(reference: SymbolicPoint, pair, z: SymbolicPoint, n: int = 0) -> bool:
+    """T^n z lies in the cylinder of ``pair`` around ``reference``, read as
+    the library reads it: the last entry of one agreement profile."""
+    c, k = pair
+    return _agreement_profile(z, reference, n, c)[-1] >= k
+
+
 class TestCylinder:
+    """A cylinder is a reference and a (coord depth, pos depth) pair;
+    its membership is one agreement profile read."""
+
     def test_contains_reference(self):
         for ref in [pt("(01)"), pt("1(10);(0011)")]:
             for i in range(ref.coord_count + 1):
                 for k in range(4):
-                    assert Cylinder(ref, i, k).contains(ref)
+                    assert profile_contains(ref, (i, k), ref)
+                    assert window_contains(ref, (i, k), ref, 0)
 
     def test_trivial_contains_everything(self):
-        u = Cylinder(pt("(01)"), 0, 5)
-        assert u.contains(pt("(10)"))
-        v = Cylinder(pt("(01)"), 1, 0)
-        assert v.contains(pt("(10)"))
+        for pair in [(0, 5), (1, 0)]:
+            assert whole_space(pair)
+            assert profile_contains(pt("(01)"), pair, pt("(10)"))
+            assert window_contains(pt("(01)"), pair, pt("(10)"), 0)
+        assert not whole_space((1, 1))
+        assert not profile_contains(pt("(01)"), (1, 1), pt("(10)"))
 
     def test_depth_bounds_checked(self):
-        with pytest.raises(InputError):
-            Cylinder(pt("(01)"), 2, 1)
-        with pytest.raises(InputError):
-            Cylinder(pt("(01)"), 1, -1)
-        with pytest.raises(InputError):
-            Cylinder(pt("(01)"), 1, 1).contains(pt("(01)"), -1)
+        """One depth check serves ``covering_bound`` and the certificate
+        replay: each bad pair raises the same message on both paths."""
+        y = pt("(01)")
+        cert = ip_sequence_construct(y, y, count=2)
+        for pair, message in [
+            ((2, 1), "coordinate depth out of range"),
+            ((-1, 1), "coordinate depth out of range"),
+            ((1, -1), "position depth must be a natural number"),
+        ]:
+            with pytest.raises(InputError) as cover:
+                covering_bound(y, y, *pair)
+            with pytest.raises(InputError) as replay:
+                verify_ip_certificate(replace(cert, neighborhoods=((0, 0), pair, (1, 4))))
+            assert str(cover.value) == str(replay.value) == message, pair
 
     @given(same_size_pair())
     def test_offset_matches_shifted_point(self, pair):
@@ -783,18 +802,18 @@ class TestCylinder:
         for r in (ref, z):
             for i in range(r.coord_count + 1):
                 for k in range(5):
-                    u = Cylinder(r, i, k)
                     for n in range(horizon):
-                        assert u.contains(z, n) == u.contains(shift(z, n))
+                        inside = profile_contains(r, (i, k), z, n)
+                        assert inside == profile_contains(r, (i, k), shift(z, n))
+                        assert inside == window_contains(r, (i, k), z, n)
 
     def test_shift_image_subset_pointwise(self):
-        ref = pt("(0011)")
-        u = Cylinder(ref, 1, 4)
-        v = Cylinder(pt("(1100)"), 1, 2)
+        ref, image = pt("(0011)"), pt("(1100)")
         samples = [shift(pt("(0011)"), n) for n in range(4)] + [pt("0011(0)"), pt("0011(10)")]
         for z in samples:
-            if u.contains(z):
-                assert v.contains(shift(z, 2))
+            if profile_contains(ref, (1, 4), z):
+                assert profile_contains(image, (1, 2), shift(z, 2))
+        assert window_shift_image_subset(ref, (1, 4), 2, image, (1, 2))
 
     @given(same_size_pair(), st.integers(min_value=0, max_value=500))
     def test_deep_windows_match_window_oracles(self, pair, drawn):
@@ -808,32 +827,33 @@ class TestCylinder:
         for ref in (a, b):
             for i in range(ref.coord_count + 1):
                 for k in depths:
-                    u = Cylinder(ref, i, k)
                     for z in (a, b):
                         for n in offsets:
-                            assert u.contains(z, n) == window_contains(u, z, n)
+                            assert profile_contains(ref, (i, k), z, n) == window_contains(
+                                ref, (i, k), z, n
+                            )
 
 
 def window_replay(cert: IpConstructionCertificate) -> list[str]:
-    """Oracle: the certificate replay with each depth pair built into its
-    cylinder around y, every condition checked by the window oracles."""
+    """Oracle: the certificate replay with each depth pair read around y,
+    every condition checked by the window oracles."""
     x, y = cert.source, cert.target
     pairs, terms = cert.neighborhoods, cert.generator.head
     if len(pairs) != len(terms) + 1:
         return [f"expected {len(terms) + 1} neighborhoods for {len(terms)} terms, got {len(pairs)}"]
-    us = [Cylinder(y, c, k) for c, k in pairs]
     failures = []
     for i, n in enumerate(terms):
-        if not window_subset_of(us[i + 1], us[i]):
+        u, v = pairs[i + 1], pairs[i]
+        if not window_subset_of(y, u, y, v):
             failures.append(f"U_{i + 1} is not contained in U_{i}")
-        if not window_shift_image_subset(us[i + 1], n, us[i]):
+        if not window_shift_image_subset(y, u, n, y, v):
             failures.append(f"T^{n} U_{i + 1} is not contained in U_{i}")
-        if not window_contains(us[i + 1], x, n):
+        if not window_contains(y, u, x, n):
             failures.append(f"T^{n} x misses U_{i + 1}")
-        if not window_contains(us[i + 1], y, n):
+        if not window_contains(y, u, y, n):
             failures.append(f"T^{n} y misses U_{i + 1}")
-    for i, u in enumerate(us):
-        if not window_within_ball(u, y, i):
+    for i, u in enumerate(pairs):
+        if not window_within_ball(y, u, y, i):
             failures.append(f"U_{i} is not inside the 2^-{i} ball at y")
     return failures
 
@@ -949,13 +969,13 @@ class TestCertificateReplay:
         assert wrong == []
 
 
-def orbit_copy_covering_bound(y: SymbolicPoint, u: Cylinder) -> int:
+def orbit_copy_covering_bound(y: SymbolicPoint, reference: SymbolicPoint, pair) -> int:
     """Oracle: the entry time of every orbit-closure point, each built as a
-    shifted copy of y."""
+    shifted copy of y, into the cylinder of ``pair`` around ``reference``."""
     orbit = orbit_closure(y)
     entries = []
     for z in orbit:
-        n = next((n for n in range(y.lcm_period) if u.contains(z, n)), None)
+        n = next((n for n in range(y.lcm_period) if window_contains(reference, pair, z, n)), None)
         if n is None:
             listing = ", ".join(p.literal for p in orbit)
             raise InputError(f"cylinder misses the whole orbit closure: {listing}")
@@ -972,28 +992,28 @@ def outcome(f, *args):
 
 class TestCoveringBound:
     def test_frozen(self):
-        assert covering_bound(pt("(01)"), Cylinder(pt("(01)"), 1, 1)) == 1
-        assert covering_bound(pt("(0)"), Cylinder(pt("(0)"), 1, 2)) == 0
-        assert covering_bound(pt("(0011)"), Cylinder(pt("(0011)"), 1, 1)) == 2
+        assert covering_bound(pt("(01)"), pt("(01)"), 1, 1) == 1
+        assert covering_bound(pt("(0)"), pt("(0)"), 1, 2) == 0
+        assert covering_bound(pt("(0011)"), pt("(0011)"), 1, 1) == 2
         # one less than the largest cyclic difference between hitting times
-        assert covering_bound(pt("(1000)"), Cylinder(pt("(1000)"), 1, 4)) == 3
+        assert covering_bound(pt("(1000)"), pt("(1000)"), 1, 4) == 3
 
     def test_requires_recurrent(self):
         with pytest.raises(InputError, match="recurrent"):
-            covering_bound(pt("1(0)"), Cylinder(pt("(0)"), 1, 1))
+            covering_bound(pt("1(0)"), pt("(0)"), 1, 1)
 
     def test_disjoint_cylinder(self):
         with pytest.raises(InputError, match="misses"):
-            covering_bound(pt("(0)"), Cylinder(pt("(1)"), 1, 1))
+            covering_bound(pt("(0)"), pt("(1)"), 1, 1)
 
     @given(periodic_points, st.integers(min_value=1, max_value=3))
     def test_bound_verified(self, y, k):
-        u = Cylinder(y, y.coord_count, k)
-        m = covering_bound(y, u)
+        pair = (y.coord_count, k)
+        m = covering_bound(y, y, *pair)
         orb = orbit_closure(y)
         entry = []
         for z in orb:
-            first = next(n for n in range(y.lcm_period) if u.contains(shift(z, n)))
+            first = next(n for n in range(y.lcm_period) if window_contains(y, pair, shift(z, n), 0))
             assert first <= m
             entry.append(first)
         assert max(entry) == m
@@ -1008,26 +1028,26 @@ class TestCoveringBound:
         for ref in (b, y):
             for i in range(1, ref.coord_count + 1):
                 for k in (1, 2, 4):
-                    u = Cylinder(ref, i, k)
-                    assert outcome(covering_bound, y, u) == outcome(
-                        orbit_copy_covering_bound, y, u
+                    assert outcome(covering_bound, y, ref, i, k) == outcome(
+                        orbit_copy_covering_bound, y, ref, (i, k)
                     )
 
     @given(same_size_pair(), st.integers(min_value=1, max_value=4))
     @example((pt("(1000)"), pt("(1000)")), 4)
     def test_one_contains_call_per_period_step(self, pair, k):
-        """The hitting times come from one scan of the period, hit or miss."""
+        """The hitting times come from one scan of the period, hit or miss:
+        at most one agreement profile per period step."""
         a, b = pair
         y = ae_solve(a)
-        contains = Cylinder.contains
+        profile = dynamics._agreement_profile
         calls = []
 
-        def counted(self, z, n=0):
+        def counted(z, reference, n, depth):
             calls.append(n)
-            return contains(self, z, n)
+            return profile(z, reference, n, depth)
 
         for ref in (b, y):
             calls.clear()
-            with mock.patch.object(Cylinder, "contains", counted):
-                outcome(covering_bound, y, Cylinder(ref, ref.coord_count, k))
-            assert len(calls) <= y.lcm_period
+            with mock.patch.object(dynamics, "_agreement_profile", counted):
+                outcome(covering_bound, y, ref, ref.coord_count, k)
+            assert 0 < len(calls) <= y.lcm_period

@@ -268,7 +268,7 @@ class TestIpConstruction:
     @pytest.mark.parametrize("pair", [(2, 1), (-1, 1), (1, -1)])
     def test_out_of_range_pair_raises(self, pair):
         """A depth pair outside the product of y's coordinates, or with a
-        negative position depth, is bad input, as it is for a ``Cylinder``."""
+        negative position depth, is bad input, as it is for ``covering_bound``."""
         cert = ip_sequence_construct(pt("(10)"), pt("(10)"), count=2)
         with pytest.raises(InputError):
             verify_ip_certificate(replace(cert, neighborhoods=((0, 0), pair, (1, 4))))
