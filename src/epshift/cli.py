@@ -117,22 +117,11 @@ def _cmd_dyn_shift(ns) -> dict:
 
 
 def _cmd_dyn_ur(ns) -> dict:
-    rep = is_uniformly_recurrent(SymbolicPoint.parse(ns.point))
-    if rep.recurrent:
-        return {"recurrent": True, "gaps": list(rep.gaps)}
-    return {
-        "recurrent": False,
-        "coord": rep.coord,
-        "word": rep.word,
-        "occurrences": list(rep.occurrences),
-    }
+    return is_uniformly_recurrent(SymbolicPoint.parse(ns.point))
 
 
 def _cmd_dyn_proximal(ns) -> dict:
-    rep = are_proximal(SymbolicPoint.parse(ns.x), SymbolicPoint.parse(ns.y))
-    if rep.proximal:
-        return {"proximal": True, "witness": rep.witness}
-    return {"proximal": False, "exponent": rep.exponent}
+    return are_proximal(SymbolicPoint.parse(ns.x), SymbolicPoint.parse(ns.y))
 
 
 def _cmd_dyn_ae(ns) -> dict:
@@ -183,19 +172,13 @@ def _cmd_ip_construct(ns) -> dict:
 
 
 def _cmd_ip_limit(ns) -> dict:
-    verdict = ip_limit_check(
+    return ip_limit_check(
         SymbolicPoint.parse(ns.point),
         IpGenerator.parse(ns.gen),
         resolution=ns.resolution,
         sum_terms=ns.terms,
         witness_count=ns.window,
     )
-    out: dict = {"passed": verdict.passed, "kind": verdict.kind, "limit": verdict.limit.literal}
-    if verdict.passed:
-        out["offset"] = verdict.offset
-    else:
-        out["counterexamples"] = [list(c) for c in verdict.counterexamples]
-    return out
 
 
 def _search_payload(res) -> dict:

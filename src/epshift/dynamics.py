@@ -14,6 +14,8 @@ rotated by the offsets; other pairs are read on a preperiod-plus-lcm
 window.  Uniform recurrence degenerates to "every
 coordinate is purely periodic"; proximality degenerates to "every
 coordinate pair has one residue word" (agreement past the preperiods).
+Both deciders return the verdict and its certificate as the JSON object
+the CLI prints.
 """
 
 from __future__ import annotations
@@ -27,9 +29,7 @@ from .epcore import EpSet, InputError, LiteralError, _canonical
 __all__ = [
     "AetPairError",
     "BlockCode",
-    "ProximalityReport",
     "SymbolicPoint",
-    "UrReport",
     "ae_solve",
     "apply_block_code",
     "are_proximal",
@@ -161,41 +161,29 @@ def encode_point(sets) -> SymbolicPoint:
 # -- recurrence -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class UrReport:
-    """Exact uniform-recurrence verdict with certificate.
-
-    Positive: ``gaps`` lists, for each resolution k, the maximal difference
-    between consecutive return times of {n : d(T^n x, x) <= 2**-k}.
-    Negative: coordinate ``coord`` starts with ``word``, which occurs only
-    at the finitely many listed positions, so fine returns are not syndetic.
-    """
-
-    recurrent: bool
-    gaps: tuple[tuple[int, int], ...] | None = None
-    coord: int | None = None
-    word: str | None = None
-    occurrences: tuple[int, ...] | None = None
-
-
 def _recurrent(x: SymbolicPoint) -> bool:
     """An eventually periodic stack is uniformly recurrent iff every
     canonical coordinate preperiod is empty."""
     return x.max_preperiod == 0
 
 
-def is_uniformly_recurrent(x: SymbolicPoint) -> UrReport:
-    """Decide uniform recurrence exactly (the rule is ``_recurrent``).
+def is_uniformly_recurrent(x: SymbolicPoint) -> dict:
+    """Decide uniform recurrence exactly (the rule is ``_recurrent``); return
+    the verdict and its certificate as the JSON object ``dyn ur`` prints.
 
-    For a purely periodic stack the return times at any resolution are a
-    union of residue classes mod the stack period, and the certificate
-    reports their exact gap bounds for every resolution up to coordinate
-    count + period: one more than the syndeticity bound of the return set,
-    which repeats with that period.
-    Otherwise some coordinate u, of preperiod m and period p, is not purely
-    periodic, so it first disagrees with T^n u at some j_n for every n >= m.
-    Its prefix of length 1 + max(j_n : m <= n < m + p) is the shortest that
-    never recurs past m; it occurs at the n < m where u and T^n u agree that far.
+    Positive, ``{"recurrent": true, "gaps": [[k, gap], ...]}``: for each
+    resolution k, the maximal difference between consecutive return times
+    of {n : d(T^n x, x) <= 2**-k}.  For a purely periodic stack they are a
+    union of residue classes mod the stack period, so each gap is one more
+    than the syndeticity bound of the return set, reported for every
+    resolution up to coordinate count + period.
+    Negative, ``{"recurrent": false, "coord": i, "word": w, "occurrences":
+    [n, ...]}``: coordinate i starts with w, which occurs only at the listed
+    positions, so fine returns are not syndetic.  That coordinate u, of
+    preperiod m and period p, first disagrees with T^n u at some j_n for
+    every n >= m.  Its prefix of length 1 + max(j_n : m <= n < m + p) is the
+    shortest that never recurs past m; it occurs at the n < m where u and
+    T^n u agree that far.
     """
     if _recurrent(x):
         period = x.lcm_period
@@ -208,34 +196,19 @@ def is_uniformly_recurrent(x: SymbolicPoint) -> UrReport:
             if k - 1 in levels:
                 word = "".join("1" if e >= k else "0" for e in exps)
                 gap = EpSet("", word).is_syndetic().bound + 1
-            gaps.append((k, gap))
-        return UrReport(recurrent=True, gaps=tuple(gaps))
+            gaps.append([k, gap])
+        return {"recurrent": True, "gaps": gaps}
 
     i = next(j for j, c in enumerate(x.coords) if c.pre)
     u = x.coords[i]
     m, p = len(u.pre), len(u.res)
     length = 1 + max(_first_disagreement(u, u, n) for n in range(m, m + p))
     ds = (_first_disagreement(u, u, n) for n in range(m))
-    occ = tuple(n for n, d in enumerate(ds) if d is None or d >= length)
-    return UrReport(recurrent=False, coord=i, word=u.window(0, length), occurrences=occ)
+    occ = [n for n, d in enumerate(ds) if d is None or d >= length]
+    return {"recurrent": False, "coord": i, "word": u.window(0, length), "occurrences": occ}
 
 
 # -- proximality ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ProximalityReport:
-    """Exact proximality verdict.
-
-    Positive: the orbits agree exactly from offset ``witness`` on (the pair
-    is asymptotic, which for eventually periodic stacks coincides with
-    proximal).  Negative: d(T^n x, T^n y) >= 2**-``exponent`` for every n
-    past the preperiods, so the orbits stay apart forever.
-    """
-
-    proximal: bool
-    witness: int | None = None
-    exponent: int | None = None
 
 
 def _proximal(x: SymbolicPoint, y: SymbolicPoint) -> bool:
@@ -244,17 +217,25 @@ def _proximal(x: SymbolicPoint, y: SymbolicPoint) -> bool:
     return [u.res for u in x.coords] == [v.res for v in y.coords]
 
 
-def are_proximal(x: SymbolicPoint, y: SymbolicPoint) -> ProximalityReport:
-    """Decide proximality exactly (the rule is ``_proximal``), witnessed by
-    the preperiod join or by the worst exponent over one joint period."""
+def are_proximal(x: SymbolicPoint, y: SymbolicPoint) -> dict:
+    """Decide proximality exactly (the rule is ``_proximal``); return the
+    verdict as the JSON object ``dyn proximal`` prints.
+
+    Positive, ``{"proximal": true, "witness": J}``: the orbits agree exactly
+    from the preperiod join J on (the pair is asymptotic, which for
+    eventually periodic stacks coincides with proximal).  Negative,
+    ``{"proximal": false, "exponent": e}``: d(T^n x, T^n y) >= 2**-e for
+    every n past the preperiods, e the worst exponent over one joint period,
+    so the orbits stay apart forever.
+    """
     join = max(x.max_preperiod, y.max_preperiod)
     if _proximal(x, y):
-        return ProximalityReport(proximal=True, witness=join)
+        return {"proximal": True, "witness": join}
     # beyond the join both points are periodic, so the disagreement pattern
     # repeats with the joint period; its worst exponent bounds all offsets
     period = math.lcm(x.lcm_period, y.lcm_period)
     worst = max(distance_exponent(x, y, n, n) for n in range(join, join + period))
-    return ProximalityReport(proximal=False, exponent=int(worst))
+    return {"proximal": False, "exponent": int(worst)}
 
 
 # -- constructive solvers ---------------------------------------------------

@@ -1,4 +1,5 @@
-"""Finite-sums machinery: IP sequences, certified IP-limits, Hindman search.
+"""Finite-sums machinery: IP sequences, certified IP-limits, bounded
+IP-limit checks, Hindman search.
 
 FS((n_i)_{i>=k}) is the set of sums over nonempty finite sets of distinct
 indices >= k.  The generators here are difference-periodic: finitely many
@@ -16,6 +17,9 @@ on the coordinates below the first at the positions below the second.
 Those conditions force every finite sum s with least index i₁ to satisfy
 d(T^s x, y) <= 2^-i₁, and they are re-verified from scratch on the
 emitted certificate rather than trusted from the construction.
+
+:func:`ip_limit_check` only samples finitely many sums, and returns its
+verdict as the JSON object the CLI prints.
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ __all__ = [
     "FsSearchResult",
     "IpConstructionCertificate",
     "IpGenerator",
-    "IpLimitVerdict",
     "PartitionError",
     "PipelineResult",
     "aet_to_iht_pipeline",
@@ -271,43 +274,31 @@ def ip_sequence_construct(
 # -- bounded IP-limit checking ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class IpLimitVerdict:
-    """Outcome of a bounded IP-limit check.
-
-    ``kind`` is always "bounded": this is a semidecision over finitely
-    many sums, not the genuine limit statement.  ``offset`` is the first
-    tail offset whose sampled sums all land within the resolution;
-    ``counterexamples`` lists (offset, sum, exponent) refutations, one
-    per tested offset, when no offset works.
-    """
-
-    passed: bool
-    limit: SymbolicPoint
-    offset: int | None = None
-    counterexamples: tuple[tuple[int, int, int], ...] = ()
-    kind: str = "bounded"
-
-
 def ip_limit_check(
     x: SymbolicPoint,
     g: IpGenerator,
     resolution: int,
     sum_terms: int = 3,
     witness_count: int = 6,
-) -> IpLimitVerdict:
-    """Test whether iplim T^n x along FS-tails of g looks like ae_solve(x).
+) -> dict:
+    """Test whether iplim T^n x along FS-tails of g looks like y = ae_solve(x);
+    return the verdict as the JSON object ``ip limit`` prints.
 
-    For each tail offset m <= witness_count, every sum of 1..sum_terms
+    For each tail offset m <= witness_count, every sum s of 1..sum_terms
     terms from indices m..m+witness_count-1 must satisfy
-    distance_exponent(x, y, s) >= resolution.
+    distance_exponent(x, y, s) >= resolution.  ``kind`` is always
+    "bounded": this is a semidecision over finitely many sums, not the
+    genuine limit statement.  ``limit`` is y's literal.  A pass carries
+    ``offset``, the first tail offset whose sampled sums all land within
+    the resolution; a failure carries ``counterexamples``, one
+    [offset, sum, exponent] refutation per tested offset.
     """
     if resolution < 0:
         raise InputError("resolution must be a natural number")
     if sum_terms < 1 or witness_count < 1:
         raise InputError("need sum_terms >= 1 and witness_count >= 1")
     y = ae_solve(x)
-    refutations: list[tuple[int, int, int]] = []
+    refutations = []
     for m in range(witness_count + 1):
         tail = g.terms(witness_count, from_index=m)
         bad = None
@@ -316,14 +307,15 @@ def ip_limit_check(
                 s = sum(combo)
                 e = distance_exponent(x, y, s)
                 if e < resolution:
-                    bad = (m, s, int(e))
+                    bad = [m, s, int(e)]
                     break
             if bad:
                 break
         if bad is None:
-            return IpLimitVerdict(passed=True, limit=y, offset=m)
+            return {"passed": True, "kind": "bounded", "limit": y.literal, "offset": m}
         refutations.append(bad)
-    return IpLimitVerdict(passed=False, limit=y, counterexamples=tuple(refutations))
+    return {"passed": False, "kind": "bounded", "limit": y.literal,
+            "counterexamples": refutations}
 
 
 # -- colorings ---------------------------------------------------------------

@@ -75,9 +75,9 @@ def test_criterion_01_ae_solver_validity():
     for _ in range(200):
         x = _rand_point(rng, max_coords=3, max_pre=8, max_per=8)
         y = ae_solve(x)
-        if not is_uniformly_recurrent(y).recurrent:
+        if not is_uniformly_recurrent(y)["recurrent"]:
             failures.append(("not UR", x.literal))
-        elif not are_proximal(x, y).proximal:
+        elif not are_proximal(x, y)["proximal"]:
             failures.append(("not proximal", x.literal))
     _report(1, "ae_solve output is uniformly recurrent and proximal on 200 random points", failures)
 
@@ -215,9 +215,9 @@ def test_criterion_05_ultralimit_coherence(built_filters):
     for alg, f in built_filters:
         x = encode_point(alg.members)
         y = ultralimit(f, x)
-        if not is_uniformly_recurrent(y).recurrent:
+        if not is_uniformly_recurrent(y)["recurrent"]:
             failures.append(("not UR", f.generator.literal))
-        if not are_proximal(x, y).proximal:
+        if not are_proximal(x, y)["proximal"]:
             failures.append(("not proximal", f.generator.literal))
         for a, c in zip(alg.members, y.coords):
             if f.member(a) != (c.window(0, 1) == "0"):
@@ -321,7 +321,7 @@ def test_criterion_08_exact_decisions_vs_brute_scans():
 
     for _ in range(500):
         x = _rand_point(rng, max_coords=3, max_pre=6, max_per=6)
-        if is_uniformly_recurrent(x).recurrent != _brute_ur(x):
+        if is_uniformly_recurrent(x)["recurrent"] != _brute_ur(x):
             failures.append(("ur", x.literal))
 
     for _ in range(500):
@@ -336,7 +336,7 @@ def test_criterion_08_exact_decisions_vs_brute_scans():
         else:
             y = _rand_point(rng, max_coords=x.coord_count, max_pre=6, max_per=4)
             y = SymbolicPoint(y.coords[: x.coord_count] + x.coords[y.coord_count :])
-        if are_proximal(x, y).proximal != _brute_proximal(x, y):
+        if are_proximal(x, y)["proximal"] != _brute_proximal(x, y):
             failures.append(("proximal", x.literal, y.literal))
 
     _report(8, "syndetic/UR/proximal exact decisions match brute scans, 500 instances each", failures)

@@ -4,11 +4,13 @@ import argparse
 import hashlib
 import importlib
 import json
+import math
 import os
 import pkgutil
 import shlex
 import subprocess
 import sys
+from itertools import count, product
 from pathlib import Path
 
 import pytest
@@ -16,17 +18,18 @@ import pytest
 import epshift
 from epshift import cli
 from epshift.cli import build_parser, main
-from epshift.dynamics import SymbolicPoint, shift
-from epshift.epcore import EpSet, generate_algebra
+from epshift.dynamics import SymbolicPoint, are_proximal, is_uniformly_recurrent, shift
+from epshift.epcore import EpSet, LiteralError, generate_algebra
 from epshift.filters import build_partial_ultrafilter
 from epshift.ipcore import (
     IpConstructionCertificate,
     IpGenerator,
     aet_to_iht_pipeline,
+    ip_limit_check,
     ip_sequence_construct,
     verify_ip_certificate,
 )
-from test_dynamics import window_contains, window_replay
+from test_dynamics import pt, window_contains, window_replay
 
 
 @pytest.fixture()
@@ -114,20 +117,43 @@ def test_option_inventory():
     assert sum(map(len, found.values())) == 31
 
 
+# names that left the API: a cylinder is a reference and a depth pair, and
+# the ur, proximal and IP-limit verdicts are the JSON objects they print
+RETIRED_NAMES = ["Cylinder", "UrReport", "ProximalityReport", "IpLimitVerdict"]
+
+
 def test_public_name_inventory():
     """Every name in the package's and each module's ``__all__`` resolves,
-    ``from epshift import *`` binds them all, and no ``Cylinder`` is
-    exported: a cylinder is a reference and a depth pair."""
+    ``from epshift import *`` binds them all, and no retired name is
+    exported, defined or mentioned in the package's source."""
     modules = [epshift] + [
         importlib.import_module(f"epshift.{m.name}") for m in pkgutil.iter_modules(epshift.__path__)
     ]
     assert len(modules) == 6
     for module in modules:
         assert [n for n in module.__all__ if not hasattr(module, n)] == [], module.__name__
-        assert "Cylinder" not in module.__all__, module.__name__
+        assert [n for n in RETIRED_NAMES if hasattr(module, n)] == [], module.__name__
+        source = Path(module.__file__).read_text(encoding="utf-8")
+        assert [n for n in RETIRED_NAMES if n in source] == [], module.__name__
     namespace: dict = {}
     exec("from epshift import *", namespace)
     assert set(epshift.__all__) <= namespace.keys()
+
+
+def test_packaging_metadata():
+    """An install ships every bundled scenario and its ``epshift`` script
+    runs ``epshift.cli.main``, as ``pyproject.toml`` declares them."""
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    meta = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))
+    tool = meta["tool"]["setuptools"]
+    package_dir = root / tool["packages"]["find"]["where"][0] / "epshift"
+    shipped = {f for glob in tool["package-data"]["epshift"] for f in package_dir.glob(glob)}
+    scenarios = [f for f in (package_dir / "scenarios").rglob("*") if f.is_file()]
+    assert scenarios
+    assert [f.name for f in scenarios if f not in shipped] == []
+    module, _, attr = meta["project"]["scripts"]["epshift"].partition(":")
+    assert getattr(importlib.import_module(module), attr) is cli.main
 
 
 class TestExitCodes:
@@ -715,18 +741,24 @@ def cover_calls():
                 yield ["dyn", "cover", point, ref, str(c), str(k)]
 
 
+def check_stdout(run, argv, want: dict | None) -> None:
+    """``argv`` exits 0 and prints ``want``; where ``want`` is None it is
+    refused: exit 2, empty stdout and an error line with no traceback."""
+    code, out, err = run(*argv)
+    if want is None:
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("epshift: error: ") and "Traceback" not in err, argv
+    else:
+        assert (code, json.loads(out)) == (0, want), argv
+
+
 class TestCoverRederived:
     """``dyn cover`` prints the bound that shifted copies and window
     comparison give for (point, reference, depths), and refuses the rest."""
 
     def check(self, run, argv) -> None:
-        code, out, err = run(*argv)
-        want = rederived_cover(argv)
-        if want is None:
-            assert (code, out) == (2, ""), argv
-            assert err.startswith("epshift: error: ") and "Traceback" not in err, argv
-        else:
-            assert (code, json.loads(out)) == (0, {"bound": want}), argv
+        bound = rederived_cover(argv)
+        check_stdout(run, argv, None if bound is None else {"bound": bound})
 
     @pytest.mark.parametrize(
         "argv", [c["argv"] for c in PINNED_CORPUS if c["argv"][:2] == ["dyn", "cover"]], ids=" ".join
@@ -742,3 +774,153 @@ class TestCoverRederived:
             self.check(run, argv)
             bounds += rederived_cover(argv) is not None
         assert bounds > 0
+
+
+# points for the ur, proximal and IP-limit checks: periodic stacks of one,
+# two and three coordinates, non-recurrent ones such as 1(0) and 10(01),
+# and the corpus points
+VERDICT_UNIVERSE = [
+    "(0)", "(1)", "(01)", "(10)", "(011)", "(0011)", "(1000)", "(01);(0011)",
+    "(01);(1)", "(0110);(10)", "(1);(01);(001)", "1(0)", "0(1)", "11(0)", "01(0)",
+    "10(01)", "00(01)", "01(10)", "1101(0110)", "1(0);(01)", "(01);1(10)",
+]
+LIMIT_GENERATORS = ["1+(2)", "2+(2)", "1,2+(3,1)", "3+(3)", "2,4+(6)"]
+
+
+def verdict_calls():
+    """(argv, library call) for every universe point under ``dyn ur``, every
+    ordered pair of one product under ``dyn proximal``, and a grid of
+    points, generators and resolutions under ``ip limit``."""
+    for a in VERDICT_UNIVERSE:
+        yield ["dyn", "ur", a], lambda a=a: is_uniformly_recurrent(pt(a))
+        for b in VERDICT_UNIVERSE:
+            if a.count(";") == b.count(";"):
+                yield ["dyn", "proximal", a, b], lambda a=a, b=b: are_proximal(pt(a), pt(b))
+    for a in VERDICT_UNIVERSE[::2]:
+        for gen in LIMIT_GENERATORS:
+            for r in (0, 1, 3, 6):
+                argv = ["ip", "limit", a, "--gen", gen, "--resolution", str(r)]
+                yield argv, lambda a=a, gen=gen, r=r: ip_limit_check(
+                    pt(a), IpGenerator.parse(gen), resolution=r
+                )
+
+
+def test_verdict_is_its_stdout(run):
+    """``is_uniformly_recurrent``, ``are_proximal`` and ``ip_limit_check``
+    return the JSON object their subcommand prints: JSON-native through and
+    through (no tuple survives a round trip), and printed as it is."""
+    calls = list(verdict_calls())
+    assert len(calls) == 21 + (15 * 15 + 5 * 5 + 1) + 11 * 5 * 4
+    for argv, library in calls:
+        got = library()
+        assert json.loads(json.dumps(got)) == got, argv
+        assert run(*argv) == (0, json.dumps(got) + "\n", ""), argv
+
+
+def agrees_within(z: SymbolicPoint, x: SymbolicPoint, k: int) -> bool:
+    """d(z, x) <= 2^-k: coordinate i agrees at the positions below k - i."""
+    return all(
+        z.coords[i].window(0, k - i) == x.coords[i].window(0, k - i)
+        for i in range(min(k, x.coord_count))
+    )
+
+
+def periodic(z: SymbolicPoint) -> bool:
+    """z is its own shifted copy one period on: purely periodic."""
+    return shift(z, z.lcm_period) == z
+
+
+def rederived_ur(argv) -> dict | None:
+    """The object ``dyn ur`` must print for ``argv``, re-derived from shifted
+    copies of the point and raw windows of its coordinates; None where the
+    input must be refused."""
+    try:
+        x = SymbolicPoint.parse(argv[2])
+    except LiteralError:
+        return None
+    if periodic(x):
+        period = x.lcm_period
+        # returns at resolution k are the n < period whose copy agrees with
+        # x that far; a gap is the largest cyclic difference between them
+        gaps = []
+        for k in range(1, x.coord_count + period + 1):
+            returns = [n for n in range(period) if agrees_within(shift(x, n), x, k)]
+            gaps.append([k, max(b - a for a, b in zip(returns, returns[1:] + [period]))])
+        return {"recurrent": True, "gaps": gaps}
+    # the first coordinate that is not purely periodic, from its preperiod m
+    # on of period p; its shortest prefix met at no offset in [m, m + p)
+    i, line = next(
+        (i, z) for i, z in enumerate(SymbolicPoint((u,)) for u in x.coords) if not periodic(z)
+    )
+    m = next(n for n in count() if periodic(shift(line, n)))
+    u, p = line.coords[0], line.lcm_period
+    for length in count(1):
+        word = u.window(0, length)
+        if all(u.window(n, n + length) != word for n in range(m, m + p)):
+            occurrences = [n for n in range(m) if u.window(n, n + length) == word]
+            return {"recurrent": False, "coord": i, "word": word, "occurrences": occurrences}
+
+
+def rederived_proximal(argv) -> dict | None:
+    """The object ``dyn proximal`` must print for ``argv``, re-derived from
+    shifted copies of both points and raw windows of their coordinates;
+    None where the input must be refused."""
+    try:
+        x, y = SymbolicPoint.parse(argv[2]), SymbolicPoint.parse(argv[3])
+    except LiteralError:
+        return None
+    if x.coord_count != y.coord_count:
+        return None
+    # from the least offset where both copies are purely periodic they
+    # repeat with the joint period, so they meet there or never
+    join = next(n for n in count() if periodic(shift(x, n)) and periodic(shift(y, n)))
+    if shift(x, join) == shift(y, join):
+        return {"proximal": True, "witness": join}
+    period = math.lcm(x.lcm_period, y.lcm_period)
+
+    def exponent(n: int) -> int:
+        """The least i + j with coordinate i of T^n x and T^n y apart at j;
+        both repeat with the joint period, so j < period where they differ."""
+        apart = []
+        for i, (u, v) in enumerate(zip(x.coords, y.coords)):
+            a, b = u.window(n, n + period), v.window(n, n + period)
+            if a != b:
+                apart.append(i + next(j for j in range(period) if a[j] != b[j]))
+        return min(apart)
+
+    return {"proximal": False, "exponent": max(exponent(n) for n in range(join, join + period))}
+
+
+# refused literals: a symbol outside 0/1, an empty period, a trailing
+# separator and no parentheses
+MALFORMED_POINTS = ["1(2)", "()", "(01);", "01"]
+
+
+class TestUrProximalRederived:
+    """``dyn ur`` and ``dyn proximal`` print the objects that shifted copies
+    and raw windows give, and refuse the rest; neither checker calls the
+    deciders, their rules or ``distance_exponent``."""
+
+    @pytest.mark.parametrize(
+        "argv", [c["argv"] for c in PINNED_CORPUS if c["argv"][:2] in (["dyn", "ur"], ["dyn", "proximal"])],
+        ids=" ".join,
+    )
+    def test_corpus_call(self, run, argv):
+        rederive = rederived_ur if argv[1] == "ur" else rederived_proximal
+        check_stdout(run, argv, rederive(argv))
+
+    def test_ur_universe(self, run):
+        verdicts = set()
+        for a in VERDICT_UNIVERSE + MALFORMED_POINTS:
+            want = rederived_ur(["dyn", "ur", a])
+            check_stdout(run, ["dyn", "ur", a], want)
+            verdicts.add(None if want is None else want["recurrent"])
+        assert verdicts == {True, False, None}
+
+    def test_proximal_universe(self, run):
+        verdicts = set()
+        for a, b in product(VERDICT_UNIVERSE + MALFORMED_POINTS, repeat=2):
+            want = rederived_proximal(["dyn", "proximal", a, b])
+            check_stdout(run, ["dyn", "proximal", a, b], want)
+            verdicts.add(None if want is None else want["proximal"])
+        assert verdicts == {True, False, None}

@@ -14,9 +14,7 @@ from epshift.epcore import EpSet, InputError, LiteralError, generate_algebra
 from epshift.dynamics import (
     AetPairError,
     BlockCode,
-    ProximalityReport,
     SymbolicPoint,
-    UrReport,
     _agreement_profile,
     _first_disagreement,
     _proximal,
@@ -311,7 +309,7 @@ def brute_ur(x: SymbolicPoint) -> bool:
     return True
 
 
-def rotation_table_ur(x: SymbolicPoint) -> UrReport:
+def rotation_table_ur(x: SymbolicPoint) -> dict:
     """Oracle for purely periodic stacks: the return exponents read off a
     private table of each coordinate against each of its rotations, and
     the gaps recomputed once per distinct cut."""
@@ -346,28 +344,28 @@ def rotation_table_ur(x: SymbolicPoint) -> UrReport:
                 diffs = [b - a for a, b in zip(returns, returns[1:])]
                 diffs.append(returns[0] + period - returns[-1])
                 bound_cache[cut] = max(diffs)
-        gaps.append((k, bound_cache[cut]))
-    return UrReport(recurrent=True, gaps=tuple(gaps))
+        gaps.append([k, bound_cache[cut]])
+    return {"recurrent": True, "gaps": gaps}
 
 
 class TestUniformRecurrence:
     def test_frozen(self):
         r = is_uniformly_recurrent(pt("(01)"))
-        assert r.recurrent and all(g == 2 for _, g in r.gaps)
+        assert r["recurrent"] and all(g == 2 for _, g in r["gaps"])
         r = is_uniformly_recurrent(pt("1(0)"))
-        assert not r.recurrent and r.coord == 0 and r.word == "1" and r.occurrences == (0,)
-        assert is_uniformly_recurrent(pt("(01);(0011)")).recurrent
+        assert r == {"recurrent": False, "coord": 0, "word": "1", "occurrences": [0]}
+        assert is_uniformly_recurrent(pt("(01);(0011)"))["recurrent"]
         # a gap is the largest cyclic difference between returns
-        assert all(g == 4 for _, g in is_uniformly_recurrent(pt("(1000)")).gaps)
+        assert all(g == 4 for _, g in is_uniformly_recurrent(pt("(1000)"))["gaps"])
 
     def test_gap_resolutions_run_high_enough(self):
         r = is_uniformly_recurrent(pt("(01);(0011)"))
-        ks = [k for k, _ in r.gaps]
+        ks = [k for k, _ in r["gaps"]]
         assert ks == list(range(1, 2 + 4 + 1))
 
     @given(points)
     def test_matches_brute(self, x):
-        assert is_uniformly_recurrent(x).recurrent == brute_ur(x)
+        assert is_uniformly_recurrent(x)["recurrent"] == brute_ur(x)
 
     @given(periodic_points)
     def test_matches_rotation_table(self, x):
@@ -376,9 +374,9 @@ class TestUniformRecurrence:
     @given(periodic_points)
     def test_gap_certificate(self, x):
         r = is_uniformly_recurrent(x)
-        assert r.recurrent
+        assert r["recurrent"]
         lcm = x.lcm_period
-        for k, bound in r.gaps:
+        for k, bound in r["gaps"]:
             returns = [
                 n for n in range(lcm)
                 if distance_exponent(shift(x, n), x) >= k
@@ -394,21 +392,21 @@ class TestUniformRecurrence:
     @given(points)
     def test_refutation_certificate(self, x):
         r = is_uniformly_recurrent(x)
-        if r.recurrent:
+        if r["recurrent"]:
             return
-        u = x.coords[r.coord]
+        u = x.coords[r["coord"]]
         assert u.pre
         m, p = len(u.pre), len(u.per)
-        length = len(r.word)
+        length = len(r["word"])
         horizon = m + 2 * p + length
         w = u.window(0, horizon + length)
-        assert w.startswith(r.word)
-        hits = tuple(n for n in range(horizon) if w[n:n + length] == r.word)
-        assert hits == r.occurrences
+        assert w.startswith(r["word"])
+        hits = [n for n in range(horizon) if w[n:n + length] == r["word"]]
+        assert hits == r["occurrences"]
         assert all(n < m for n in hits)
 
 
-def prefix_scan_ur(x: SymbolicPoint) -> UrReport:
+def prefix_scan_ur(x: SymbolicPoint) -> dict:
     """Oracle for a stack that is not purely periodic: the shortest prefix
     of its first coordinate with a preperiod that occurs at no offset of
     one period past that preperiod, found by slicing a 2(m + p) window."""
@@ -419,8 +417,8 @@ def prefix_scan_ur(x: SymbolicPoint) -> UrReport:
     for length in range(1, m + p + 1):
         prefix = w[:length]
         if all(w[n:n + length] != prefix for n in range(m, m + p)):
-            occ = tuple(n for n in range(m) if w[n:n + length] == prefix)
-            return UrReport(recurrent=False, coord=i, word=prefix, occurrences=occ)
+            occ = [n for n in range(m) if w[n:n + length] == prefix]
+            return {"recurrent": False, "coord": i, "word": prefix, "occurrences": occ}
     raise AssertionError(f"no finitely occurring prefix in {u.literal}")
 
 
@@ -454,15 +452,15 @@ def brute_proximal(x: SymbolicPoint, y: SymbolicPoint) -> bool:
     return any(shift(x, n) == shift(y, n) for n in range(top + 1))
 
 
-def join_rule_proximal(x: SymbolicPoint, y: SymbolicPoint) -> ProximalityReport:
+def join_rule_proximal(x: SymbolicPoint, y: SymbolicPoint) -> dict:
     """Oracle: the pair is proximal iff the points agree at the preperiod
     join; otherwise the worst exponent over one joint period past it."""
     join = max(x.max_preperiod, y.max_preperiod)
     if distance_exponent(x, y, join, join) == INF:
-        return ProximalityReport(proximal=True, witness=join)
+        return {"proximal": True, "witness": join}
     period = math.lcm(x.lcm_period, y.lcm_period)
     worst = max(distance_exponent(x, y, n, n) for n in range(join, join + period))
-    return ProximalityReport(proximal=False, exponent=int(worst))
+    return {"proximal": False, "exponent": int(worst)}
 
 
 class TestProximality:
@@ -480,24 +478,22 @@ class TestProximality:
             assert are_proximal(x, y) == join_rule_proximal(x, y)
 
     def test_frozen(self):
-        r = are_proximal(pt("(01)"), pt("(10)"))
-        assert not r.proximal and r.exponent == 0
-        r = are_proximal(pt("1(0)"), pt("(0)"))
-        assert r.proximal and r.witness == 1
+        assert are_proximal(pt("(01)"), pt("(10)")) == {"proximal": False, "exponent": 0}
+        assert are_proximal(pt("1(0)"), pt("(0)")) == {"proximal": True, "witness": 1}
         z = pt("(0011)")
-        assert are_proximal(z, shift(z, 4)).proximal
+        assert are_proximal(z, shift(z, 4))["proximal"]
 
     @given(same_size_pair())
     def test_matches_brute(self, xy):
         x, y = xy
-        assert are_proximal(x, y).proximal == brute_proximal(x, y)
+        assert are_proximal(x, y)["proximal"] == brute_proximal(x, y)
 
     @given(same_size_pair())
     def test_certificates(self, xy):
         x, y = xy
         r = are_proximal(x, y)
-        if r.proximal:
-            assert shift(x, r.witness) == shift(y, r.witness)
+        if r["proximal"]:
+            assert shift(x, r["witness"]) == shift(y, r["witness"])
         else:
             join = max(x.max_preperiod, y.max_preperiod)
             lcm = math.lcm(*(len(c.per) for c in x.coords + y.coords))
@@ -505,12 +501,12 @@ class TestProximality:
                 distance_exponent(shift(x, n), shift(y, n))
                 for n in range(join, join + 2 * lcm)
             ]
-            assert all(e <= r.exponent for e in es)
-            assert r.exponent in es
+            assert all(e <= r["exponent"] for e in es)
+            assert r["exponent"] in es
 
     @given(points)
     def test_reflexive(self, x):
-        assert are_proximal(x, x).proximal
+        assert are_proximal(x, x)["proximal"]
 
 
 class TestAeSolve:
@@ -522,8 +518,8 @@ class TestAeSolve:
     @given(points)
     def test_output_verifies(self, x):
         y = ae_solve(x)
-        assert is_uniformly_recurrent(y).recurrent
-        assert are_proximal(x, y).proximal
+        assert is_uniformly_recurrent(y)["recurrent"]
+        assert are_proximal(x, y)["proximal"]
 
     @given(points)
     def test_unique_solution(self, x):
@@ -554,8 +550,8 @@ class TestEaetExtend:
         y1 = ae_solve(x1)
         y2 = eaet_extend(x1, y1, x2)
         ystack = stack_points(y1, y2)
-        assert is_uniformly_recurrent(ystack).recurrent
-        assert are_proximal(stack_points(x1, x2), ystack).proximal
+        assert is_uniformly_recurrent(ystack)["recurrent"]
+        assert are_proximal(stack_points(x1, x2), ystack)["proximal"]
 
 
 IDENTITY = BlockCode.parse("1:1:1:01")
@@ -652,8 +648,8 @@ class TestEaetPrime:
         for i, code in enumerate(codes):
             xs.append(apply_block_code(code, ys[: i + 1]))
         ystack = stack_points(*ys)
-        assert is_uniformly_recurrent(ystack).recurrent
-        assert are_proximal(stack_points(*xs), ystack).proximal
+        assert is_uniformly_recurrent(ystack)["recurrent"]
+        assert are_proximal(stack_points(*xs), ystack)["proximal"]
 
 
 def first_visit_orbit(y: SymbolicPoint, top: int) -> list[SymbolicPoint]:

@@ -690,8 +690,8 @@ class TestUltralimit:
             x = encode_point(alg.members)
             y = ultralimit(f, x)
             assert y == ae_solve(x)
-            assert is_uniformly_recurrent(y).recurrent
-            assert are_proximal(x, y).proximal
+            assert is_uniformly_recurrent(y)["recurrent"]
+            assert are_proximal(x, y)["proximal"]
 
     def test_biconditional(self):
         alg = generate_algebra([EpSet.parse("(100)")], downward=True)

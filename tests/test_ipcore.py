@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from itertools import combinations, product
 from pathlib import Path
@@ -277,31 +278,32 @@ class TestIpConstruction:
 class TestIpLimitCheck:
     def test_pass_even_generator(self):
         v = ip_limit_check(pt("(10)"), IpGenerator.parse("2+(2)"), resolution=8)
-        assert v.passed and v.offset == 0 and v.kind == "bounded"
-        assert v.limit == pt("(10)")
+        assert v["passed"] and v["offset"] == 0 and v["kind"] == "bounded"
+        assert v["limit"] == "(10)"
 
     def test_fail_odd_generator(self):
         v = ip_limit_check(pt("(10)"), IpGenerator.parse("1+(2)"), resolution=8)
-        assert not v.passed and v.offset is None
-        assert v.counterexamples[0] == (0, 1, 0)
-        assert len(v.counterexamples) == 7  # one refutation per tested offset
+        assert not v["passed"] and "offset" not in v
+        assert v["counterexamples"][0] == [0, 1, 0]
+        assert len(v["counterexamples"]) == 7  # one refutation per tested offset
 
     def test_constant_point_passes(self):
         v = ip_limit_check(pt("(0)"), IpGenerator.parse("1,2+(3,1)"), resolution=10)
-        assert v.passed
+        assert v["passed"]
 
     @given(points)
     def test_constructed_generator_passes(self, x):
         cert = ip_sequence_construct(x, ae_solve(x), count=6)
         v = ip_limit_check(x, cert.generator, resolution=5, sum_terms=3, witness_count=5)
-        assert v.passed and v.offset == 0
+        assert v["passed"] and v["offset"] == 0
 
     def test_counterexample_reverifies(self):
         x = pt("(10)")
         g = IpGenerator.parse("1+(2)")
         v = ip_limit_check(x, g, resolution=8)
-        for m, s, e in v.counterexamples:
-            assert distance_exponent(shift(x, s), v.limit) == e < 8
+        limit = pt(v["limit"])
+        for m, s, e in v["counterexamples"]:
+            assert distance_exponent(shift(x, s), limit) == e < 8
             assert s in fs_enumerate(g, m, 3, s)
 
     def test_validation(self):
@@ -577,20 +579,56 @@ class TestSearchBoundary:
         assert below == FsSearchResult(found=False, bound=2**k - 2)
 
 
+class NodeBudgetExceeded(Exception):
+    """A search visited more nodes than its test allows."""
+
+
+@contextmanager
+def search_nodes(budget: float = math.inf):
+    """Count search nodes, the calls of ``_least_witness``'s ``extend``
+    closure, with a profile hook; yields a one-item list holding the count.
+    A search that visits more than ``budget`` nodes is stopped by raising
+    :class:`NodeBudgetExceeded` from the hook."""
+    extend = next(
+        c for c in ipcore._least_witness.__code__.co_consts if getattr(c, "co_name", "") == "extend"
+    )
+    visited = [0]
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code is extend:
+            visited[0] += 1
+            if visited[0] > budget:
+                raise NodeBudgetExceeded(f"search visited more than {budget} nodes")
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        yield visited
+    finally:
+        sys.setprofile(previous)
+
+
+# TestSearchPrunes' searches visit 3 to 55 nodes; one that passes this
+# budget has lost a cut and is stopped at once rather than left to run
+PRUNE_BUDGET = 200
+
+
 class TestSearchPrunes:
     """Cases the Davenport opening rule or the counting floor decides.
     Without them the exhaustions take seconds and the large bounds give
-    no answer in minutes."""
+    no answer in minutes, so each search runs under ``PRUNE_BUDGET``."""
 
     def test_preperiod_opener_is_not_cut(self):
         # the rule cuts (10)-residue openers of 011(10) only from its
         # preperiod length 3 on, so 1 still opens the least witness
-        r = hindman_search([EpSet.parse("011(10)"), EpSet.parse("100(01)")], 2, 20)
+        with search_nodes(PRUNE_BUDGET):
+            r = hindman_search([EpSet.parse("011(10)"), EpSet.parse("100(01)")], 2, 20)
         assert r.found and r.witness == (1, 2)
 
     @pytest.mark.parametrize("classes,p", [("(100);(011)", 3), ("(1000);(0111)", 4)])
     def test_multiples_of_the_period_at_a_large_bound(self, classes, p):
-        r = hindman_search([EpSet.parse(s) for s in classes.split(";")], 8, 4194304)
+        with search_nodes(PRUNE_BUDGET):
+            r = hindman_search([EpSet.parse(s) for s in classes.split(";")], 8, 4194304)
         assert r.found and r.witness == tuple(p * 2**i for i in range(8))
 
     @pytest.mark.parametrize("classes,terms,bound", [
@@ -599,7 +637,8 @@ class TestSearchPrunes:
         ("(100);(011)", 8, 764),
     ])
     def test_exhausted_one_below_the_least_total(self, classes, terms, bound):
-        got = hindman_search([EpSet.parse(s) for s in classes.split(";")], terms, bound)
+        with search_nodes(PRUNE_BUDGET):
+            got = hindman_search([EpSet.parse(s) for s in classes.split(";")], terms, bound)
         assert got == FsSearchResult(found=False, bound=bound)
 
 
@@ -737,26 +776,12 @@ def test_pinned_search_nodes():
     """The pinned cases visit 6,482 search nodes: calls of the ``extend``
     closure of ``_least_witness``, counted by a profile hook.  A lost cut
     changes the work and no answer, so only this count sees it."""
-    extend = next(
-        c for c in ipcore._least_witness.__code__.co_consts if getattr(c, "co_name", "") == "extend"
-    )
-    nodes = 0
-
-    def count(frame, event, arg):
-        nonlocal nodes
-        if event == "call" and frame.f_code is extend:
-            nodes += 1
-
-    previous = sys.getprofile()
-    sys.setprofile(count)
-    try:
+    with search_nodes() as visited:
         for _, case in PINNED_SEARCH:
             colorings = [[EpSet.parse(s) for s in c] for c in case["colorings"]]
             iht_search(colorings, case["terms"], case["bound"])
-    finally:
-        sys.setprofile(previous)
     assert len(PINNED_SEARCH) == 66
-    assert nodes == 6482
+    assert visited[0] == 6482
 
 
 class TestVerifyIhtWitness:
