@@ -152,10 +152,7 @@ def distance_exponent(
 def encode_point(sets) -> SymbolicPoint:
     """Code a family of sets, in order, as a point: coordinate i reads 0 at
     n iff n is in the i-th set (the indicator convention, 0 marking membership)."""
-    items = tuple(sets)
-    if not items:
-        raise InputError("cannot encode an empty family")
-    return SymbolicPoint(tuple(a.complement() for a in items))
+    return SymbolicPoint(tuple(a.complement() for a in sets))
 
 
 # -- recurrence -------------------------------------------------------------
@@ -360,8 +357,8 @@ def covering_bound(
 class BlockCode:
     """A sliding local rule: a continuous shift-commuting map.
 
-    Output symbol j at position n is ``table[pattern][j]`` where pattern
-    packs the input symbols at positions n .. n+window-1 of every
+    Output symbol j at position n is ``bits[pattern * coords + j]`` where
+    pattern packs the input symbols at positions n .. n+window-1 of every
     coordinate of every input point, ordered input-point major, then
     coordinate, then offset, most significant bit first.
     """
@@ -369,49 +366,32 @@ class BlockCode:
     arity: int
     window: int
     coords: int
-    table: tuple[str, ...]
+    bits: str
 
     def __post_init__(self) -> None:
         if self.arity < 1 or self.window < 1 or self.coords < 1:
             raise InputError("block code dimensions must be positive")
-        bits = self.arity * self.coords * self.window
-        if bits > 16:
+        reads = self.arity * self.coords * self.window
+        if reads > 16:
             raise InputError("block code reads too many symbols (limit 16)")
-        table = tuple(self.table)
-        if len(table) != 1 << bits:
-            raise InputError(
-                f"table needs {1 << bits} rows for {bits} input symbols"
-            )
-        for row in table:
-            if len(row) != self.coords or set(row) - {"0", "1"}:
-                raise InputError("each table row is one output symbol per coordinate")
-        object.__setattr__(self, "table", table)
+        if len(self.bits) != self.coords << reads or set(self.bits) - {"0", "1"}:
+            raise InputError(f"block code needs {self.coords << reads} bits 0/1 for {reads} reads")
 
     @classmethod
     def parse(cls, text: str) -> "BlockCode":
         """Parse ``arity:window:coords:bits`` with bits row-major, e.g. the
         one-coordinate identity is ``1:1:1:01``."""
-        bad = LiteralError(
-            f"bad block code literal {text!r}: expected arity:window:coords:tablebits"
-        )
-        parts = text.split(":")
-        if len(parts) != 4:
-            raise bad
         try:
-            a, w, c = (int(p) for p in parts[:3])
-        except ValueError:
-            raise bad from None
-        bits = parts[3]
-        if a < 1 or w < 1 or c < 1 or not bits or set(bits) - {"0", "1"}:
-            raise bad
-        if a * c * w > 16 or len(bits) != c * (1 << (a * c * w)):
-            raise bad
-        table = tuple(bits[i * c:(i + 1) * c] for i in range(1 << (a * c * w)))
-        return cls(a, w, c, table)
+            a, w, c, bits = text.split(":")
+            return cls(int(a), int(w), int(c), bits)
+        except ValueError:  # four parts, three ints, and the constructor's checks
+            raise LiteralError(
+                f"bad block code literal {text!r}: expected arity:window:coords:tablebits"
+            ) from None
 
     @property
     def literal(self) -> str:
-        return f"{self.arity}:{self.window}:{self.coords}:{''.join(self.table)}"
+        return f"{self.arity}:{self.window}:{self.coords}:{self.bits}"
 
 
 def apply_block_code(code: BlockCode, inputs) -> SymbolicPoint:
@@ -438,9 +418,8 @@ def apply_block_code(code: BlockCode, inputs) -> SymbolicPoint:
             "".join(views[a][j][n:n + w] for a in range(code.arity) for j in range(c)),
             2,
         )
-        row = code.table[pattern]
         for j in range(c):
-            outs[j].append(row[j])
+            outs[j].append(code.bits[pattern * c + j])
     coords = tuple(
         EpSet("".join(o[:m]), "".join(o[m:])) for o in outs
     )

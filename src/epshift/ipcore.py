@@ -138,8 +138,6 @@ def fs_enumerate(g: IpGenerator, from_index: int, max_terms: int, bound: int) ->
     """
     if max_terms < 1 or bound < 1:
         raise InputError("need max_terms >= 1 and bound >= 1")
-    if from_index < 0:
-        raise InputError("generator indices are naturals")
     terms = []
     i = from_index
     while (t := g.term(i)) <= bound:  # terms increase, so no later one fits

@@ -7,7 +7,9 @@ import json
 import math
 import os
 import pkgutil
+import random
 import shlex
+import shutil
 import subprocess
 import sys
 from itertools import count, product
@@ -18,7 +20,7 @@ import pytest
 import epshift
 from epshift import cli
 from epshift.cli import build_parser, main
-from epshift.dynamics import SymbolicPoint, are_proximal, is_uniformly_recurrent, shift
+from epshift.dynamics import BlockCode, SymbolicPoint, are_proximal, is_uniformly_recurrent, shift
 from epshift.epcore import EpSet, LiteralError, generate_algebra
 from epshift.filters import build_partial_ultrafilter
 from epshift.ipcore import (
@@ -29,7 +31,7 @@ from epshift.ipcore import (
     ip_sequence_construct,
     verify_ip_certificate,
 )
-from test_dynamics import pt, window_contains, window_replay
+from test_dynamics import pt, window_block_code, window_contains, window_replay
 
 
 @pytest.fixture()
@@ -75,6 +77,62 @@ PINNED_CORPUS = json.loads(
 def test_benchmark_corpus_bytes(run, case):
     code, out, _ = run(*case["argv"])
     assert {"exit": code, "stdout": out} == case["expect"]
+
+
+def test_every_result_is_json_native():
+    """Each handler returns an object that survives a JSON round trip (no
+    tuple, no record), over the corpus and every step of both bundled
+    scenarios, so what ``main`` prints is what a scenario step's reference
+    walks, and ``_lookup`` indexes lists only."""
+    def result(argv):
+        ns = build_parser().parse_args(argv)
+        r = ns.handler(ns)
+        assert json.loads(json.dumps(r)) == r, argv
+        return r
+
+    for case in PINNED_CORPUS:
+        result(case["argv"])
+    for scenario in ("aetmin.scn", "extend.scn"):
+        results: dict = {}
+        for name, command in cli._parse_scenario(cli._scenario_text(scenario)):
+            results[name] = result([cli._substitute(t, results) for t in shlex.split(command)])
+        assert len(results) in (3, 5)
+
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "cli_diff.py"
+
+
+def cli_diff(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, str(TOOL), *args], capture_output=True, text=True, timeout=300
+    )
+
+
+def test_cli_diff_finds_no_difference_against_itself():
+    proc = cli_diff(str(TOOL.parents[1]))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, f"{len(PINNED_CORPUS)} calls, 0 differ\n", ""
+    )
+
+
+def test_cli_diff_reports_a_changed_message(tmp_path):
+    """A tree whose refusal reads differently differs on that call alone."""
+    shutil.copytree(TOOL.parents[1] / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    epcore = tmp_path / "src" / "epshift" / "epcore.py"
+    text = epcore.read_text(encoding="utf-8")
+    assert "position must be a natural number" in text
+    epcore.write_text(text.replace("position must be a natural", "position must be a whole"))
+    calls = tmp_path / "calls.jsonl"
+    calls.write_text('["set", "member", "(10)", "-1"]\n\n["set", "member", "(10)", "6"]\n')
+    proc = cli_diff(str(tmp_path), "--calls", str(calls))
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.splitlines() == [
+        'call 0: ["set", "member", "(10)", "-1"]',
+        '  stderr here:  "epshift: error: position must be a natural number\\n"',
+        '  stderr other: "epshift: error: position must be a whole number\\n"',
+        "2 calls, 1 differ",
+    ]
 
 
 # every optional flag of every parser, keyed by subcommand; a change that
@@ -924,3 +982,183 @@ class TestUrProximalRederived:
             check_stdout(run, ["dyn", "proximal", a, b], want)
             verdicts.add(None if want is None else want["proximal"])
         assert verdicts == {True, False, None}
+
+
+def purely_periodic(y: SymbolicPoint) -> bool:
+    """Each coordinate's window repeats with its period p: u(n) = u(n + p)
+    below its preperiod plus p, and so everywhere."""
+    return all(
+        u.window(0, len(u.pre) + len(u.res)) == u.window(len(u.res), len(u.pre) + 2 * len(u.res))
+        for u in y.coords
+    )
+
+
+def agree_from_join(x: SymbolicPoint, y: SymbolicPoint) -> bool:
+    """x and y live in one product and agree from their preperiod join J on:
+    past J both repeat, so one window of their period lcm from J decides."""
+    if x.coord_count != y.coord_count:
+        return False
+    join = max(x.max_preperiod, y.max_preperiod)
+    for u, v in zip(x.coords, y.coords):
+        span = math.lcm(len(u.res), len(v.res))
+        if u.window(join, join + span) != v.window(join, join + span):
+            return False
+    return True
+
+
+def companion(x: SymbolicPoint) -> SymbolicPoint:
+    """The purely periodic point that agrees with x from its preperiod join
+    on, the only one there is: coordinate i repeats x_i's window one period
+    p long from the first multiple of p at or past the join."""
+    join = x.max_preperiod
+    coords = []
+    for u in x.coords:
+        p = len(u.res)
+        start = -(-join // p) * p
+        coords.append(EpSet("", u.window(start, start + p)))
+    y = SymbolicPoint(tuple(coords))
+    assert purely_periodic(y) and agree_from_join(x, y)
+    return y
+
+
+def rederived_ae(argv) -> dict | None:
+    """The object ``dyn ae`` must print for ``argv``; None where the input
+    must be refused."""
+    try:
+        x = SymbolicPoint.parse(argv[2])
+    except LiteralError:
+        return None
+    return {"point": companion(x).literal}
+
+
+def rederived_eaet(argv) -> dict | None:
+    """The object ``dyn eaet x1 y1 x2`` must print: x2's companion once
+    (x1, y1) is a pair, y1 purely periodic and agreeing with x1 from the
+    join on; None where the input must be refused."""
+    try:
+        x1, y1, x2 = (SymbolicPoint.parse(a) for a in argv[2:5])
+    except LiteralError:
+        return None
+    if not (purely_periodic(y1) and agree_from_join(x1, y1)):
+        return None
+    return {"point": companion(x2).literal}
+
+
+def code_fields(text: str) -> tuple[int, int, int, str] | None:
+    """A block code literal's arity, window, coordinate count and bits, or
+    None where it is malformed: the table has one row of coords bits 0/1
+    for each of the 2^reads patterns, and reads = arity * coords * window
+    is at most 16."""
+    parts = text.split(":")
+    if len(parts) != 4:
+        return None
+    try:
+        a, w, c = map(int, parts[:3])
+    except ValueError:
+        return None
+    bits = parts[3]
+    if min(a, w, c) < 1 or a * w * c > 16 or len(bits) != c << a * w * c or set(bits) - {"0", "1"}:
+        return None
+    return a, w, c, bits
+
+
+def rederived_eaetp(argv) -> dict | None:
+    """The object ``dyn eaetp point --code ...`` must print: y0 is the
+    point's companion, and each later x is code i applied to the ys so far
+    (the window oracle ``window_block_code``), followed by its companion;
+    None where the input must be refused."""
+    point, codes = argv[2], argv[4::2]
+    assert argv[3::2] == ["--code"] * len(codes)
+    fields = [code_fields(c) for c in codes]
+    if None in fields:
+        return None
+    try:
+        x = SymbolicPoint.parse(point)
+    except LiteralError:
+        return None
+    ys = [companion(x)]
+    for i, (a, w, c, bits) in enumerate(fields):
+        if a != i + 1 or any(y.coord_count != c for y in ys):
+            return None
+        ys.append(companion(window_block_code(BlockCode(a, w, c, bits), ys)))
+    return {"points": [y.literal for y in ys]}
+
+
+# points for the AE checkers: periodic and non-recurrent stacks of one and
+# two coordinates, and malformed literals
+AE_UNIVERSE = [
+    "(0)", "(01)", "(011)", "1(0)", "10(01)", "01(10)", "1101(0110)",
+    "(01);(0011)", "1(0);(01)", "(01);1(10)", "1(2)", "()",
+]
+
+
+def chains(rng: random.Random):
+    """Block-code chains of at most 3 reads per code: every one-point shape
+    alone, every two-point shape after it, the three-point code after that,
+    with drawn bits, and chains that must be refused."""
+    def code(a, w, c):
+        return f"{a}:{w}:{c}:" + "".join(rng.choice("01") for _ in range(c << a * w * c))
+
+    firsts = [code(1, w, c) for w, c in [(1, 1), (2, 1), (3, 1), (1, 2), (1, 3)] for _ in range(2)]
+    firsts += ["1:1:1:01", "1:1:1:10", "1:1:2:00011011"]
+    for first in firsts:
+        yield [first]
+        c = int(first.split(":")[2])
+        if c == 1:
+            second = code(2, 1, 1)
+            yield [first, second]
+            yield [first, second, code(3, 1, 1)]
+    # arity out of order, coordinate counts that differ, malformed literals
+    yield ["2:1:1:0110"]
+    yield ["1:1:1:01", "1:1:1:01"]
+    yield ["1:1:2:00011011", "2:1:1:0110"]
+    yield ["1:1:1:0"]
+    yield ["1:1:1:012"]
+    yield ["1:1:1:02"]
+    yield ["1:1:1"]
+    yield ["0:1:1:01"]
+    yield ["a:1:1:01"]
+    yield ["3:3:2:" + "0" * 10]
+    yield ["1:1:1:01", "2:1:1:01"]
+
+
+class TestAeRederived:
+    """``dyn ae``, ``dyn eaet`` and ``dyn eaetp`` print the companions that
+    raw windows give, and refuse the rest; no checker calls the solvers,
+    ``apply_block_code``, the pair check or its rules."""
+
+    CHECKS = {"ae": rederived_ae, "eaet": rederived_eaet, "eaetp": rederived_eaetp}
+
+    @pytest.mark.parametrize(
+        "argv", [c["argv"] for c in PINNED_CORPUS if c["argv"][:2] in (
+            ["dyn", "ae"], ["dyn", "eaet"], ["dyn", "eaetp"])],
+        ids=" ".join,
+    )
+    def test_corpus_call(self, run, argv):
+        check_stdout(run, argv, self.CHECKS[argv[1]](argv))
+
+    def test_ae_universe(self, run):
+        for a in AE_UNIVERSE:
+            check_stdout(run, ["dyn", "ae", a], rederived_ae(["dyn", "ae", a]))
+
+    def test_eaet_universe(self, run):
+        answers = 0
+        for x1, y1, x2 in product(AE_UNIVERSE, AE_UNIVERSE, AE_UNIVERSE[::3]):
+            argv = ["dyn", "eaet", x1, y1, x2]
+            want = rederived_eaet(argv)
+            check_stdout(run, argv, want)
+            answers += want is not None
+        assert answers > 0
+
+    def test_eaetp_universe(self, run):
+        calls = [
+            ["dyn", "eaetp", x] + [t for c in chain for t in ("--code", c)]
+            for chain in chains(random.Random(30))
+            for x in AE_UNIVERSE
+        ]
+        answers = 0
+        for argv in calls:
+            want = rederived_eaetp(argv)
+            check_stdout(run, argv, want)
+            answers += want is not None
+        assert answers > len(calls) // 3

@@ -558,6 +558,43 @@ IDENTITY = BlockCode.parse("1:1:1:01")
 NOT = BlockCode.parse("1:1:1:10")
 AND2 = BlockCode.parse("2:1:1:0001")
 
+# every (arity, window, coords) with at most 4 reads
+SMALL_SHAPES = [
+    (a, w, c) for a, w, c in product(range(1, 5), repeat=3) if a * w * c <= 4
+]
+
+
+def window_block_code(code: BlockCode, inputs) -> SymbolicPoint:
+    """Oracle for ``apply_block_code``: the output at n is row ``pattern`` of
+    the code's bits, the pattern read off raw windows at n .. n + window - 1
+    of each input coordinate, point major, most significant first.  Past the
+    inputs' preperiod join m they repeat with their period lcm L, so the
+    output does too, and its symbols below m + L are the whole point."""
+    coords = [u for x in inputs for u in x.coords]
+    m = max(len(u.pre) for u in coords)
+    period = math.lcm(*(len(u.res) for u in coords))
+    c, w = code.coords, code.window
+    rows = [
+        code.bits[c * int("".join(u.window(n, n + w) for u in coords), 2):][:c]
+        for n in range(m + period)
+    ]
+    return SymbolicPoint(tuple(
+        EpSet("".join(r[j] for r in rows[:m]), "".join(r[j] for r in rows[m:]))
+        for j in range(c)
+    ))
+
+
+@st.composite
+def small_codes(draw, shape=None):
+    """A block code of at most 4 reads with drawn bits, and inputs it takes."""
+    a, w, c = shape or draw(st.sampled_from(SMALL_SHAPES))
+    n = c << a * w * c
+    code = BlockCode(a, w, c, draw(st.text(alphabet="01", min_size=n, max_size=n)))
+    inputs = [
+        SymbolicPoint(tuple(draw(st.lists(words, min_size=c, max_size=c)))) for _ in range(a)
+    ]
+    return code, inputs
+
 
 class TestBlockCode:
     def test_parse_roundtrip(self):
@@ -566,7 +603,10 @@ class TestBlockCode:
 
     @pytest.mark.parametrize(
         "bad",
-        ["", "1:1:1", "0:1:1:01", "1:1:1:0", "1:1:1:012", "a:1:1:01", "1:1:2:01", "3:3:2:" + "0" * 10],
+        [
+            "", "1:1:1", "0:1:1:01", "1:1:1:0", "1:1:1:012", "a:1:1:01", "1:1:2:01",
+            "3:3:2:" + "0" * 10, "1:1:1:02",
+        ],
     )
     def test_parse_rejects(self, bad):
         with pytest.raises(LiteralError):
@@ -574,7 +614,47 @@ class TestBlockCode:
 
     def test_dimension_cap(self):
         with pytest.raises(InputError):
-            BlockCode(arity=1, window=17, coords=1, table=("0",) * (1 << 17))
+            BlockCode(arity=1, window=17, coords=1, bits="0" * (1 << 17))
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ((0, 1, 1, "01"), "positive"),
+            ((1, 0, 1, ""), "positive"),
+            ((1, 1, 0, ""), "positive"),
+            ((-1, -1, 1, "0"), "positive"),
+            # the reads are capped before any table length is worked out
+            ((1, 17, 1, ""), "limit 16"),
+            ((3, 3, 2, "0" * 10), "limit 16"),
+            ((1, 1, 1, "0"), "needs 2 bits"),
+            ((1, 1, 2, "01"), "needs 8 bits"),
+            ((2, 1, 1, "00010"), "needs 4 bits"),
+            ((1, 1, 1, "02"), "bits 0/1"),
+            ((1, 1, 1, "0 "), "bits 0/1"),
+            ((1, 2, 1, "01a0"), "bits 0/1"),
+        ],
+    )
+    def test_constructor_refuses(self, fields, message):
+        """The constructor is the one validator; direct construction meets
+        each of its refusals."""
+        with pytest.raises(InputError, match=message) as info:
+            BlockCode(*fields)
+        assert not isinstance(info.value, LiteralError)
+
+    def test_small_shapes(self):
+        assert len(SMALL_SHAPES) == 13
+
+    @pytest.mark.parametrize("shape", SMALL_SHAPES)
+    @given(data=st.data())
+    def test_literal_roundtrip(self, shape, data):
+        code, _ = data.draw(small_codes(shape))
+        assert BlockCode.parse(code.literal) == code
+        assert code.literal == ":".join(map(str, shape)) + ":" + code.bits
+
+    @given(small_codes())
+    def test_matches_window_oracle(self, code_inputs):
+        code, inputs = code_inputs
+        assert apply_block_code(code, inputs) == window_block_code(code, inputs)
 
     def test_identity_and_not(self):
         assert apply_block_code(IDENTITY, [pt("01(10)")]) == pt("01(10)")
