@@ -64,10 +64,6 @@ def _sets(texts: list[str]) -> list[EpSet]:
     return [EpSet.parse(t) for t in texts]
 
 
-def _classes(text: str) -> tuple[EpSet, ...]:
-    return tuple(EpSet.parse(part) for part in text.split(";"))
-
-
 def _cert_dict(cert: IpConstructionCertificate) -> dict:
     return {
         "generator": cert.generator.literal,
@@ -188,18 +184,18 @@ def _search_payload(res) -> dict:
 
 
 def _cmd_ip_hindman(ns) -> dict:
-    res = hindman_search(_classes(ns.classes), terms=ns.terms, bound=ns.bound)
+    res = hindman_search(SymbolicPoint.parse(ns.classes).coords, terms=ns.terms, bound=ns.bound)
     return _search_payload(res)
 
 
 def _cmd_ip_iht(ns) -> dict:
-    colorings = [_classes(c) for c in ns.coloring]
+    colorings = [SymbolicPoint.parse(c).coords for c in ns.coloring]
     res = iht_search(colorings, terms=ns.terms, bound=ns.bound)
     return _search_payload(res)
 
 
 def _cmd_ip_pipeline(ns) -> dict:
-    colorings = [_classes(c) for c in ns.coloring]
+    colorings = [SymbolicPoint.parse(c).coords for c in ns.coloring]
     res = aet_to_iht_pipeline(colorings, terms=ns.terms)
     d = _cert_dict(res.certificate)
     return {

@@ -383,8 +383,11 @@ class BlockCode:
         one-coordinate identity is ``1:1:1:01``."""
         try:
             a, w, c, bits = text.split(":")
+            # int() would also take a sign, spaces, underscores and non-ASCII digits
+            if not all(f.isascii() and f.isdigit() for f in (a, w, c)):
+                raise ValueError
             return cls(int(a), int(w), int(c), bits)
-        except ValueError:  # four parts, three ints, and the constructor's checks
+        except ValueError:  # four parts, three naturals, and the constructor's checks
             raise LiteralError(
                 f"bad block code literal {text!r}: expected arity:window:coords:tablebits"
             ) from None

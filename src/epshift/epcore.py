@@ -57,7 +57,7 @@ class ConstructionError(RuntimeError):
     """
 
 
-_LITERAL = re.compile(r"^([01]*)\(([01]+)\)$")
+_LITERAL = re.compile(r"([01]*)\(([01]+)\)")
 _COMPLEMENT = str.maketrans("01", "10")
 
 
@@ -106,7 +106,7 @@ class EpSet:
     @classmethod
     def parse(cls, text: str) -> "EpSet":
         """Parse a literal like ``0110(10)``; empty preperiod is ``(10)``."""
-        m = _LITERAL.match(text)
+        m = _LITERAL.fullmatch(text)
         if m is None:
             raise LiteralError(
                 f"bad set literal {text!r}: expected bits followed by a "

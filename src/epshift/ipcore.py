@@ -59,7 +59,7 @@ __all__ = [
     "verify_iht_witness",
 ]
 
-_GENERATOR = re.compile(r"^(\d+(?:,\d+)*)\+\((\d+(?:,\d+)*)\)$")
+_GENERATOR = re.compile(r"([0-9]+(?:,[0-9]+)*)\+\(([0-9]+(?:,[0-9]+)*)\)")
 
 
 class PartitionError(InputError):
@@ -94,14 +94,16 @@ class IpGenerator:
 
     @classmethod
     def parse(cls, text: str) -> "IpGenerator":
-        m = _GENERATOR.match(text)
-        if not m:
+        m = _GENERATOR.fullmatch(text)
+        try:
+            fields = m and [tuple(int(t) for t in g.split(",")) for g in m.groups()]
+        except ValueError:  # a number past int()'s digit limit
+            fields = None
+        if not fields:
             raise LiteralError(
                 f"bad generator literal {text!r}: expected h0,h1,...+(d0,d1,...)"
             )
-        head = tuple(int(t) for t in m.group(1).split(","))
-        diffs = tuple(int(t) for t in m.group(2).split(","))
-        return cls(head, diffs)
+        return cls(*fields)
 
     @property
     def literal(self) -> str:

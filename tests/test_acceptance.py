@@ -7,11 +7,9 @@ emitted certificates from scratch, and prints a single PASS/FAIL line.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from itertools import combinations
-from pathlib import Path
 
 import pytest
 
@@ -42,7 +40,14 @@ from epshift.filters import (
 )
 from epshift.cli import main
 
-from setops import first_member_at_least
+from oracles import (
+    brute_proximal,
+    brute_ur,
+    closed_form_member,
+    first_member_at_least,
+    periodic_part,
+    pinned_cases,
+)
 
 
 def _report(n: int, claim: str, failures: list) -> None:
@@ -55,13 +60,6 @@ def _rand_set(rng: random.Random, max_pre: int, max_per: int) -> EpSet:
     pre = "".join(rng.choice("01") for _ in range(rng.randrange(max_pre + 1)))
     per = "".join(rng.choice("01") for _ in range(rng.randrange(1, max_per + 1)))
     return EpSet(pre, per)
-
-
-def _closed_form_member(x: EpSet) -> bool:
-    """X ∈ u for any idempotent u of (βℕ, +): u holds pℕ, and from the
-    preperiod m on X ∩ pℕ is all of pℕ or empty, so X ∈ u iff
-    p·(m + 1) ∈ X."""
-    return x.member(len(x.per) * (len(x.pre) + 1))
 
 
 def _rand_point(rng: random.Random, max_coords: int, max_pre: int, max_per: int) -> SymbolicPoint:
@@ -123,13 +121,11 @@ def test_criterion_03_build_and_audit_random_algebras(built_filters):
         if not report.all_pass:
             failures.append((f.generator.literal, report.as_dict()))
             continue
-        want = [a.literal for a in alg.members if _closed_form_member(a)]
+        want = [a.literal for a in alg.members if closed_form_member(a)]
         if [e["set"] for e in report.members] != want:
             failures.append(("closed form", f.generator.literal))
         for entry in report.members:
-            a = EpSet.parse(entry["set"])
-            p = len(a.per)
-            d = a.translate_down(p * -(-len(a.pre) // p))
+            d = periodic_part(EpSet.parse(entry["set"]))
             if (
                 entry["translate_set"] != d.literal
                 or entry["gap"] != d.is_syndetic().bound
@@ -222,7 +218,7 @@ def test_criterion_05_ultralimit_coherence(built_filters):
         for a, c in zip(alg.members, y.coords):
             if f.member(a) != (c.window(0, 1) == "0"):
                 failures.append(("biconditional", f.generator.literal, a.literal))
-            if _closed_form_member(a) != (c.window(0, 1) == "0"):
+            if closed_form_member(a) != (c.window(0, 1) == "0"):
                 failures.append(("closed form", f.generator.literal, a.literal))
     _report(5, "ultralimit of every built filter is UR, proximal, and tracks membership", failures)
 
@@ -252,7 +248,7 @@ def test_criterion_06_extension_chains():
             if f2.member(a) != f1.member(a):
                 failures.append(("second extension", g2.literal, a.literal))
         for a in a2.members:
-            if f2.member(a) != _closed_form_member(a):
+            if f2.member(a) != closed_form_member(a):
                 failures.append(("closed form", g3.literal, a.literal))
     _report(6, "30 extension chains agree with their predecessors on the full base scope", failures)
 
@@ -277,29 +273,6 @@ def test_criterion_07_pipeline_homogeneity():
     _report(7, "20 pipeline witnesses are suffix-FS-homogeneous over 4-fold sums of 10 terms", failures)
 
 
-def _brute_ur(x: SymbolicPoint) -> bool:
-    lcm = x.lcm_period
-    m = x.max_preperiod
-    horizon = m + 4 * lcm
-    k_top = x.coord_count + m + lcm
-    exps = [distance_exponent(shift(x, n), x) for n in range(horizon)]
-    for k in range(1, k_top + 1):
-        hits = [n for n in range(horizon) if exps[n] >= k]
-        if not hits:
-            return False
-        gaps = [hits[0]] + [b - a for a, b in zip(hits, hits[1:])]
-        gaps.append(horizon - hits[-1])
-        if max(gaps) > lcm:
-            return False
-    return True
-
-
-def _brute_proximal(x: SymbolicPoint, y: SymbolicPoint) -> bool:
-    lcm = math.lcm(x.lcm_period, y.lcm_period)
-    horizon = max(x.max_preperiod, y.max_preperiod) + 2 * lcm * lcm
-    return any(shift(x, n) == shift(y, n) for n in range(horizon))
-
-
 def test_criterion_08_exact_decisions_vs_brute_scans():
     rng = random.Random(0xEA708)
     failures = []
@@ -321,7 +294,7 @@ def test_criterion_08_exact_decisions_vs_brute_scans():
 
     for _ in range(500):
         x = _rand_point(rng, max_coords=3, max_pre=6, max_per=6)
-        if is_uniformly_recurrent(x)["recurrent"] != _brute_ur(x):
+        if is_uniformly_recurrent(x)["recurrent"] != brute_ur(x):
             failures.append(("ur", x.literal))
 
     for _ in range(500):
@@ -336,7 +309,7 @@ def test_criterion_08_exact_decisions_vs_brute_scans():
         else:
             y = _rand_point(rng, max_coords=x.coord_count, max_pre=6, max_per=4)
             y = SymbolicPoint(y.coords[: x.coord_count] + x.coords[y.coord_count :])
-        if are_proximal(x, y)["proximal"] != _brute_proximal(x, y):
+        if are_proximal(x, y)["proximal"] != brute_proximal(x, y):
             failures.append(("proximal", x.literal, y.literal))
 
     _report(8, "syndetic/UR/proximal exact decisions match brute scans, 500 instances each", failures)
@@ -386,12 +359,7 @@ def test_criterion_09_orbit_closure_and_covering_bounds():
 
 
 # criterion 10 runs the benchmark's pinned CLI corpus; read here, never written
-CLI_CORPUS = [
-    case["argv"]
-    for case in json.loads(
-        (Path(__file__).resolve().parents[1] / "perfbench" / "pins.json").read_text(encoding="utf-8")
-    )["cli"]["corpus"]
-]
+CLI_CORPUS = [case["argv"] for _, case in pinned_cases("cli")]
 
 
 def test_criterion_10_cli_determinism(capsys):

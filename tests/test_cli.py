@@ -31,7 +31,7 @@ from epshift.ipcore import (
     ip_sequence_construct,
     verify_ip_certificate,
 )
-from test_dynamics import pt, window_block_code, window_contains, window_replay
+from oracles import pinned_cases, pinned_run, pt, window_block_code, window_contains, window_replay
 
 
 @pytest.fixture()
@@ -62,21 +62,13 @@ class TestPinnedOutputs:
         assert "()" in err
 
 
-# the benchmark's CLI corpus with its pinned exit codes and stdout bytes;
-# read here, never written
-PINNED_CORPUS = json.loads(
-    (Path(__file__).resolve().parents[1] / "perfbench" / "pins.json").read_text(encoding="utf-8")
-)["cli"]["corpus"]
+# the argv lists of the benchmark's CLI corpus
+CORPUS = [case["argv"] for _, case in pinned_cases("cli")]
 
 
-@pytest.mark.parametrize(
-    "case",
-    PINNED_CORPUS,
-    ids=[f"{i}-{c['argv'][0]}-{c['argv'][1]}" for i, c in enumerate(PINNED_CORPUS)],
-)
-def test_benchmark_corpus_bytes(run, case):
-    code, out, _ = run(*case["argv"])
-    assert {"exit": code, "stdout": out} == case["expect"]
+@pytest.mark.parametrize("case", [c for _, c in pinned_cases("cli")], ids=[f"{i}-{a[0]}-{a[1]}" for i, a in enumerate(CORPUS)])
+def test_benchmark_corpus_bytes(case):
+    assert pinned_run("cli", case) == (case["expect"], True)
 
 
 def test_every_result_is_json_native():
@@ -90,8 +82,8 @@ def test_every_result_is_json_native():
         assert json.loads(json.dumps(r)) == r, argv
         return r
 
-    for case in PINNED_CORPUS:
-        result(case["argv"])
+    for argv in CORPUS:
+        result(argv)
     for scenario in ("aetmin.scn", "extend.scn"):
         results: dict = {}
         for name, command in cli._parse_scenario(cli._scenario_text(scenario)):
@@ -111,7 +103,7 @@ def cli_diff(*args: str) -> subprocess.CompletedProcess:
 def test_cli_diff_finds_no_difference_against_itself():
     proc = cli_diff(str(TOOL.parents[1]))
     assert (proc.returncode, proc.stdout, proc.stderr) == (
-        0, f"{len(PINNED_CORPUS)} calls, 0 differ\n", ""
+        0, f"{len(CORPUS)} calls, 0 differ\n", ""
     )
 
 
@@ -272,6 +264,23 @@ class TestExitCodes:
         )
         assert proc.returncode == 3 and proc.stdout == ""
         assert "out of memory" in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("kind, text", [
+        ("set", "(10)\n"), ("generator", "2+(2)\n"), ("generator", "١+(٢)"),
+        ("generator", "1" * 5000 + "+(1)"), ("block code", "+1:1:1:01"),
+        ("block code", " 1:1:1:01"), ("block code", "١:1:1:01"), ("block code", "0_1:1:1:01"),
+    ], ids=["set-newline", "gen-newline", "gen-arabic-indic", "gen-5000-digits", "code-sign",
+            "code-space", "code-arabic-indic", "code-underscore"])
+    def test_literal_matched_whole(self, run, kind, text):
+        """A literal is matched as a whole, with ASCII digits only: a trailing
+        newline, a sign, a space, an underscore, another script's digits or
+        a number past int()'s digit limit is refused as that literal."""
+        argv = {"set": ["set", "member", text, "0"],
+                "generator": ["filter", "member", "--gen", text, "--set", "(01)"],
+                "block code": ["dyn", "eaetp", "(01)", "--code", text]}[kind]
+        code, out, err = run(*argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"epshift: error: bad {kind} literal {text!r}: expected ")
 
     def test_help_exits_zero(self, run):
         assert run("--help")[0] == 0
@@ -721,7 +730,7 @@ def library_certificate(argv) -> IpConstructionCertificate:
 
 def certifying_calls():
     """The corpus calls that print a certificate, and a few wider ones."""
-    corpus = [c["argv"] for c in PINNED_CORPUS if tuple(c["argv"][:2]) in PRINTED_CERTIFICATE]
+    corpus = [argv for argv in CORPUS if tuple(argv[:2]) in PRINTED_CERTIFICATE]
     return corpus + [
         ["ip", "construct", "1(10);(0011)", "(01);(0011)", "--count", "6"],
         ["ip", "construct", "1101(0110);(001)", "(0110);(001)", "--count", "3"],
@@ -761,8 +770,8 @@ class TestCertificateRoundTrip:
         assert checked >= 1
 
 
-def rederived_cover(argv) -> int | None:
-    """The bound ``dyn cover`` must print for ``argv``, re-derived from
+def rederived_cover(argv) -> dict | None:
+    """The object ``dyn cover`` must print for ``argv``, re-derived from
     shifted copies of the point and window comparison with the reference;
     None where the input must be refused."""
     y, ref = SymbolicPoint.parse(argv[2]), SymbolicPoint.parse(argv[3])
@@ -772,14 +781,14 @@ def rederived_cover(argv) -> int | None:
     # purely periodic (not uniformly recurrent), or products of two sizes
     if not 0 <= c <= ref.coord_count or k < 0:
         return None
-    if shift(y, period) != y or y.coord_count != ref.coord_count:
+    if not purely_periodic(y) or y.coord_count != ref.coord_count:
         return None
     # the orbit closure is T^s y for s < period; each copy's entry time
     entries = [
         next((n for n in range(period) if window_contains(ref, (c, k), shift(y, s + n), 0)), None)
         for s in range(period)
     ]
-    return None if None in entries else max(entries)
+    return None if None in entries else {"bound": max(entries)}
 
 
 # points and references for the dyn cover checker: periodic stacks of one
@@ -814,23 +823,14 @@ class TestCoverRederived:
     """``dyn cover`` prints the bound that shifted copies and window
     comparison give for (point, reference, depths), and refuses the rest."""
 
-    def check(self, run, argv) -> None:
-        bound = rederived_cover(argv)
-        check_stdout(run, argv, None if bound is None else {"bound": bound})
-
-    @pytest.mark.parametrize(
-        "argv", [c["argv"] for c in PINNED_CORPUS if c["argv"][:2] == ["dyn", "cover"]], ids=" ".join
-    )
-    def test_corpus_call(self, run, argv):
-        self.check(run, argv)
-
     def test_universe(self, run):
         calls = list(cover_calls())
         assert len(calls) == 3120
         bounds = 0
         for argv in calls:
-            self.check(run, argv)
-            bounds += rederived_cover(argv) is not None
+            want = rederived_cover(argv)
+            check_stdout(run, argv, want)
+            bounds += want is not None
         assert bounds > 0
 
 
@@ -883,9 +883,13 @@ def agrees_within(z: SymbolicPoint, x: SymbolicPoint, k: int) -> bool:
     )
 
 
-def periodic(z: SymbolicPoint) -> bool:
-    """z is its own shifted copy one period on: purely periodic."""
-    return shift(z, z.lcm_period) == z
+def purely_periodic(y: SymbolicPoint) -> bool:
+    """Each coordinate's window repeats with its period p: u(n) = u(n + p)
+    below its preperiod plus p, and so everywhere."""
+    return all(
+        u.window(0, len(u.pre) + len(u.res)) == u.window(len(u.res), len(u.pre) + 2 * len(u.res))
+        for u in y.coords
+    )
 
 
 def rederived_ur(argv) -> dict | None:
@@ -896,7 +900,7 @@ def rederived_ur(argv) -> dict | None:
         x = SymbolicPoint.parse(argv[2])
     except LiteralError:
         return None
-    if periodic(x):
+    if purely_periodic(x):
         period = x.lcm_period
         # returns at resolution k are the n < period whose copy agrees with
         # x that far; a gap is the largest cyclic difference between them
@@ -908,9 +912,9 @@ def rederived_ur(argv) -> dict | None:
     # the first coordinate that is not purely periodic, from its preperiod m
     # on of period p; its shortest prefix met at no offset in [m, m + p)
     i, line = next(
-        (i, z) for i, z in enumerate(SymbolicPoint((u,)) for u in x.coords) if not periodic(z)
+        (i, z) for i, z in enumerate(SymbolicPoint((u,)) for u in x.coords) if not purely_periodic(z)
     )
-    m = next(n for n in count() if periodic(shift(line, n)))
+    m = next(n for n in count() if purely_periodic(shift(line, n)))
     u, p = line.coords[0], line.lcm_period
     for length in count(1):
         word = u.window(0, length)
@@ -931,7 +935,7 @@ def rederived_proximal(argv) -> dict | None:
         return None
     # from the least offset where both copies are purely periodic they
     # repeat with the joint period, so they meet there or never
-    join = next(n for n in count() if periodic(shift(x, n)) and periodic(shift(y, n)))
+    join = next(n for n in count() if purely_periodic(shift(x, n)) and purely_periodic(shift(y, n)))
     if shift(x, join) == shift(y, join):
         return {"proximal": True, "witness": join}
     period = math.lcm(x.lcm_period, y.lcm_period)
@@ -959,14 +963,6 @@ class TestUrProximalRederived:
     and raw windows give, and refuse the rest; neither checker calls the
     deciders, their rules or ``distance_exponent``."""
 
-    @pytest.mark.parametrize(
-        "argv", [c["argv"] for c in PINNED_CORPUS if c["argv"][:2] in (["dyn", "ur"], ["dyn", "proximal"])],
-        ids=" ".join,
-    )
-    def test_corpus_call(self, run, argv):
-        rederive = rederived_ur if argv[1] == "ur" else rederived_proximal
-        check_stdout(run, argv, rederive(argv))
-
     def test_ur_universe(self, run):
         verdicts = set()
         for a in VERDICT_UNIVERSE + MALFORMED_POINTS:
@@ -982,15 +978,6 @@ class TestUrProximalRederived:
             check_stdout(run, ["dyn", "proximal", a, b], want)
             verdicts.add(None if want is None else want["proximal"])
         assert verdicts == {True, False, None}
-
-
-def purely_periodic(y: SymbolicPoint) -> bool:
-    """Each coordinate's window repeats with its period p: u(n) = u(n + p)
-    below its preperiod plus p, and so everywhere."""
-    return all(
-        u.window(0, len(u.pre) + len(u.res)) == u.window(len(u.res), len(u.pre) + 2 * len(u.res))
-        for u in y.coords
-    )
 
 
 def agree_from_join(x: SymbolicPoint, y: SymbolicPoint) -> bool:
@@ -1127,16 +1114,6 @@ class TestAeRederived:
     raw windows give, and refuse the rest; no checker calls the solvers,
     ``apply_block_code``, the pair check or its rules."""
 
-    CHECKS = {"ae": rederived_ae, "eaet": rederived_eaet, "eaetp": rederived_eaetp}
-
-    @pytest.mark.parametrize(
-        "argv", [c["argv"] for c in PINNED_CORPUS if c["argv"][:2] in (
-            ["dyn", "ae"], ["dyn", "eaet"], ["dyn", "eaetp"])],
-        ids=" ".join,
-    )
-    def test_corpus_call(self, run, argv):
-        check_stdout(run, argv, self.CHECKS[argv[1]](argv))
-
     def test_ae_universe(self, run):
         for a in AE_UNIVERSE:
             check_stdout(run, ["dyn", "ae", a], rederived_ae(["dyn", "ae", a]))
@@ -1162,3 +1139,22 @@ class TestAeRederived:
             check_stdout(run, argv, want)
             answers += want is not None
         assert answers > len(calls) // 3
+
+
+# each leaf subcommand's stdout checker: argv -> the object the call must
+# print, or None where it must be refused
+REDERIVED = {
+    "dyn cover": rederived_cover,
+    "dyn ur": rederived_ur,
+    "dyn proximal": rederived_proximal,
+    "dyn ae": rederived_ae,
+    "dyn eaet": rederived_eaet,
+    "dyn eaetp": rederived_eaetp,
+}
+
+
+@pytest.mark.parametrize(
+    "argv", [argv for argv in CORPUS if " ".join(argv[:2]) in REDERIVED], ids=" ".join
+)
+def test_corpus_call(run, argv):
+    check_stdout(run, argv, REDERIVED[" ".join(argv[:2])](argv))

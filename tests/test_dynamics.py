@@ -38,7 +38,20 @@ from epshift.ipcore import (
 )
 from epshift.filters import build_partial_ultrafilter
 
-from setops import stack_points
+from oracles import (
+    brute_proximal,
+    brute_ur,
+    canonical_sets,
+    outcome,
+    pt,
+    raw_bit,
+    stack_points,
+    whole_space,
+    window_block_code,
+    window_contains,
+    window_replay,
+    window_shift_image_subset,
+)
 
 INF = math.inf
 
@@ -52,10 +65,6 @@ periodic_words = st.builds(lambda per: EpSet("", per), st.text(alphabet="01", mi
 periodic_points = st.builds(
     SymbolicPoint, st.lists(periodic_words, min_size=1, max_size=3).map(tuple)
 )
-
-
-def pt(text: str) -> SymbolicPoint:
-    return SymbolicPoint.parse(text)
 
 
 def same_size_pair(draw_from=words):
@@ -105,12 +114,7 @@ class TestEncodePoint:
         certificate's target is that point's AE solution: checked on the
         downward algebra of every canonical set with preperiod <= 2 and
         period <= 3."""
-        sets = {
-            EpSet(w[:m], w[m:])
-            for m in range(3)
-            for p in range(1, 4)
-            for w in map("".join, product("01", repeat=m + p))
-        }
+        sets = canonical_sets(2, 3)
         assert len(sets) == 40
         for a in sets:
             alg = generate_algebra([a], downward=True)
@@ -202,28 +206,16 @@ class TestDistanceExponent:
 def raw_first_disagreement(u: EpSet, v: EpSet, n: int, m: int) -> int | None:
     """Oracle: the least j with u(n + j) != v(m + j), reading bits off the
     words one at a time on a window past which both shifted words repeat."""
-
-    def bit(w: EpSet, k: int) -> str:
-        return w.pre[k] if k < len(w.pre) else w.per[(k - len(w.pre)) % len(w.per)]
-
     horizon = len(u.pre) + len(v.pre) + 2 * math.lcm(len(u.per), len(v.per))
-    return next((j for j in range(horizon) if bit(u, n + j) != bit(v, m + j)), None)
+    return next((j for j in range(horizon)
+                 if raw_bit(u.pre, u.per, n + j) != raw_bit(v.pre, v.per, m + j)), None)
 
 
 # The small universe: every canonical word with a preperiod of at most
 # UNIVERSE_PRE bits and a period of at most UNIVERSE_PER bits (40 words).
 UNIVERSE_PRE = 2
 UNIVERSE_PER = 3
-UNIVERSE = sorted(
-    {
-        EpSet("".join(pre), "".join(per))
-        for a in range(UNIVERSE_PRE + 1)
-        for p in range(1, UNIVERSE_PER + 1)
-        for pre in product("01", repeat=a)
-        for per in product("01", repeat=p)
-    },
-    key=lambda w: w.literal,
-)
+UNIVERSE = canonical_sets(UNIVERSE_PRE, UNIVERSE_PER)
 
 
 def universe_offsets():
@@ -283,30 +275,6 @@ class TestFirstDisagreement:
         p, q = len(u.per), len(v.per)
         for a, b, i, j in ((u, v, n, m), (u, u, n, m), (u, u, n, n + m * p), (v, v, n + m * q, n)):
             assert _first_disagreement(a, b, i, j) == raw_first_disagreement(a, b, i, j)
-
-
-def brute_ur(x: SymbolicPoint) -> bool:
-    """Windowed return-gap scan, no structure theory.
-
-    Return times at resolution k within horizon H must have every gap,
-    including the sentinel gap to the horizon, at most the stack period.
-    Exact for eventually periodic stacks: periodic stacks return at every
-    multiple of the period, while a nonempty canonical preperiod kills all
-    fine-resolution returns past it.
-    """
-    m = x.max_preperiod
-    lcm = x.lcm_period
-    horizon = m + 4 * lcm
-    for k in range(1, x.coord_count + m + lcm + 1):
-        returns = [
-            n for n in range(horizon)
-            if distance_exponent(shift(x, n), x) >= k
-        ]
-        gaps = [b - a for a, b in zip(returns, returns[1:])]
-        gaps.append(horizon - returns[-1] if returns else horizon)
-        if max(gaps) > lcm:
-            return False
-    return True
 
 
 def rotation_table_ur(x: SymbolicPoint) -> dict:
@@ -432,24 +400,12 @@ class TestNonRecurrenceCertificate:
     def test_matches_prefix_scan(self):
         """Each word alone, and behind its purely periodic residue word, so
         the certificate reads coordinate 1."""
-        words = {
-            EpSet("".join(pre), "".join(per))
-            for a in range(1, NONRECURRENT_PRE + 1)
-            for p in range(1, NONRECURRENT_PER + 1)
-            for pre in product("01", repeat=a)
-            for per in product("01", repeat=p)
-        }
-        xs = [SymbolicPoint((u,)) for u in words if u.pre]
-        xs += [SymbolicPoint((EpSet("", u.res), u)) for u in words if u.pre]
+        words = [u for u in canonical_sets(NONRECURRENT_PRE, NONRECURRENT_PER) if u.pre]
+        xs = [SymbolicPoint((u,)) for u in words]
+        xs += [SymbolicPoint((EpSet("", u.res), u)) for u in words]
         assert len(xs) == 3224
         mismatches = [x.literal for x in xs if is_uniformly_recurrent(x) != prefix_scan_ur(x)]
         assert mismatches == []
-
-
-def brute_proximal(x: SymbolicPoint, y: SymbolicPoint) -> bool:
-    lcm = math.lcm(*(len(c.per) for c in x.coords + y.coords))
-    top = max(x.max_preperiod, y.max_preperiod) + 2 * lcm * lcm
-    return any(shift(x, n) == shift(y, n) for n in range(top + 1))
 
 
 def join_rule_proximal(x: SymbolicPoint, y: SymbolicPoint) -> dict:
@@ -562,26 +518,6 @@ AND2 = BlockCode.parse("2:1:1:0001")
 SMALL_SHAPES = [
     (a, w, c) for a, w, c in product(range(1, 5), repeat=3) if a * w * c <= 4
 ]
-
-
-def window_block_code(code: BlockCode, inputs) -> SymbolicPoint:
-    """Oracle for ``apply_block_code``: the output at n is row ``pattern`` of
-    the code's bits, the pattern read off raw windows at n .. n + window - 1
-    of each input coordinate, point major, most significant first.  Past the
-    inputs' preperiod join m they repeat with their period lcm L, so the
-    output does too, and its symbols below m + L are the whole point."""
-    coords = [u for x in inputs for u in x.coords]
-    m = max(len(u.pre) for u in coords)
-    period = math.lcm(*(len(u.res) for u in coords))
-    c, w = code.coords, code.window
-    rows = [
-        code.bits[c * int("".join(u.window(n, n + w) for u in coords), 2):][:c]
-        for n in range(m + period)
-    ]
-    return SymbolicPoint(tuple(
-        EpSet("".join(r[j] for r in rows[:m]), "".join(r[j] for r in rows[m:]))
-        for j in range(c)
-    ))
 
 
 @st.composite
@@ -777,58 +713,6 @@ class TestOrbitClosure:
             assert set(orbit_closure(z)) == orb
 
 
-def whole_space(pair) -> bool:
-    """A depth pair with 0 in either direction constrains nothing."""
-    c, k = pair
-    return c == 0 or k == 0
-
-
-def window_subset_of(a: SymbolicPoint, u, b: SymbolicPoint, v) -> bool:
-    """Oracle: U ⊆ V, for U the depth pair u around a and V the pair v
-    around b, by its own comparison of the references' windows."""
-    if whole_space(v):
-        return True
-    if whole_space(u):
-        return False
-    (uc, uk), (vc, vk) = u, v
-    if vc > uc or vk > uk:
-        return False
-    return all(a.coords[j].window(0, vk) == b.coords[j].window(0, vk) for j in range(vc))
-
-
-def window_shift_image_subset(a: SymbolicPoint, u, n: int, b: SymbolicPoint, v) -> bool:
-    """Oracle: T^n U ⊆ V, for U the depth pair u around a and V the pair v
-    around b, by its own comparison of the references' windows."""
-    if whole_space(v):
-        return True
-    if whole_space(u):
-        return False
-    (uc, uk), (vc, vk) = u, v
-    if vc > uc or vk + n > uk:
-        return False
-    return all(a.coords[j].window(n, n + vk) == b.coords[j].window(0, vk) for j in range(vc))
-
-
-def window_contains(reference: SymbolicPoint, pair, z: SymbolicPoint, n: int) -> bool:
-    """Oracle: T^n z lies in the cylinder of ``pair`` around ``reference``,
-    by comparing windows as long as the position depth."""
-    c, k = pair
-    return all(z.coords[j].window(n, n + k) == reference.coords[j].window(0, k) for j in range(c))
-
-
-def window_within_ball(reference: SymbolicPoint, pair, y: SymbolicPoint, k: int) -> bool:
-    """Oracle: the cylinder of ``pair`` around ``reference`` lies in
-    B(y, 2^-k), by comparing windows as long as each depth."""
-    c, pos = pair
-    for i in range(min(y.coord_count, k)):
-        depth = k - i
-        if i >= c or pos < depth:
-            return False
-        if reference.coords[i].window(0, depth) != y.coords[i].window(0, depth):
-            return False
-    return True
-
-
 def profile_contains(reference: SymbolicPoint, pair, z: SymbolicPoint, n: int = 0) -> bool:
     """T^n z lies in the cylinder of ``pair`` around ``reference``, read as
     the library reads it: the last entry of one agreement profile."""
@@ -908,30 +792,6 @@ class TestCylinder:
                             assert profile_contains(ref, (i, k), z, n) == window_contains(
                                 ref, (i, k), z, n
                             )
-
-
-def window_replay(cert: IpConstructionCertificate) -> list[str]:
-    """Oracle: the certificate replay with each depth pair read around y,
-    every condition checked by the window oracles."""
-    x, y = cert.source, cert.target
-    pairs, terms = cert.neighborhoods, cert.generator.head
-    if len(pairs) != len(terms) + 1:
-        return [f"expected {len(terms) + 1} neighborhoods for {len(terms)} terms, got {len(pairs)}"]
-    failures = []
-    for i, n in enumerate(terms):
-        u, v = pairs[i + 1], pairs[i]
-        if not window_subset_of(y, u, y, v):
-            failures.append(f"U_{i + 1} is not contained in U_{i}")
-        if not window_shift_image_subset(y, u, n, y, v):
-            failures.append(f"T^{n} U_{i + 1} is not contained in U_{i}")
-        if not window_contains(y, u, x, n):
-            failures.append(f"T^{n} x misses U_{i + 1}")
-        if not window_contains(y, u, y, n):
-            failures.append(f"T^{n} y misses U_{i + 1}")
-    for i, u in enumerate(pairs):
-        if not window_within_ball(y, u, y, i):
-            failures.append(f"U_{i} is not inside the 2^-{i} ball at y")
-    return failures
 
 
 def tamper(cert: IpConstructionCertificate, edits) -> IpConstructionCertificate:
@@ -1057,13 +917,6 @@ def orbit_copy_covering_bound(y: SymbolicPoint, reference: SymbolicPoint, pair) 
             raise InputError(f"cylinder misses the whole orbit closure: {listing}")
         entries.append(n)
     return max(entries)
-
-
-def outcome(f, *args):
-    try:
-        return f(*args)
-    except InputError as exc:
-        return str(exc)
 
 
 class TestCoveringBound:

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import combinations, product
+from itertools import combinations
 from unittest import mock
 
 import pytest
@@ -21,16 +21,7 @@ from epshift.epcore import (
 )
 from epshift.dynamics import SymbolicPoint, ae_solve
 
-from setops import first_member_at_least, intersect, issubset, union
-
-# Oracle: expand (pre, per) literally, bit by bit.  No phase arithmetic, no
-# canonicalization; the implementation must agree with this on any window.
-
-
-def raw_bit(pre: str, per: str, n: int) -> str:
-    if n < len(pre):
-        return pre[n]
-    return per[(n - len(pre)) % len(per)]
+from oracles import canonical_sets, first_member_at_least, intersect, issubset, raw_bit, union
 
 
 def raw_window(pre: str, per: str, start: int, stop: int) -> str:
@@ -444,21 +435,8 @@ class TestAlgebra:
         assert EMPTY in alg and FULL in alg
 
 
-def canonical_universe(max_pre: int, max_per: int) -> list[EpSet]:
-    """Every canonical set with preperiod <= max_pre and period <= max_per."""
-    return sorted(
-        {
-            EpSet(w[:m], w[m:])
-            for m in range(max_pre + 1)
-            for p in range(1, max_per + 1)
-            for w in map("".join, product("01", repeat=m + p))
-        },
-        key=lambda x: x.literal,
-    )
-
-
 # the 40 canonical sets with preperiod <= 2 and period <= 3
-UNIVERSE = canonical_universe(2, 3)
+UNIVERSE = canonical_sets(2, 3)
 
 
 def universe_algebras():
@@ -498,7 +476,7 @@ class TestAlgebraMasks:
     def test_contains_matches_member_list(self):
         """Probes run past the universe: preperiods longer than any lead,
         periods that divide no window period, and windows that cut atoms."""
-        probes = canonical_universe(3, 4)
+        probes = canonical_sets(3, 4)
         kinds: Counter = Counter()
         for a in UNIVERSE:
             for downward in (True, False):

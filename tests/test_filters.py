@@ -1,12 +1,9 @@
 from __future__ import annotations
 
-import hashlib
-import json
 from collections import Counter
 from dataclasses import replace
 from itertools import combinations, product
 from math import gcd
-from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -26,7 +23,6 @@ from epshift.epcore import (
 )
 from epshift.dynamics import (
     AetPairError,
-    SymbolicPoint,
     ae_solve,
     are_proximal,
     encode_point,
@@ -46,10 +42,21 @@ from epshift.filters import (
     verify_filter,
 )
 
-from setops import first_member_at_least, intersect, issubset, stack_points
+from oracles import (
+    EVENS,
+    ODDS,
+    canonical_sets,
+    closed_form_member,
+    first_member_at_least,
+    intersect,
+    issubset,
+    periodic_part,
+    pinned_cases,
+    pinned_run,
+    residue_cycle,
+    stack_points,
+)
 
-EVENS = EpSet.parse("(10)")
-ODDS = EpSet.parse("(01)")
 MULT4 = EpSet.parse("(1000)")
 
 generators = st.builds(
@@ -80,36 +87,6 @@ def small_algebra(gens, downward: bool, cap: int) -> Algebra:
         return generate_algebra(gens, downward=downward, cap=cap)
     except CapacityError:
         reject()
-
-
-def closed_form_member(x: EpSet) -> bool:
-    """Oracle: X ∈ u for any idempotent u of (βℕ, +) on eventually periodic
-    sets.  u holds one class A = pℕ + r, idempotency gives n ∈ A with
-    A − n ∈ u, and A − n = pℕ; from the preperiod m on, X ∩ pℕ is all of
-    pℕ or empty, so X ∈ u iff p·(m + 1) ∈ X.  No residue word, closure or
-    dynamics."""
-    return x.member(len(x.per) * (len(x.pre) + 1))
-
-
-def canonical_sets(max_pre: int, max_per: int) -> list[EpSet]:
-    """Every canonical set with preperiod <= max_pre and period <= max_per,
-    in literal order."""
-    return sorted(
-        {
-            EpSet("".join(w[:m]), "".join(w[m:]))
-            for m in range(max_pre + 1)
-            for p in range(1, max_per + 1)
-            for w in product("01", repeat=m + p)
-        },
-        key=lambda x: x.literal,
-    )
-
-
-def periodic_part(x: EpSet) -> EpSet:
-    """X − p·⌈m/p⌉, X's periodic part at phase 0: by the closed form,
-    {n : X − n ∈ u} for any idempotent u."""
-    p = len(x.per)
-    return x.translate_down(p * -(-len(x.pre) // p))
 
 
 def raw_gap_and_hirst(d: EpSet) -> tuple[int, int]:
@@ -162,25 +139,6 @@ class TestSubsemigroupClosure:
         c = subsemigroup_closure(residues, p)
         assert residues <= c
         assert {(a + b) % p for a in c for b in c} <= c
-
-
-def residue_cycle(g: IpGenerator, p: int) -> tuple[int, ...]:
-    """Oracle: the cycle of the residues (n_i mod p) from the last head
-    term, n_{L-1+j} ≡ cycle[j mod len] (mod p) for all j >= 0.
-
-    The walk step (j, r) → (j+1 mod k, r + d_j mod p) on (position in the
-    diff cycle, current residue) is a bijection of a finite set, so the
-    walk from the last head term is a pure cycle, which ends when the first
-    state comes back.
-    """
-    diffs = g.tail_diffs
-    first = (0, g.head[-1] % p)
-    state, cycle = first, []
-    while not cycle or state != first:
-        j, r = state
-        cycle.append(r)
-        state = ((j + 1) % len(diffs), (r + diffs[j]) % p)
-    return tuple(cycle)
 
 
 def two_bfs_member(g: IpGenerator, x: EpSet) -> MemberResult:
@@ -568,14 +526,14 @@ class TestMaskSplit:
     def test_pinned_scope_cases(self, downward):
         """Each pinned scope case's algebra, and its algebra without
         translates, under its built and its foreign generator."""
-        mismatches = []
-        for name, case in PINNED_SCOPE:
+        cases, mismatches = pinned_cases("scope"), []
+        for name, case in cases:
             alg = generate_algebra([EpSet.parse(t) for t in case["gens"]], downward=downward)
             for text in (case["expect"]["generator"], case["foreign"]):
                 g = IpGenerator.parse(text)
                 if filters._split(g, alg) != per_member_split(g, alg):
                     mismatches.append((name, text))
-        assert len(PINNED_SCOPE) == 78 and mismatches == []
+        assert len(cases) == 78 and mismatches == []
 
     @pytest.mark.parametrize("gens", [["(10)", "(100)"], ["01(10)", "(110)"], ["1(10)", "(1000)"]])
     def test_success_path_reads_no_member(self, gens):
@@ -1301,43 +1259,8 @@ class TestCentralCheck:
         assert len(universe) == 176 and not mismatches
 
 
-# the benchmark's pinned scope cases with their expected summaries; read
-# here, never written
-PINNED_SCOPE = [
-    (f"{stratum}-{i}", case)
-    for stratum, pool in json.loads(
-        (Path(__file__).resolve().parents[1] / "perfbench" / "pins.json").read_text(encoding="utf-8")
-    )["scope"].items()
-    for i, case in enumerate(pool)
-]
-
-
-def digest(obj) -> str:
-    """The first 16 hex digits of the sha256 of ``obj`` as sorted, compact JSON."""
-    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-
-@pytest.mark.parametrize("case", [c for _, c in PINNED_SCOPE], ids=[i for i, _ in PINNED_SCOPE])
+@pytest.mark.parametrize("case", [c for _, c in pinned_cases("scope")], ids=[i for i, _ in pinned_cases("scope")])
 def test_pinned_scope_summary(case):
     # closure, build, a foreign generator's audit, and the extension chain
     # through each prefix of the generating sets
-    gens = [EpSet.parse(s) for s in case["gens"]]
-    alg = generate_algebra(gens, downward=True)
-    built = build_partial_ultrafilter(alg)
-    foreign = PartialUltrafilter.for_generator(IpGenerator.parse(case["foreign"]))
-    report = verify_filter(foreign, alg)
-    chain = build_partial_ultrafilter(generate_algebra(gens[:1], downward=True))
-    for k in range(2, len(gens)):
-        chain = extend_filter(chain, generate_algebra(gens[:k], downward=True))
-    chain = extend_filter(chain, alg)
-    assert {
-        "size": len(alg),
-        "members": digest([x.literal for x in alg.members]),
-        "generator": built.generator.literal,
-        "selected": digest([x.literal for x in built.members_of(alg)]),
-        "foreign_pass": report.all_pass,
-        "foreign_report": digest(report.as_dict()),
-        "chain_generator": chain.generator.literal,
-        "chain_selected": digest([x.literal for x in chain.members_of(alg)]),
-    } == case["expect"]
+    assert pinned_run("scope", case) == (case["expect"], True)

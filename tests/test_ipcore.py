@@ -1,12 +1,10 @@
 from __future__ import annotations
 
-import json
 import math
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
 from itertools import combinations, product
-from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -14,17 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epshift import dynamics, ipcore
-from epshift.epcore import ConstructionError, EpSet, InputError, LiteralError, generate_algebra
-from epshift.dynamics import (
-    SymbolicPoint,
-    ae_solve,
-    distance_exponent,
-    encode_point,
-    shift,
-)
+from epshift.epcore import EpSet, InputError, LiteralError, generate_algebra
+from epshift.dynamics import SymbolicPoint, ae_solve, distance_exponent, encode_point, shift
 from epshift.ipcore import (
     FsSearchResult,
-    IpConstructionCertificate,
     IpGenerator,
     PartitionError,
     aet_to_iht_pipeline,
@@ -39,9 +30,7 @@ from epshift.ipcore import (
     verify_iht_witness,
 )
 
-from test_filters import residue_cycle
-
-pt = SymbolicPoint.parse
+from oracles import EVENS, ODDS, canonical_sets, outcome, pinned_cases, pinned_run, pt, residue_cycle
 
 generators = st.builds(
     IpGenerator,
@@ -313,8 +302,6 @@ class TestIpLimitCheck:
             ip_limit_check(pt("(0)"), IpGenerator.parse("2+(2)"), 3, sum_terms=0)
 
 
-EVENS = EpSet.parse("(10)")
-ODDS = EpSet.parse("(01)")
 PARITY = [EVENS, ODDS]
 MOD3 = [EpSet.parse("(100)"), EpSet.parse("(010)"), EpSet.parse("(001)")]
 MOD4_ZERO = [EpSet.parse("(1000)"), EpSet.parse("(0111)")]
@@ -503,13 +490,6 @@ def frozenset_search(colorings, terms, bound):
     return got if got is not None else FsSearchResult(found=False, bound=bound)
 
 
-def outcome(search, *args):
-    try:
-        return search(*args)
-    except InputError as e:
-        return f"{type(e).__name__}: {e}"
-
-
 class TestSearchVsBrute:
     @given(
         st.lists(small_partitions(), min_size=1, max_size=2),
@@ -665,13 +645,10 @@ THREE_PER = 4
 def two_class_universe() -> list[tuple[EpSet, EpSet]]:
     flip = str.maketrans("01", "10")
     parts = {}
-    for m in range(UNIVERSE_PRE + 1):
-        for p in range(1, UNIVERSE_PER + 1):
-            for word in product("01", repeat=m + p):
-                a = EpSet("".join(word[:m]), "".join(word[m:]))
-                b = EpSet(a.pre.translate(flip), a.per.translate(flip))
-                if "1" in a.pre + a.per and "1" in b.pre + b.per:
-                    parts.setdefault(frozenset((a, b)), (a, b))
+    for a in canonical_sets(UNIVERSE_PRE, UNIVERSE_PER):
+        b = EpSet(a.pre.translate(flip), a.per.translate(flip))
+        if "1" in a.pre + a.per and "1" in b.pre + b.per:
+            parts.setdefault(frozenset((a, b)), (a, b))
     return list(parts.values())
 
 
@@ -745,42 +722,22 @@ class TestSearchSmallUniverse:
         assert wrong == []
 
 
-# the benchmark's pinned search cases with their expected summaries; read
-# here, never written.  An exhausted case is audited on its least witness,
-# whose total is one above the bound.
-PINNED_SEARCH = [
-    (f"{stratum}-{i}", case)
-    for stratum, pool in json.loads(
-        (Path(__file__).resolve().parents[1] / "perfbench" / "pins.json").read_text(encoding="utf-8")
-    )["search"].items()
-    for i, case in enumerate(pool)
-]
-
-
-@pytest.mark.parametrize("case", [c for _, c in PINNED_SEARCH], ids=[i for i, _ in PINNED_SEARCH])
+@pytest.mark.parametrize("case", [c for _, c in pinned_cases("search")], ids=[i for i, _ in pinned_cases("search")])
 def test_pinned_search_answer(case):
-    colorings = [[EpSet.parse(s) for s in c] for c in case["colorings"]]
-    if len(colorings) == 1:
-        res = hindman_search(colorings[0], case["terms"], case["bound"])
-    else:
-        res = iht_search(colorings, case["terms"], case["bound"])
-    witness = res.witness if res.found else tuple(case["least"])
-    assert {
-        "found": res.found,
-        "witness": list(res.witness) if res.found else None,
-        "audit": verify_iht_witness(witness, colorings),
-    } == case["expect"]
+    # an exhausted case is audited on its least witness, one above the bound
+    assert pinned_run("search", case) == (case["expect"], True)
 
 
 def test_pinned_search_nodes():
     """The pinned cases visit 6,482 search nodes: calls of the ``extend``
     closure of ``_least_witness``, counted by a profile hook.  A lost cut
     changes the work and no answer, so only this count sees it."""
+    cases = pinned_cases("search")
     with search_nodes() as visited:
-        for _, case in PINNED_SEARCH:
+        for _, case in cases:
             colorings = [[EpSet.parse(s) for s in c] for c in case["colorings"]]
             iht_search(colorings, case["terms"], case["bound"])
-    assert len(PINNED_SEARCH) == 66
+    assert len(cases) == 66
     assert visited[0] == 6482
 
 
