@@ -354,8 +354,20 @@ def _cmd_scenario_run(ns) -> dict:
 # ------------------------------------------------------------------ parser
 
 
+def _integer(text: str) -> int:
+    """An integer argument: ASCII digits after an optional minus sign,
+    matched as a whole.  A negative value passes, for the function that owns
+    the argument to refuse."""
+    if re.fullmatch(r"-?[0-9]+", text):
+        try:
+            return int(text)
+        except ValueError:  # int() refuses past 4300 digits
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _add_cap(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--cap", type=int, default=65536, help="algebra size cap")
+    p.add_argument("--cap", type=_integer, default=65536, help="algebra size cap")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -384,7 +396,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = set_cmds.add_parser("member", help="is n in the set")
     p.add_argument("set")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_integer)
     p.set_defaults(handler=_cmd_set_member)
 
     p = set_cmds.add_parser("syndetic", help="exact gap bound or vanishing point")
@@ -402,7 +414,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = dyn_cmds.add_parser("shift", help="apply the shift n times")
     p.add_argument("point")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_integer)
     p.set_defaults(handler=_cmd_dyn_shift)
 
     p = dyn_cmds.add_parser("ur", help="exact uniform recurrence decision")
@@ -432,8 +444,8 @@ def _parser() -> argparse.ArgumentParser:
     p = dyn_cmds.add_parser("cover", help="orbit covering bound for a cylinder")
     p.add_argument("point")
     p.add_argument("reference")
-    p.add_argument("coord_depth", type=int)
-    p.add_argument("pos_depth", type=int)
+    p.add_argument("coord_depth", type=_integer)
+    p.add_argument("pos_depth", type=_integer)
     p.set_defaults(handler=_cmd_dyn_cover)
 
     p = dyn_cmds.add_parser("orbit", help="finite orbit closure")
@@ -445,40 +457,40 @@ def _parser() -> argparse.ArgumentParser:
 
     p = ip_cmds.add_parser("fs", help="enumerate finite sums of a tail")
     p.add_argument("gen")
-    p.add_argument("--from", dest="from_index", type=int, default=0, metavar="K")
-    p.add_argument("--terms", type=int, default=3)
-    p.add_argument("--bound", type=int, default=64)
+    p.add_argument("--from", dest="from_index", type=_integer, default=0, metavar="K")
+    p.add_argument("--terms", type=_integer, default=3)
+    p.add_argument("--bound", type=_integer, default=64)
     p.set_defaults(handler=_cmd_ip_fs)
 
     p = ip_cmds.add_parser("construct", help="certified IP sequence for an AET pair")
     p.add_argument("x")
     p.add_argument("y")
-    p.add_argument("--count", type=int, default=8, help="certificate length")
+    p.add_argument("--count", type=_integer, default=8, help="certificate length")
     p.set_defaults(handler=_cmd_ip_construct)
 
     p = ip_cmds.add_parser("limit", help="bounded IP-limit check")
     p.add_argument("point")
     p.add_argument("--gen", required=True)
-    p.add_argument("--resolution", type=int, required=True, metavar="K")
-    p.add_argument("--terms", type=int, default=3)
-    p.add_argument("--window", type=int, default=6, help="tail offsets to try")
+    p.add_argument("--resolution", type=_integer, required=True, metavar="K")
+    p.add_argument("--terms", type=_integer, default=3)
+    p.add_argument("--window", type=_integer, default=6, help="tail offsets to try")
     p.set_defaults(handler=_cmd_ip_limit)
 
     p = ip_cmds.add_parser("hindman", help="least monochromatic FS witness")
     p.add_argument("classes", help='semicolon-joined classes, e.g. "(10);(01)"')
-    p.add_argument("--terms", type=int, required=True)
-    p.add_argument("--bound", type=int, required=True)
+    p.add_argument("--terms", type=_integer, required=True)
+    p.add_argument("--bound", type=_integer, required=True)
     p.set_defaults(handler=_cmd_ip_hindman)
 
     p = ip_cmds.add_parser("iht", help="iterated Hindman search over colorings")
     p.add_argument("--coloring", action="append", required=True, metavar="CLASSES")
-    p.add_argument("--terms", type=int, required=True)
-    p.add_argument("--bound", type=int, required=True)
+    p.add_argument("--terms", type=_integer, required=True)
+    p.add_argument("--bound", type=_integer, required=True)
     p.set_defaults(handler=_cmd_ip_iht)
 
     p = ip_cmds.add_parser("pipeline", help="witness from dynamics, not search")
     p.add_argument("--coloring", action="append", required=True, metavar="CLASSES")
-    p.add_argument("--terms", type=int, required=True)
+    p.add_argument("--terms", type=_integer, required=True)
     p.set_defaults(handler=_cmd_ip_pipeline)
 
     g_filter = groups.add_parser("filter", help="partial ultrafilters over algebras")
@@ -519,7 +531,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = f_cmds.add_parser("central", help="syndetic + IP + filter membership report")
     p.add_argument("set")
-    p.add_argument("--bound", type=int, default=128, help="IP witness sum bound")
+    p.add_argument("--bound", type=_integer, default=128, help="IP witness sum bound")
     p.set_defaults(handler=_cmd_filter_central)
 
     g_scn = groups.add_parser("scenario", help="run a named-step scenario file")

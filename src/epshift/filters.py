@@ -41,6 +41,7 @@ downstream certificate.
 from __future__ import annotations
 
 import math
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 
@@ -367,6 +368,12 @@ def _encoded_pair(algebra: Algebra) -> tuple[SymbolicPoint, SymbolicPoint]:
     return x, y
 
 
+# the filter built on each Algebra object, keyed by the object's identity
+# and held weakly: an entry lives as long as its filter, whose scope keeps
+# the algebra, and so its id, alive
+_BUILT: weakref.WeakValueDictionary[int, PartialUltrafilter] = weakref.WeakValueDictionary()
+
+
 def build_partial_ultrafilter(algebra: Algebra) -> PartialUltrafilter:
     """Construct a partial minimal idempotent ultrafilter for the algebra.
 
@@ -377,14 +384,26 @@ def build_partial_ultrafilter(algebra: Algebra) -> PartialUltrafilter:
     generator depends on x only through its period lcm and preperiod
     join.  A member the filter decides neither way raises, since it would
     mean a bug in the construction rather than bad input.
+
+    Each ``Algebra`` object is built once: while the filter built on it
+    is alive, a later build on the same object (``extend_filter`` onto an
+    algebra already built, say) returns that filter, with no second
+    encoding or certificate replay.  The filter is held weakly and found
+    by the algebra's identity, so an equal but distinct algebra gets its
+    own build, and a build after the filter is dropped runs again.
     """
     if not algebra.downward_closed:
         raise InputError("filters need a downward-translation algebra")
+    built = _BUILT.get(id(algebra))
+    if built is not None and built.scope is algebra:
+        return built
     cert = ip_sequence_construct(*_encoded_pair(algebra))
     selected, neither = _split(cert.generator, algebra)
     if neither:
         raise ConstructionError("built filter decides neither way on " + ", ".join(neither))
-    return PartialUltrafilter(cert.generator, algebra, cert, tuple(selected))
+    built = PartialUltrafilter(cert.generator, algebra, cert, tuple(selected))
+    _BUILT[id(algebra)] = built
+    return built
 
 
 def ultralimit(f: PartialUltrafilter, x: SymbolicPoint) -> SymbolicPoint:
@@ -413,9 +432,11 @@ def extend_filter(f: PartialUltrafilter, new_scope: Algebra) -> PartialUltrafilt
     y1 is x1's AE solution and the stack has the new scope's period lcm and
     preperiod join, the only inputs of the construction's terms, so this is
     ``build_partial_ultrafilter(new_scope)``, checked to agree on the old
-    scope.  The pair fails, raising :class:`AetPairError` as ``ultralimit``
-    would, exactly when an old member X of period p has closure step s < p:
-    then {n : X − n ∈ F} has period s, so it is not X's periodic part.
+    scope.  Onto an algebra object whose built filter is still alive, that
+    build returns the filter already built, and only the checks here run.
+    The pair fails, raising :class:`AetPairError` as ``ultralimit`` would,
+    exactly when an old member X of period p has closure step s < p: then
+    {n : X − n ∈ F} has period s, so it is not X's periodic part.
 
     Each check is decided once for the whole old scope, and its members
     are walked only to name the offenders.  The old scope is generated by

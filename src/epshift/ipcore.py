@@ -31,7 +31,7 @@ from functools import reduce
 from itertools import accumulate, combinations
 from operator import or_
 
-from .epcore import ConstructionError, EpSet, InputError, LiteralError
+from .epcore import CapacityError, ConstructionError, EpSet, InputError, LiteralError
 from .dynamics import (
     SymbolicPoint,
     _agreement_profile,
@@ -229,6 +229,10 @@ def verify_ip_certificate(cert: IpConstructionCertificate) -> list[str]:
     return failures
 
 
+# the most terms ``ip_sequence_construct`` builds, each with its depth pair
+_MAX_TERMS = 65536
+
+
 def ip_sequence_construct(
     x: SymbolicPoint, y: SymbolicPoint, count: int = 8
 ) -> IpConstructionCertificate:
@@ -240,10 +244,13 @@ def ip_sequence_construct(
     of i + 1 and U_i's position depth plus n_i) for K coordinates, which
     makes every condition hold structurally; the emitted certificate is
     still re-verified from scratch and a failure raises, since a verifier
-    bug elsewhere must not go quiet.
+    bug elsewhere must not go quiet.  A count past 65536 raises
+    :class:`CapacityError` before any term is built.
     """
     if count < 1:
         raise InputError("need at least one generator term")
+    if count > _MAX_TERMS:
+        raise CapacityError(f"certificate length {count} exceeds the cap of {_MAX_TERMS} terms")
     require_aet_pair(x, y)
     period = y.lcm_period
     join = x.max_preperiod  # the pair check found y purely periodic

@@ -12,6 +12,7 @@ import shlex
 import shutil
 import subprocess
 import sys
+import time
 from itertools import count, product
 from pathlib import Path
 
@@ -31,7 +32,17 @@ from epshift.ipcore import (
     ip_sequence_construct,
     verify_ip_certificate,
 )
-from oracles import pinned_cases, pinned_run, pt, window_block_code, window_contains, window_replay
+from oracles import (
+    closed_form_member,
+    pinned_cases,
+    pinned_run,
+    pointwise,
+    pt,
+    union,
+    window_block_code,
+    window_contains,
+    window_replay,
+)
 
 
 @pytest.fixture()
@@ -125,6 +136,22 @@ def test_cli_diff_reports_a_changed_message(tmp_path):
         '  stderr other: "epshift: error: position must be a whole number\\n"',
         "2 calls, 1 differ",
     ]
+
+
+def test_opcount_agrees_across_hash_seeds():
+    """``tools/opcount.py`` counts one pass over four pinned scope cases
+    under two hash seeds, which agree, and every layer the op runs counts."""
+    tool = TOOL.with_name("opcount.py")
+    proc = subprocess.run(
+        [sys.executable, str(tool), "scope", "--cases", "4"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    got = json.loads(proc.stdout)
+    assert (got["workload"], got["cases"]) == ("scope", 4)
+    assert got["total"] == sum(got["modules"].values())
+    layers = {f"epshift.{m}" for m in ("epcore", "dynamics", "ipcore", "filters")}
+    assert all(got["modules"].get(m, 0) > 0 for m in layers)
 
 
 # every optional flag of every parser, keyed by subcommand; a change that
@@ -281,6 +308,50 @@ class TestExitCodes:
         code, out, err = run(*argv)
         assert (code, out) == (2, "")
         assert err.startswith(f"epshift: error: bad {kind} literal {text!r}: expected ")
+
+    @pytest.mark.parametrize("argv", [
+        ["set", "member", "(10)", "٤"], ["set", "member", "(10)", " 4"],
+        ["set", "member", "(10)", "+4"], ["set", "member", "(10)", "1_0"],
+        ["set", "member", "(10)", "4\n"], ["set", "member", "(10)", "1" * 5000],
+        ["ip", "fs", "2+(2)", "--terms", "٢", "--bound", "١٠"],
+        ["dyn", "cover", "(011)", "(011)", "1", "３"],
+        ["set", "algebra", "(10)", "--cap", "1_000"],
+    ], ids=["arabic-indic", "space", "sign", "underscore", "newline", "5000-digits",
+            "fs-arabic-indic", "cover-fullwidth", "cap-underscore"])
+    def test_integer_matched_whole(self, run, argv):
+        """An integer argument is ASCII digits after an optional minus sign,
+        matched as a whole; anything else int() would take is refused, and
+        so is a number past its digit limit."""
+        code, out, err = run(*argv)
+        assert (code, out) == (2, "")
+        assert "invalid int value" in err
+
+    def test_every_integer_argument_is_matched_whole(self):
+        """The 21 integer actions, --cap on four subcommands among them,
+        share the one converter."""
+        typed = []
+
+        def walk(parser):
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for sub in action.choices.values():
+                        walk(sub)
+                elif action.type is not None:
+                    typed.append(action.type)
+
+        walk(build_parser())
+        assert typed == [cli._integer] * 21
+
+    def test_huge_count_is_a_blown_cap(self, run):
+        """A certificate past 65536 terms is refused before any term is
+        built, with no address-space limit to stop it."""
+        start = time.perf_counter()
+        code, out, err = run("ip", "construct", "(10)", "(10)", "--count", "100000000")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (3, "") and "cap of 65536 terms" in err
+        assert run("ip", "construct", "(10)", "(10)", "--count", "65537")[0] == 3
+        code, out, _ = run("ip", "construct", "(10)", "(10)", "--count", "65536")
+        assert code == 0 and json.loads(out)["count"] == 65536
 
     def test_help_exits_zero(self, run):
         assert run("--help")[0] == 0
@@ -1141,6 +1212,150 @@ class TestAeRederived:
         assert answers > len(calls) // 3
 
 
+def flip(x: EpSet) -> EpSet:
+    return pointwise(lambda b: "0" if b == "1" else "1", x)
+
+
+def brute_closure(gens: list[EpSet]) -> list[EpSet]:
+    """The downward-translation algebra of ``gens`` in literal order: each
+    generator's translates X − n, read off its window from n (those past its
+    preperiod repeat with its period), closed under complement and union
+    by a worklist.  Translation commutes with both, so no translate of a
+    combination is new."""
+    todo = []
+    for x in gens:
+        m, p = len(x.pre), len(x.res)
+        for n in range(m + p):
+            w = x.window(n, n + m + p)
+            todo.append(EpSet(w[:m], w[m:]))
+    members: list[EpSet] = []
+    while todo:
+        x = todo.pop()
+        if x not in members:
+            todo += [flip(x)] + [union(x, y) for y in members]
+            members.append(x)
+    return sorted(members, key=lambda x: x.literal)
+
+
+def closed_form_build(sets: list[EpSet]) -> tuple[list[EpSet], list[EpSet], IpConstructionCertificate]:
+    """The closure of ``sets``, its selected members and the certificate of
+    the filter built on it, from the closed form alone.  The encoded point's
+    coordinate i is member i's complement and its companion is the purely
+    periodic point agreeing with it from the preperiod join J on; the terms
+    are the least 8 multiples of the period lcm L past J, and U_{i+1} has
+    depths (min(i + 1, K), the larger of i + 1 and U_i's position depth
+    plus n_i) for K members."""
+    closure = brute_closure(sets)
+    x = SymbolicPoint(tuple(map(flip, closure)))
+    join = max(len(u.pre) for u in closure)
+    lcm = math.lcm(*(len(u.res) for u in closure))
+    first = max(1, -(-join // lcm))
+    terms = [lcm * (first + i) for i in range(8)]
+    pairs, depth = [(0, 0)], 0
+    for i, n in enumerate(terms):
+        depth = max(i + 1, depth + n)
+        pairs.append((min(i + 1, len(closure)), depth))
+    cert = IpConstructionCertificate(
+        generator=IpGenerator.parse(",".join(map(str, terms)) + f"+({lcm})"),
+        neighborhoods=tuple(pairs),
+        target=companion(x),
+        source=x,
+    )
+    assert window_replay(cert) == []
+    return closure, [u for u in closure if closed_form_member(u)], cert
+
+
+def literal_sets(texts) -> list[EpSet] | None:
+    try:
+        return [EpSet.parse(t) for t in texts]
+    except LiteralError:
+        return None
+
+
+def rederived_filter_build(argv) -> dict | None:
+    """The object ``filter build`` must print: the closed-form build of the
+    brute-force closure, whose certificate the window oracle replays; None
+    where a literal must be refused."""
+    texts = list(argv[2:])
+    if "--cap" in texts:
+        i = texts.index("--cap")
+        del texts[i:i + 2]
+    sets = literal_sets(texts)
+    if sets is None:
+        return None
+    closure, selected, cert = closed_form_build(sets)
+    printed = {
+        "generator": cert.generator.literal,
+        "neighborhoods": [list(u) for u in cert.neighborhoods],
+        "source": cert.source.literal,
+        "target": cert.target.literal,
+    }
+    return {
+        "all_pass": True,
+        "generator": printed["generator"],
+        "scope_size": len(closure),
+        "members": [u.literal for u in selected],
+        "stages": {"encoded_point": printed["source"], "ae_point": printed["target"],
+                   "certificate": printed},
+    }
+
+
+def rederived_filter_extend(argv) -> dict | None:
+    """The object ``filter extend --base ... --new ...`` must print: the
+    closed-form build of the wider closure, with both closures' sizes;
+    None where a literal must be refused."""
+    base, new = (
+        literal_sets(t for f, t in zip(argv[2::2], argv[3::2]) if f == flag)
+        for flag in ("--base", "--new")
+    )
+    if base is None or new is None:
+        return None
+    closure, selected, cert = closed_form_build(base + new)
+    return {
+        "agreement": True,
+        "all_pass": True,
+        "generator": cert.generator.literal,
+        "base_size": len(brute_closure(base)),
+        "new_size": len(closure),
+        "members": [u.literal for u in selected],
+    }
+
+
+# filter build and extend calls for their checkers: scopes of 2 to 64
+# members, preperiodic ones among them, and malformed literals
+FILTER_CALLS = [
+    ["filter", "build", "(1)"],
+    ["filter", "build", "(10)"],
+    ["filter", "build", "1(0)"],
+    ["filter", "build", "1(10)"],
+    ["filter", "build", "(110)"],
+    ["filter", "build", "01(10)", "(1000)"],
+    ["filter", "build", "(10)", "(100)", "--cap", "128"],
+    ["filter", "build", "(10)", "(12)"],
+    ["filter", "build", "()"],
+    ["filter", "extend", "--base", "(10)", "--new", "(1000)"],
+    ["filter", "extend", "--base", "1(0)", "--new", "(10)"],
+    ["filter", "extend", "--base", "(100)", "--new", "(10)"],
+    ["filter", "extend", "--new", "1(10)", "--base", "(1)", "--new", "(10)"],
+    ["filter", "extend", "--base", "(10)", "--new", "(1)", "--cap", "8"],
+    ["filter", "extend", "--base", "(10)", "--new", "x"],
+]
+
+
+class TestFilterRederived:
+    """``filter build`` and ``filter extend`` print the closed-form build of
+    the brute-force closure, and refuse malformed literals; neither checker
+    calls ``generate_algebra``, the build, the extension or the split."""
+
+    def test_calls(self, run):
+        answers = 0
+        for argv in FILTER_CALLS:
+            want = REDERIVED[" ".join(argv[:2])](argv)
+            check_stdout(run, argv, want)
+            answers += want is not None
+        assert answers == len(FILTER_CALLS) - 3
+
+
 # each leaf subcommand's stdout checker: argv -> the object the call must
 # print, or None where it must be refused
 REDERIVED = {
@@ -1150,6 +1365,8 @@ REDERIVED = {
     "dyn ae": rederived_ae,
     "dyn eaet": rederived_eaet,
     "dyn eaetp": rederived_eaetp,
+    "filter build": rederived_filter_build,
+    "filter extend": rederived_filter_extend,
 }
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import weakref
 from collections import Counter
 from dataclasses import replace
 from itertools import combinations, product
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from epshift import dynamics, epcore, filters
+from epshift import dynamics, epcore, filters, ipcore
 from epshift.epcore import (
     EMPTY,
     FULL,
@@ -899,6 +900,75 @@ class TestExtendFilter:
         assert extension_outcome(extend_filter, f, wider) == extension_outcome(
             stacked_extend, f, wider
         )
+
+
+def replays():
+    """Patch in a counted ``verify_ip_certificate``: every certificate
+    replay of a build goes through it."""
+    return mock.patch.object(ipcore, "verify_ip_certificate", wraps=ipcore.verify_ip_certificate)
+
+
+class TestBuildOnce:
+    """Each ``Algebra`` object is built once while its filter lives: a later
+    build or an extension onto it returns that filter and replays no
+    certificate."""
+
+    def test_extend_onto_built_algebra_is_its_build(self):
+        base = build_partial_ultrafilter(generate_algebra([EVENS], downward=True))
+        alg = generate_algebra([EVENS, MULT4], downward=True)
+        f = build_partial_ultrafilter(alg)
+        assert extend_filter(base, alg) is f
+        assert build_partial_ultrafilter(alg) is f
+
+    def test_one_replay_per_algebra_object(self):
+        a0 = generate_algebra([EVENS], downward=True)
+        alg = generate_algebra([EVENS, MULT4], downward=True)
+        with replays() as replay:
+            f = build_partial_ultrafilter(alg)
+            chain = extend_filter(build_partial_ultrafilter(a0), alg)
+            assert build_partial_ultrafilter(alg) is f
+        assert chain is f and replay.call_count == 2
+
+    def test_equal_algebras_are_built_apart(self):
+        a, b = (generate_algebra([EVENS, MULT4], downward=True) for _ in range(2))
+        assert a == b and a is not b
+        with replays() as replay:
+            fa, fb = build_partial_ultrafilter(a), build_partial_ultrafilter(b)
+            assert build_partial_ultrafilter(a) is fa and build_partial_ultrafilter(b) is fb
+        assert fa.scope is a and fb.scope is b
+        assert replay.call_count == 2
+
+    def test_dropped_filter_is_built_again(self):
+        alg = generate_algebra([EVENS, MULT4], downward=True)
+        with replays() as replay:
+            f = build_partial_ultrafilter(alg)
+            dropped = weakref.ref(f)
+            del f
+            assert dropped() is None
+            assert build_partial_ultrafilter(alg).scope is alg
+        assert replay.call_count == 2
+
+    def test_failed_build_is_not_kept(self, monkeypatch):
+        alg = generate_algebra([EVENS], downward=True)
+        real = filters.ip_sequence_construct
+        monkeypatch.setattr(
+            filters, "ip_sequence_construct",
+            lambda x, y: replace(real(x, y), generator=IpGenerator.parse("1,2+(3,1)")),
+        )
+        for _ in range(2):
+            with pytest.raises(ConstructionError, match="neither way"):
+                build_partial_ultrafilter(alg)
+
+    def test_pinned_scope_replays(self):
+        """The pinned scope cases replay 164 certificates per pass, one per
+        algebra object built: the chain's last link is the full algebra's
+        build (242 when each link was built anew)."""
+        cases = pinned_cases("scope")
+        with replays() as replay:
+            for _, case in cases:
+                assert pinned_run("scope", case) == (case["expect"], True)
+        assert len(cases) == 78
+        assert replay.call_count == 164
 
 
 class TestRecords:
