@@ -41,6 +41,7 @@ from .ipcore import (
     IpConstructionCertificate,
     IpGenerator,
     aet_to_iht_pipeline,
+    color_of,
     fs_enumerate,
     hindman_search,
     iht_search,
@@ -196,11 +197,12 @@ def _cmd_ip_iht(ns) -> dict:
 
 def _cmd_ip_pipeline(ns) -> dict:
     colorings = [SymbolicPoint.parse(c).coords for c in ns.coloring]
-    res = aet_to_iht_pipeline(colorings, terms=ns.terms)
-    d = _cert_dict(res.certificate)
+    cert = aet_to_iht_pipeline(colorings, terms=ns.terms)
+    witness = cert.generator.head
+    d = _cert_dict(cert)
     return {
-        "witness": list(res.witness),
-        "colors": list(res.colors),
+        "witness": list(witness),
+        "colors": [color_of(c, witness[j]) for j, c in enumerate(colorings)],
         "stages": {"encoded_point": d["source"], "ae_point": d["target"],
                    "generator": d["generator"]},
         "certificate": d,

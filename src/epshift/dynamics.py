@@ -345,8 +345,10 @@ def covering_bound(
     )
     bound = EpSet("", hits).is_syndetic().bound
     if bound is None:
-        listing = ", ".join(p.literal for p in orbit_closure(y))
-        raise InputError(f"cylinder misses the whole orbit closure: {listing}")
+        raise InputError(
+            f"cylinder of depths ({coord_depth}, {pos_depth}) misses the whole"
+            f" orbit closure of {y.literal}"
+        )
     return bound
 
 
@@ -369,12 +371,16 @@ class BlockCode:
     bits: str
 
     def __post_init__(self) -> None:
+        # a bool, float or str dimension is refused, not coerced
+        if {type(self.arity), type(self.window), type(self.coords)} - {int}:
+            raise InputError("block code dimensions must be ints")
         if self.arity < 1 or self.window < 1 or self.coords < 1:
             raise InputError("block code dimensions must be positive")
         reads = self.arity * self.coords * self.window
         if reads > 16:
             raise InputError("block code reads too many symbols (limit 16)")
-        if len(self.bits) != self.coords << reads or set(self.bits) - {"0", "1"}:
+        bits = self.bits
+        if type(bits) is not str or len(bits) != self.coords << reads or set(bits) - {"0", "1"}:
             raise InputError(f"block code needs {self.coords << reads} bits 0/1 for {reads} reads")
 
     @classmethod

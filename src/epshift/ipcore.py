@@ -47,7 +47,6 @@ __all__ = [
     "IpConstructionCertificate",
     "IpGenerator",
     "PartitionError",
-    "PipelineResult",
     "aet_to_iht_pipeline",
     "fs_enumerate",
     "hindman_search",
@@ -79,8 +78,9 @@ class IpGenerator:
     tail_diffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        head = tuple(int(n) for n in self.head)
-        diffs = tuple(int(d) for d in self.tail_diffs)
+        head, diffs = tuple(self.head), tuple(self.tail_diffs)
+        if set(map(type, head + diffs)) - {int}:  # a bool, float or str term
+            raise InputError("generator terms and differences must be ints")
         if not head:
             raise InputError("generator needs at least one explicit term")
         if head[0] < 1:
@@ -574,25 +574,15 @@ def verify_iht_witness(witness, colorings) -> list[str]:
 # -- the end-to-end reduction -----------------------------------------------
 
 
-@dataclass(frozen=True)
-class PipelineResult:
-    """A witness, its colors, and the certified IP construction whose
-    generator head it is: ``certificate.source`` is the encoded point and
-    ``certificate.target`` its recurrent proximal companion."""
-
-    witness: tuple[int, ...]
-    colors: tuple[int, ...]
-    certificate: IpConstructionCertificate
-
-
-def aet_to_iht_pipeline(colorings, terms: int) -> PipelineResult:
+def aet_to_iht_pipeline(colorings, terms: int) -> IpConstructionCertificate:
     """Derive an iterated-Hindman witness from the dynamics, not from search.
 
     Encodes class 0 of each coloring as a point, solves for a recurrent
-    proximal companion, runs the certified IP construction, and emits the
-    generator's head as the witness.  Homogeneity of all suffix sums is
-    then verified by direct finite-sum evaluation; a failure raises, since
-    the construction is supposed to force it.
+    proximal companion, runs the certified IP construction, and returns
+    its certificate: ``generator.head`` is the witness, ``source`` the
+    encoded point and ``target`` its companion.  Homogeneity of all suffix
+    sums is verified by direct finite-sum evaluation first; a failure
+    raises, since the construction is supposed to force it.
     """
     colorings = [validate_partition(c) for c in colorings]
     if not colorings:
@@ -606,11 +596,9 @@ def aet_to_iht_pipeline(colorings, terms: int) -> PipelineResult:
 
     x = encode_point([c[0] for c in colorings])
     cert = ip_sequence_construct(x, ae_solve(x), count=terms)
-    witness = cert.generator.head
-    failures = verify_iht_witness(witness, colorings)
+    failures = verify_iht_witness(cert.generator.head, colorings)
     if failures:
         raise ConstructionError(
             "pipeline witness failed homogeneity audit: " + "; ".join(failures)
         )
-    colors = tuple(color_of(c, witness[j]) for j, c in enumerate(colorings))
-    return PipelineResult(witness=witness, colors=colors, certificate=cert)
+    return cert

@@ -4,9 +4,10 @@ Each is defined once, here; a test module imports it from this module and
 never from another test module.
 
 The library builds algebras from atoms and never combines two sets
-pointwise, so union, intersection and inclusion live here: each reads both
-sets on one window of their preperiod join plus their lcm period, past
-which both repeat.  The library never stacks two points either, so
+pointwise, so complement (``flip``), union, intersection and inclusion
+live here: each reads its sets on one window of their preperiod join
+plus their lcm period, past which they repeat.  ``brute_closure``
+closes sets under them.  The library never stacks two points either, so
 ``stack_points`` lives here for the stacked-extension oracles.  The
 benchmark's pinned cases are read through its own loader.
 """
@@ -19,7 +20,7 @@ from itertools import product
 from pathlib import Path
 
 from epshift.dynamics import BlockCode, SymbolicPoint, distance_exponent, shift
-from epshift.epcore import EpSet, InputError
+from epshift.epcore import CapacityError, EpSet, InputError
 from epshift.ipcore import IpConstructionCertificate, IpGenerator
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -76,6 +77,10 @@ def pointwise(fn, *xs: EpSet) -> EpSet:
     return EpSet(bits[:m], bits[m:])
 
 
+def flip(x: EpSet) -> EpSet:
+    return pointwise(lambda b: "0" if b == "1" else "1", x)
+
+
 def union(a: EpSet, b: EpSet) -> EpSet:
     return pointwise(lambda s, t: "1" if "1" in (s, t) else "0", a, b)
 
@@ -94,6 +99,33 @@ def first_member_at_least(x: EpSet, n: int) -> int | None:
     m, p = len(x.pre), len(x.per)
     i = x.window(n, max(n, m) + p).find("1")
     return None if i < 0 else n + i
+
+
+def brute_closure(gens, downward: bool, cap: int = 65536) -> list[EpSet]:
+    """Oracle: ``generate_algebra``'s members in literal order, with no set
+    operation of the library.  Each generator, and when ``downward`` its
+    translates X − n read off its window from n (those past its preperiod
+    repeat with its period), closed under ``flip`` and ``union`` by a
+    worklist.  Translation commutes with both, so no translate of a
+    combination is new.  Past ``cap`` members it raises the library's
+    refusal."""
+    todo = []
+    for x in gens:
+        m, p = len(x.pre), len(x.res)
+        for n in range(m + p if downward else 1):
+            w = x.window(n, n + m + p)
+            todo.append(EpSet(w[:m], w[m:]))
+    members: list[EpSet] = []
+    seen: set[EpSet] = set()
+    while todo:
+        x = todo.pop()
+        if x not in seen:
+            if len(seen) == cap:
+                raise CapacityError(f"algebra closure exceeded the cap of {cap} members")
+            todo += [flip(x)] + [union(x, y) for y in members]
+            members.append(x)
+            seen.add(x)
+    return sorted(members, key=lambda x: x.literal)
 
 
 def closed_form_member(x: EpSet) -> bool:

@@ -261,14 +261,14 @@ def test_criterion_07_pipeline_homogeneity():
         for _ in range(rng.randrange(1, 4)):
             cls = _rand_set(rng, max_pre=2, max_per=6)
             colorings.append((cls, cls.complement()))
-        res = aet_to_iht_pipeline(colorings, terms=max(4, len(colorings)))
-        g = res.certificate.generator
+        g = aet_to_iht_pipeline(colorings, terms=max(4, len(colorings))).generator
         terms = [g.term(i) for i in range(10)]
         for j, coloring in enumerate(colorings):
+            color = color_of(coloring, g.head[j])
             for size in range(1, 5):
                 for idx in combinations(range(j, 10), size):
                     s = sum(terms[i] for i in idx)
-                    if color_of(coloring, s) != res.colors[j]:
+                    if color_of(coloring, s) != color:
                         failures.append((g.literal, j, idx))
     _report(7, "20 pipeline witnesses are suffix-FS-homogeneous over 4-fold sums of 10 terms", failures)
 

@@ -33,12 +33,12 @@ from epshift.ipcore import (
     verify_ip_certificate,
 )
 from oracles import (
+    brute_closure,
     closed_form_member,
+    flip,
     pinned_cases,
     pinned_run,
-    pointwise,
     pt,
-    union,
     window_block_code,
     window_contains,
     window_replay,
@@ -194,9 +194,10 @@ def test_option_inventory():
     assert sum(map(len, found.values())) == 31
 
 
-# names that left the API: a cylinder is a reference and a depth pair, and
-# the ur, proximal and IP-limit verdicts are the JSON objects they print
-RETIRED_NAMES = ["Cylinder", "UrReport", "ProximalityReport", "IpLimitVerdict"]
+# names that left the API: a cylinder is a reference and a depth pair,
+# the ur, proximal and IP-limit verdicts are the JSON objects they print,
+# and the pipeline returns its certificate
+RETIRED_NAMES = ["Cylinder", "UrReport", "ProximalityReport", "IpLimitVerdict", "PipelineResult"]
 
 
 def test_public_name_inventory():
@@ -352,6 +353,14 @@ class TestExitCodes:
         assert run("ip", "construct", "(10)", "(10)", "--count", "65537")[0] == 3
         code, out, _ = run("ip", "construct", "(10)", "(10)", "--count", "65536")
         assert code == 0 and json.loads(out)["count"] == 65536
+
+    def test_cover_miss_names_point_and_depths(self, run):
+        """A miss names y and the depth pair, not the 17,017 points of
+        y's orbit closure."""
+        y = "(0000001);(00000000001);(0000000000001);(00000000000000001)"
+        code, out, err = run("dyn", "cover", y, "(1);(1);(1);(1)", "1", "2")
+        assert (code, out) == (2, "") and len(err.encode()) < 1024
+        assert err.count("\n") == 1 and "(1, 2)" in err and y in err
 
     def test_help_exits_zero(self, run):
         assert run("--help")[0] == 0
@@ -793,7 +802,7 @@ def library_certificate(argv) -> IpConstructionCertificate:
         )
     if kind == ("ip", "pipeline"):
         colorings = [tuple(EpSet.parse(t) for t in c.split(";")) for c in ns.coloring]
-        return aet_to_iht_pipeline(colorings, terms=ns.terms).certificate
+        return aet_to_iht_pipeline(colorings, terms=ns.terms)
     assert kind == ("filter", "build")
     sets = [EpSet.parse(t) for t in ns.sets]
     return build_partial_ultrafilter(generate_algebra(sets, downward=True, cap=ns.cap)).certificate
@@ -1212,31 +1221,6 @@ class TestAeRederived:
         assert answers > len(calls) // 3
 
 
-def flip(x: EpSet) -> EpSet:
-    return pointwise(lambda b: "0" if b == "1" else "1", x)
-
-
-def brute_closure(gens: list[EpSet]) -> list[EpSet]:
-    """The downward-translation algebra of ``gens`` in literal order: each
-    generator's translates X − n, read off its window from n (those past its
-    preperiod repeat with its period), closed under complement and union
-    by a worklist.  Translation commutes with both, so no translate of a
-    combination is new."""
-    todo = []
-    for x in gens:
-        m, p = len(x.pre), len(x.res)
-        for n in range(m + p):
-            w = x.window(n, n + m + p)
-            todo.append(EpSet(w[:m], w[m:]))
-    members: list[EpSet] = []
-    while todo:
-        x = todo.pop()
-        if x not in members:
-            todo += [flip(x)] + [union(x, y) for y in members]
-            members.append(x)
-    return sorted(members, key=lambda x: x.literal)
-
-
 def closed_form_build(sets: list[EpSet]) -> tuple[list[EpSet], list[EpSet], IpConstructionCertificate]:
     """The closure of ``sets``, its selected members and the certificate of
     the filter built on it, from the closed form alone.  The encoded point's
@@ -1245,7 +1229,7 @@ def closed_form_build(sets: list[EpSet]) -> tuple[list[EpSet], list[EpSet], IpCo
     are the least 8 multiples of the period lcm L past J, and U_{i+1} has
     depths (min(i + 1, K), the larger of i + 1 and U_i's position depth
     plus n_i) for K members."""
-    closure = brute_closure(sets)
+    closure = brute_closure(sets, downward=True)
     x = SymbolicPoint(tuple(map(flip, closure)))
     join = max(len(u.pre) for u in closure)
     lcm = math.lcm(*(len(u.res) for u in closure))
@@ -1315,7 +1299,7 @@ def rederived_filter_extend(argv) -> dict | None:
         "agreement": True,
         "all_pass": True,
         "generator": cert.generator.literal,
-        "base_size": len(brute_closure(base)),
+        "base_size": len(brute_closure(base, downward=True)),
         "new_size": len(closure),
         "members": [u.literal for u in selected],
     }

@@ -568,6 +568,12 @@ class TestBlockCode:
             ((1, 1, 1, "02"), "bits 0/1"),
             ((1, 1, 1, "0 "), "bits 0/1"),
             ((1, 2, 1, "01a0"), "bits 0/1"),
+            # no coercion: a float, a bool or a digit string is refused,
+            # and so is a table that is not one string
+            ((1.0, 1, 1, "01"), "ints"),
+            ((True, 1, 1, "01"), "ints"),
+            ((1, 1, "1", "01"), "ints"),
+            ((1, 1, 1, ["0", "1"]), "bits 0/1"),
         ],
     )
     def test_constructor_refuses(self, fields, message):
@@ -908,13 +914,13 @@ class TestCertificateReplay:
 def orbit_copy_covering_bound(y: SymbolicPoint, reference: SymbolicPoint, pair) -> int:
     """Oracle: the entry time of every orbit-closure point, each built as a
     shifted copy of y, into the cylinder of ``pair`` around ``reference``."""
-    orbit = orbit_closure(y)
     entries = []
-    for z in orbit:
+    for z in orbit_closure(y):
         n = next((n for n in range(y.lcm_period) if window_contains(reference, pair, z, n)), None)
         if n is None:
-            listing = ", ".join(p.literal for p in orbit)
-            raise InputError(f"cylinder misses the whole orbit closure: {listing}")
+            raise InputError(
+                f"cylinder of depths {pair} misses the whole orbit closure of {y.literal}"
+            )
         entries.append(n)
     return max(entries)
 

@@ -16,6 +16,7 @@ from epshift.epcore import EpSet, InputError, LiteralError, generate_algebra
 from epshift.dynamics import SymbolicPoint, ae_solve, distance_exponent, encode_point, shift
 from epshift.ipcore import (
     FsSearchResult,
+    IpConstructionCertificate,
     IpGenerator,
     PartitionError,
     aet_to_iht_pipeline,
@@ -77,7 +78,11 @@ class TestGenerator:
         with pytest.raises(LiteralError):
             IpGenerator.parse(bad)
 
-    @pytest.mark.parametrize("head,diffs", [((), (1,)), ((0,), (1,)), ((2, 2), (1,)), ((3, 1), (1,)), ((1,), ()), ((1,), (0,))])
+    # the last three are refused, not coerced: floats, digit strings, bools
+    @pytest.mark.parametrize("head,diffs", [
+        ((), (1,)), ((0,), (1,)), ((2, 2), (1,)), ((3, 1), (1,)), ((1,), ()), ((1,), (0,)),
+        ((2.5, 3.9), (1.7,)), (("4",), ("2",)), ((True,), (True,)),
+    ])
     def test_field_validation(self, head, diffs):
         with pytest.raises(InputError):
             IpGenerator(head, diffs)
@@ -766,32 +771,33 @@ class TestVerifyIhtWitness:
 
 class TestPipeline:
     def test_parity_frozen(self):
-        r = aet_to_iht_pipeline([PARITY], terms=4)
-        assert r.witness == (2, 4, 6, 8)
-        assert r.colors == (0,)
-        assert r.certificate.source.literal == "(01)"
-        assert r.certificate.target.literal == "(01)"
-        assert verify_ip_certificate(r.certificate) == []
+        cert = aet_to_iht_pipeline([PARITY], terms=4)
+        assert isinstance(cert, IpConstructionCertificate)
+        assert cert.generator.head == (2, 4, 6, 8)
+        assert color_of(PARITY, cert.generator.head[0]) == 0
+        assert cert.source.literal == "(01)"
+        assert cert.target.literal == "(01)"
+        assert verify_ip_certificate(cert) == []
 
     def test_single_class_rejected_two_required(self):
         with pytest.raises(InputError, match="2 classes"):
             aet_to_iht_pipeline([[EpSet.parse("(1)"), EpSet.parse("(0)"), EVENS]], terms=3)
 
     def test_trivial_two_class(self):
-        r = aet_to_iht_pipeline([[EpSet.parse("(1)"), EpSet.parse("(0)")]], terms=3)
-        assert r.witness == (1, 2, 3)
+        head = aet_to_iht_pipeline([[EpSet.parse("(1)"), EpSet.parse("(0)")]], terms=3).generator.head
+        assert head == (1, 2, 3)
 
     def test_same_coloring_twice(self):
-        r = aet_to_iht_pipeline([PARITY, PARITY], terms=4)
-        assert verify_iht_witness(r.witness, [PARITY, PARITY]) == []
+        head = aet_to_iht_pipeline([PARITY, PARITY], terms=4).generator.head
+        assert verify_iht_witness(head, [PARITY, PARITY]) == []
 
     def test_three_colorings(self):
         mod3_split = [EpSet.parse("(100)"), EpSet.parse("(011)")]
-        r = aet_to_iht_pipeline([PARITY, mod3_split, MOD4_ZERO], terms=5)
-        assert len(r.witness) == 5
-        assert verify_iht_witness(r.witness, [PARITY, mod3_split, MOD4_ZERO]) == []
+        head = aet_to_iht_pipeline([PARITY, mod3_split, MOD4_ZERO], terms=5).generator.head
+        assert len(head) == 5
+        assert verify_iht_witness(head, [PARITY, mod3_split, MOD4_ZERO]) == []
         # all terms share every period, so full-FS homogeneity holds from index 0
-        assert all(n % 12 == 0 for n in r.witness)
+        assert all(n % 12 == 0 for n in head)
 
     def test_terms_validation(self):
         with pytest.raises(InputError):
@@ -801,8 +807,8 @@ class TestPipeline:
 
     @given(st.lists(st.sampled_from([PARITY, MOD4_ZERO, [EpSet.parse("(100)"), EpSet.parse("(011)")]]), min_size=1, max_size=3))
     def test_witness_always_verifies(self, colorings):
-        r = aet_to_iht_pipeline(colorings, terms=max(4, len(colorings)))
-        assert verify_iht_witness(r.witness, colorings) == []
+        head = aet_to_iht_pipeline(colorings, terms=max(4, len(colorings))).generator.head
+        assert verify_iht_witness(head, colorings) == []
 
 
 class TestValidatePartition:
