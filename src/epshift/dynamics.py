@@ -21,6 +21,7 @@ the CLI prints.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -43,9 +44,6 @@ __all__ = [
     "shift",
 ]
 
-# Coordinates reuse the EpSet machinery with raw-symbol semantics.
-Word = EpSet
-
 
 class AetPairError(InputError):
     """A pair offered as (point, recurrent proximal companion) fails a check."""
@@ -55,9 +53,11 @@ class AetPairError(InputError):
 class SymbolicPoint:
     """A point of the product shift system, truncated to tracked coordinates."""
 
-    coords: tuple[Word, ...]
+    coords: tuple[EpSet, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.coords, Iterable):
+            raise InputError("a point's coordinates must be a sequence of words")
         coords = tuple(self.coords)
         if not coords:
             raise InputError("a point needs at least one coordinate")
@@ -89,16 +89,13 @@ class SymbolicPoint:
     def lcm_period(self) -> int:
         return math.lcm(*(len(c.res) for c in self.coords))
 
-    def shift(self, n: int) -> "SymbolicPoint":
-        return SymbolicPoint(tuple(c.translate_down(n) for c in self.coords))
-
 
 def shift(x: SymbolicPoint, n: int) -> SymbolicPoint:
     """Apply the shift n times: result_i(k) = x_i(k + n)."""
-    return x.shift(n)
+    return SymbolicPoint(tuple(c.translate_down(n) for c in x.coords))
 
 
-def _first_disagreement(u: Word, v: Word, n: int = 0, m: int = 0) -> int | None:
+def _first_disagreement(u: EpSet, v: EpSet, n: int = 0, m: int = 0) -> int | None:
     """The least j with u(n + j) != v(m + j), or None when T^n u = T^m v.
 
     Past both preperiods, words of one period p are their residue words
@@ -309,7 +306,7 @@ def orbit_closure(y: SymbolicPoint) -> list[SymbolicPoint]:
     the join the longest coordinate preperiod shrinks strictly, and past
     it the periods are primitive, so T^n y = T^m y needs lcm | m - n.
     """
-    return [y.shift(n) for n in range(y.max_preperiod + y.lcm_period)]
+    return [shift(y, n) for n in range(y.max_preperiod + y.lcm_period)]
 
 
 def _check_depths(point: SymbolicPoint, pairs) -> None:

@@ -144,6 +144,21 @@ class EpSet:
             parts.append(reps[phase:phase + length])
         return "".join(parts)
 
+    def mask(self, stop: int) -> int:
+        """The members below ``stop`` as an int, bit n for position n: the
+        residue word doubled from bit 0 until it covers the window, its bits
+        below ``len(pre)`` replaced by the preperiod's."""
+        if stop < 0:
+            raise InputError("mask bound must be a natural number")
+        m, w = len(self.pre), len(self.res)
+        window = (1 << stop) - 1
+        body = int(self.res[::-1], 2)
+        while w < stop:
+            body |= body << w
+            w *= 2
+        # cut to the window first, so the shifts are stop-wide, not twice that
+        return (body & window) >> m << m | int(self.pre[::-1] or "0", 2) & window
+
     def member(self, n: int) -> bool:
         """True iff ``n`` is in the set."""
         if n < 0:
@@ -182,10 +197,9 @@ class EpSet:
         m, p = len(self.pre), len(self.res)
         if "1" not in self.res:
             return GapCertificate(bound=None, empty_from=m)
-        w = self.window(0, m + 2 * p)
-        members = [i for i, b in enumerate(w) if b == "1"]
-        gaps = [b - a - 1 for a, b in zip(members, members[1:])]
-        return GapCertificate(bound=max([members[0], *gaps]), empty_from=None)
+        # the zeros before each member: the lead-in, then every gap
+        runs = self.window(0, m + 2 * p).split("1")[:-1]
+        return GapCertificate(bound=max(map(len, runs)), empty_from=None)
 
 
 def _canonical(pre: str, res: str) -> EpSet:
@@ -235,8 +249,9 @@ class Algebra:
     Every member has preperiod at most ``lead`` and period dividing
     ``period``, so it is fixed by its bits on the window
     ``[0, lead + period)``.  ``masks[i]`` holds those bits of
-    ``members[i]``, bit n for position n, and ``atoms`` holds the atoms'
-    masks: the members are exactly the unions of atoms.
+    ``members[i]`` (its ``EpSet.mask``), and ``atoms`` holds the atoms'
+    masks, refined from the generators' (:func:`generate_algebra`): the
+    members are exactly the unions of atoms.
     """
 
     members: tuple[EpSet, ...]
@@ -253,7 +268,7 @@ class Algebra:
         union of atoms: then it is the member with those bits."""
         if len(x.pre) > self.lead or self.period % len(x.res):
             return False
-        mask = int(x.window(0, self.lead + self.period)[::-1], 2)
+        mask = x.mask(self.lead + self.period)
         return all((mask & atom) in (0, atom) for atom in self.atoms)
 
     def __len__(self) -> int:
@@ -279,10 +294,12 @@ def generate_algebra(gens, downward: bool, cap: int = 65536) -> Algebra:
     The closure is built from its atoms.  Every member has preperiod at
     most M, the longest generator preperiod, and period dividing L, the
     lcm of the generator periods, so it is fixed by its bits on the window
-    ``[0, M+L)``.  Window positions with the same column of generator bits
-    form one atom: no boolean operation separates them, and the
-    intersection of the generators and complements that matches the column
-    is exactly the atom.  The atoms are nonempty, disjoint and cover the
+    ``[0, M+L)``.  The atoms refine the window's mask: each generator's
+    window mask ``row`` splits every atom ``a`` into ``a & row`` and
+    ``a & ~row``, keeping the nonzero parts.  No boolean operation
+    separates two positions that no generator tells apart, and the
+    intersection of generators and complements holding an atom is exactly
+    the atom.  The atoms are nonempty, disjoint and cover the
     window, so the closure is exactly the ``2**len(atoms)`` unions of
     atoms.  ``cap`` is checked against that count before any member is
     built, raising a :class:`CapacityError` when it is exceeded.
@@ -291,8 +308,8 @@ def generate_algebra(gens, downward: bool, cap: int = 65536) -> Algebra:
     closure is the algebra generated by the translates ``g - k`` of the
     generators.  They repeat with period ``|res|`` once ``k >= |pre|``, so
     the translates with ``k < |pre|+|res|`` give all of them.  Only their
-    bits on the window are read, and the window of ``g - k`` is ``g``'s
-    window read from offset ``k``, so no translate is built.
+    bits on the window are read, and the window mask of ``g - k`` is
+    ``g``'s mask shifted down by ``k``, so no translate is built.
 
     A member's literal is its window word cut at its canonical preperiod
     and period lengths, so members are sorted by literal without rendering
@@ -306,19 +323,17 @@ def generate_algebra(gens, downward: bool, cap: int = 65536) -> Algebra:
     m = max(len(g.pre) for g in gens)
     period = math.lcm(*(len(g.res) for g in gens))
     width = m + period
-    rows = [
-        g.window(k, k + width)
-        for g in gens
-        for k in (range(len(g.pre) + len(g.res)) if downward else [0])
-    ]
-    # column of row bits -> its atom, as a mask with bit n for position n
-    atoms: dict[tuple[str, ...], int] = {}
-    for n, column in enumerate(zip(*rows)):
-        atoms[column] = atoms.get(column, 0) | 1 << n
+    full = (1 << width) - 1
+    atoms = [full]
+    for g in gens:
+        bits = g.mask(width + len(g.pre) + len(g.res))
+        for k in range(len(g.pre) + len(g.res)) if downward else [0]:
+            row = bits >> k & full
+            atoms = [part for a in atoms for part in (a & row, a & ~row) if part]
     if 2 ** len(atoms) > cap:
         raise CapacityError(f"algebra closure exceeded the cap of {cap} members")
     masks = [0]
-    for atom in atoms.values():
+    for atom in atoms:
         masks += [mask | atom for mask in masks]
     # _normal_words on each window word: its bits from m on, rotated to
     # phase 0, have the residue word as primitive root, and the preperiod
@@ -338,6 +353,6 @@ def generate_algebra(gens, downward: bool, cap: int = 65536) -> Algebra:
         downward_closed=downward,
         lead=m,
         period=period,
-        atoms=tuple(atoms.values()),
+        atoms=tuple(atoms),
         masks=tuple(mask for _, mask, _, _ in entries),
     )

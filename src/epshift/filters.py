@@ -227,11 +227,7 @@ def translate_membership_set(f: PartialUltrafilter, x: EpSet) -> EpSet:
     strided read of X's residue word.  The word's primitive root with an
     empty preperiod is D(X)'s canonical form.
     """
-    return _translate_set(x, _closure_step(f.generator, len(x.res)))
-
-
-def _translate_set(x: EpSet, s: int) -> EpSet:
-    """D(X) for X of closure step s (see ``translate_membership_set``)."""
+    s = _closure_step(f.generator, len(x.res))
     word = "".join("0" if "0" in x.res[n::s] else "1" for n in range(s))
     return _canonical("", _primitive_root(word))
 
@@ -312,14 +308,12 @@ def verify_filter(f: PartialUltrafilter, algebra: Algebra) -> FilterReport:
     dichotomy = {"pass": not neither}
     if neither:
         dichotomy["neither"] = neither
-    # X's closure step is gcd(p, s) for the step s at the algebra's period
-    s = _closure_step(f.generator, algebra.period)
     members = []
     for x in selected:
         # D(X) is purely periodic and 0 ∈ D(X) because X ∈ F: the gap is the
         # longest cyclic run of zeros and the least positive member is the
         # first "1" past position 0 of its residue word doubled
-        d = _translate_set(x, math.gcd(len(x.res), s))
+        d = translate_membership_set(f, x)
         ww = d.res + d.res
         members.append({
             "set": x.literal,

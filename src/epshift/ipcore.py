@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate, combinations
@@ -78,6 +79,8 @@ class IpGenerator:
     tail_diffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.head, Iterable) and isinstance(self.tail_diffs, Iterable)):
+            raise InputError("generator head and tail differences must be sequences of ints")
         head, diffs = tuple(self.head), tuple(self.tail_diffs)
         if set(map(type, head + diffs)) - {int}:  # a bool, float or str term
             raise InputError("generator terms and differences must be ints")
@@ -395,7 +398,8 @@ def _least_witness(colorings, length: int, bound: int) -> FsSearchResult:
 
     Sets of naturals are Python ints used as bitsets, bit n standing for n:
 
-    - ``on[j][c]`` holds the n <= bound in class c of coloring j;
+    - ``on[j][c]`` holds the n <= bound in class c of coloring j, read
+      off that class's ``EpSet.mask``;
     - ``allowed[j]``, for each open suffix j with sums S_j and color
       c_j, holds the w with w + t in class c_j for t = 0 and every t in
       S_j; it starts as ``on[j][c_j]`` when element d = j opens the
@@ -436,18 +440,6 @@ def _least_witness(colorings, length: int, bound: int) -> FsSearchResult:
     # no witness has total < 2**length - 1; compared without building 2**length
     if length >= (bound + 1).bit_length():
         return FsSearchResult(found=False, bound=bound)
-    window = (1 << (bound + 1)) - 1
-
-    def class_mask(x: EpSet) -> int:
-        """The n <= bound in x: the residue word doubled from bit 0 until it
-        covers the window, its bits below |pre| replaced by the preperiod's."""
-        m, w = len(x.pre), len(x.res)
-        body = int(x.res[::-1], 2)
-        while w <= bound:
-            body |= body << w
-            w *= 2
-        # cut to the window first, so the shifts are bound-wide, not twice that
-        return (body & window) >> m << m | int(x.pre[::-1] or "0", 2) & window
 
     def bits(x: int):
         """The positions of the set bits of x >= 0, lowest first."""
@@ -456,7 +448,7 @@ def _least_witness(colorings, length: int, bound: int) -> FsSearchResult:
             yield low.bit_length() - 1
             x ^= low
 
-    on = [[class_mask(x) for x in c] for c in colorings]
+    on = [[x.mask(bound + 1) for x in c] for c in colorings]
     covered = [
         reduce(or_, (
             m & ((1 << len(x.pre)) - 1)

@@ -197,7 +197,10 @@ def test_option_inventory():
 # names that left the API: a cylinder is a reference and a depth pair,
 # the ur, proximal and IP-limit verdicts are the JSON objects they print,
 # and the pipeline returns its certificate
-RETIRED_NAMES = ["Cylinder", "UrReport", "ProximalityReport", "IpLimitVerdict", "PipelineResult"]
+RETIRED_NAMES = [
+    "Cylinder", "UrReport", "ProximalityReport", "IpLimitVerdict", "PipelineResult",
+    "class_mask", "_translate_set",
+]
 
 
 def test_public_name_inventory():

@@ -88,6 +88,10 @@ class TestPointBasics:
         with pytest.raises(InputError):
             SymbolicPoint(())
 
+    def test_non_sequence_stack_rejected(self):
+        with pytest.raises(InputError):
+            SymbolicPoint(5)
+
     @given(points, st.integers(min_value=0, max_value=20), st.integers(min_value=0, max_value=20))
     def test_shift_semigroup(self, x, a, b):
         assert shift(x, a + b) == shift(shift(x, a), b)

@@ -188,6 +188,20 @@ class TestMembership:
         with pytest.raises(InputError):
             EpSet.parse("(10)").window(-1, 3)
 
+    def test_mask_is_window_bits(self):
+        """The mask holds the window's bits, bit n for position n, at every
+        cut below, inside and past the preperiod and period."""
+        count = 0
+        for x in canonical_sets(3, 4):
+            for stop in range(2 * (len(x.pre) + len(x.res)) + 3):
+                assert x.mask(stop) == int(x.window(0, stop)[::-1] or "0", 2), (x.literal, stop)
+                count += 1
+        assert count == 2428
+
+    def test_negative_mask_rejected(self):
+        with pytest.raises(InputError):
+            EpSet.parse("(10)").mask(-1)
+
     def test_negative_member_rejected(self):
         with pytest.raises(InputError, match="position"):
             EpSet.parse("(10)").member(-1)
@@ -369,8 +383,8 @@ class TestAlgebra:
         assert not alg.downward_closed
 
     def test_translates_are_read_not_built(self):
-        """Each row of the downward closure is a generator's window read at
-        an offset; no translate g - k is built."""
+        """Each row of the downward closure is a generator's mask shifted
+        down by an offset; no translate g - k is built."""
         gens = [EpSet.parse("01(100)"), EpSet.parse("1(10)")]
         want = generate_algebra(gens, downward=True)
         with mock.patch.object(EpSet, "translate_down", side_effect=AssertionError):

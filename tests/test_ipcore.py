@@ -78,10 +78,10 @@ class TestGenerator:
         with pytest.raises(LiteralError):
             IpGenerator.parse(bad)
 
-    # the last three are refused, not coerced: floats, digit strings, bools
+    # refused, not coerced: floats, digit strings, bools, then fields that are not sequences
     @pytest.mark.parametrize("head,diffs", [
         ((), (1,)), ((0,), (1,)), ((2, 2), (1,)), ((3, 1), (1,)), ((1,), ()), ((1,), (0,)),
-        ((2.5, 3.9), (1.7,)), (("4",), ("2",)), ((True,), (True,)),
+        ((2.5, 3.9), (1.7,)), (("4",), ("2",)), ((True,), (True,)), (5, (1,)), ((1,), 5),
     ])
     def test_field_validation(self, head, diffs):
         with pytest.raises(InputError):
@@ -251,7 +251,7 @@ class TestIpConstruction:
             "U_2 is not inside the 2^-2 ball at y",
         ]
         assert check_u(2, (1, 5)) == ["T^4 U_2 is not contained in U_1"]
-        assert check(source=y.shift(1)) == [
+        assert check(source=shift(y, 1)) == [
             "T^2 x misses U_1", "T^4 x misses U_2", "T^6 x misses U_3"
         ]
         assert check(generator=IpGenerator((2, 3, 6), (2,))) == [
