@@ -79,23 +79,28 @@ __all__ = [
 ]
 
 
-def _sum_tree(g: IpGenerator, p: int) -> dict[int, tuple[int, int]]:
-    """Breadth-first tree of the residues of nonempty sums of tail terms.
+def _sum_tree(g: IpGenerator, p: int, target: int) -> dict[int, tuple[int, int]]:
+    """Breadth-first tree of the residues of nonempty sums of tail terms,
+    grown until it links ``target``.
 
     The tail's residues mod p are those of the k·p terms from the last head
     term, k = len(tail_diffs): the walk's step on (position in the
     difference cycle, residue) permutes k·p states, so the walk from that
     term is a pure cycle of at most k·p terms.
-    Maps each reachable residue r to (previous residue, tail residue added),
+    Maps each residue r it reaches to (previous residue, tail residue added),
     with previous residue -1 at a root.  Each level tries the tail residues
     in increasing order, so following the links back from r spells a
-    shortest word of them summing to r mod p.  Only a non-member's refuting
-    word needs it; the closure itself is a gcd (see ``_closure_step``).
+    shortest word of them summing to r mod p.  A link is never rewritten,
+    so the walk stops once ``target`` is linked and its word is the one the
+    whole tree holds.  Only a non-member's refuting word needs it; the
+    closure itself is a gcd (see ``_closure_step``).
     """
     order = sorted({t % p for t in g.terms(len(g.tail_diffs) * p, len(g.head) - 1)})
     tree = {r: (-1, r) for r in order}
     queue = list(order)
     for r in queue:  # grows while it is read: a first-in first-out queue
+        if target in tree:
+            break
         for t in order:
             s = (r + t) % p
             if s not in tree:
@@ -155,7 +160,7 @@ def filter_member(g: IpGenerator, x: EpSet) -> MemberResult:
     if "0" not in w:
         return MemberResult(member=True, tail_start=m, closure=closure)
     r = s * w.index("0")
-    tree = _sum_tree(g, p)
+    tree = _sum_tree(g, p, r)
     need: Counter = Counter()
     while r != -1:
         r, step = tree[r]
@@ -476,7 +481,10 @@ def central_check(x: EpSet, bound: int = 128) -> dict:
     residue class it contains has its additive closure inside the set's
     periodic residues, which holds exactly for class 0.  It carries either
     residue 0 with the least 4-term witness of multiples of p = period(X)
-    with total <= bound, or a per-residue refutation.  ``filter`` asks
+    with total <= bound, or a per-residue refutation.  That witness is p
+    times the least one in {k : k·p ∈ X} at bound // p, from
+    ``ipcore._least_witness``, whose own cap keeps the work the same at
+    every bound past the witness's total.  ``filter`` asks
     whether the set belongs to the filter built from its own
     downward-translation algebra, and gives that filter's generator.  Its
     verdict always equals the IP verdict: the built generator's terms are
@@ -507,13 +515,7 @@ def central_check(x: EpSet, bound: int = 128) -> dict:
     # when 0 is a periodic residue, and then {0} is its closure
     elif good[0] == "1":
         ip = {"ip": True, "residue": 0, "modulus": p, "closure": [0]}
-        # the witness is p times the least one in X' = {k : k·p ∈ X}, which
-        # holds every k >= ⌈m/p⌉: a valid prefix with total S extends by
-        # max(⌈m/p⌉, S + 1), so the least witness has total at most
-        # 8·max(⌈m/p⌉, 1) + 7 and no larger bound changes it
-        scaled = x.pre[::p]
-        top = 8 * max(len(scaled), 1) + 7
-        got = _least_witness([(EpSet(scaled, "1"),)], 4, min(bound // p, top))
+        got = _least_witness([(EpSet(x.pre[::p], "1"),)], 4, bound // p)
         if got.found:
             ip["witness"] = [p * v for v in got.witness]
             ip["witness_bound"] = bound

@@ -386,6 +386,16 @@ def iht_search(colorings, terms: int, bound: int) -> FsSearchResult:
     return _least_witness(colorings, terms + len(colorings) - 1, bound)
 
 
+def _witness_cap(join: int, period: int, length: int) -> int:
+    """B* = T_N for T_0 = 0, T_{k+1} = T_k + max(J, T_k + 1) + L - 1, with
+    J = ``join``, L = ``period`` and N = ``length``: the largest total the
+    least witness can have (proof in :func:`_least_witness`)."""
+    total = 0
+    for _ in range(length):
+        total += max(join, total + 1) + period - 1
+    return total
+
+
 def _least_witness(colorings, length: int, bound: int) -> FsSearchResult:
     """The search behind :func:`iht_search`, with N = ``length`` terms.
 
@@ -396,9 +406,35 @@ def _least_witness(colorings, length: int, bound: int) -> FsSearchResult:
     ``hindman_search`` keep their order; ``filters.central_check``
     searches a single class this way.
 
+    The search looks no further than ``width = min(bound, B*)``, B* =
+    ``_witness_cap(J, L, N)`` for J the largest preperiod and L the lcm
+    of the periods over all classes of all colorings; the result keeps
+    ``bound``.
+
+    - Cap: the least witness at ``bound`` is the least one at ``width``.
+      Lemma: if a prefix with total T has a completion, it has one whose
+      next term is below J or at most max(J, T + 1) + L - 1.  Keep the
+      completion's terms below J; from the first one >= J on, replace
+      each by the least value >= max(J, running total + 1) in its residue
+      class mod L.  Every sum holding a replaced term is >= J and keeps
+      its residue mod L, and from J on every class repeats with a period
+      dividing L, so that sum keeps its color in every coloring (also for
+      a single class that does not cover).  Two different index sets
+      still have different sums: at the highest index where they differ,
+      a replaced term exceeds the sum of all terms below it, and a kept
+      one leaves the replaced terms shared, so the sums differ by as much
+      as before.  With no bound, each next term of the least witness is
+      the least with a completion, so by the lemma it is at most
+      max(J, T_k + 1) + L - 1 for T_k the total before it, and by
+      induction the least witness has total at most T_N = B*.  Every
+      witness at a bound is one with no bound, so at bound >= B* the
+      least witness is that one, at ``bound`` and at ``width`` alike
+      (and if there is none, there is none at either); at bound < B* the
+      width is the bound.  The cuts below are sound at ``width``.
+
     Sets of naturals are Python ints used as bitsets, bit n standing for n:
 
-    - ``on[j][c]`` holds the n <= bound in class c of coloring j, read
+    - ``on[j][c]`` holds the n <= width in class c of coloring j, read
       off that class's ``EpSet.mask``;
     - ``allowed[j]``, for each open suffix j with sums S_j and color
       c_j, holds the w with w + t in class c_j for t = 0 and every t in
@@ -422,7 +458,7 @@ def _least_witness(colorings, length: int, bound: int) -> FsSearchResult:
       below that is exhausted before any mask is built.
     - Range: at depth d the rem = N - d elements still to choose are v
       and rem - 1 larger ones, adding at least rem*v + rem*(rem-1)/2, so
-      a candidate v lies in (last, (bound - total - rem*(rem-1)/2) // rem].
+      a candidate v lies in (last, (width - total - rem*(rem-1)/2) // rem].
       top > last always: top >= 1 at the root, and a child of v <= top has top' > v.
     - Davenport opening rule: the Davenport constant of Z_p is p, so any
       p residues have a nonempty subset summing to 0 mod p.  Coloring
@@ -433,13 +469,17 @@ def _least_witness(colorings, length: int, bound: int) -> FsSearchResult:
       any bound.  Such a class enters ``covered[d]`` cut to its preperiod
       positions.
     - Counting floor: at depth d >= 1 the 2**N - 2**d sums still to come
-      are distinct, exceed ``last``, are <= bound, lie in suffix 0's
+      are distinct, exceed ``last``, are <= width, lie in suffix 0's
       class and miss every old sum; a node whose class has fewer such
       places left is dead.
     """
     # no witness has total < 2**length - 1; compared without building 2**length
     if length >= (bound + 1).bit_length():
         return FsSearchResult(found=False, bound=bound)
+    sets = [x for c in colorings for x in c]
+    width = min(bound, _witness_cap(
+        max(len(x.pre) for x in sets), math.lcm(*(len(x.res) for x in sets)), length
+    ))
 
     def bits(x: int):
         """The positions of the set bits of x >= 0, lowest first."""
@@ -448,7 +488,7 @@ def _least_witness(colorings, length: int, bound: int) -> FsSearchResult:
             yield low.bit_length() - 1
             x ^= low
 
-    on = [[x.mask(bound + 1) for x in c] for c in colorings]
+    on = [[x.mask(width + 1) for x in c] for c in colorings]
     covered = [
         reduce(or_, (
             m & ((1 << len(x.pre)) - 1)
@@ -469,7 +509,7 @@ def _least_witness(colorings, length: int, bound: int) -> FsSearchResult:
 
         ``allowed[j]`` and ``colors[j]`` belong to the open suffix j;
         coloring d's suffix opens at element d.  The running total is the
-        largest sum, so it guards the bound.
+        largest sum, so it guards the width.
         """
         d = len(chosen)
         if d == length:
@@ -488,7 +528,7 @@ def _least_witness(colorings, length: int, bound: int) -> FsSearchResult:
         ):
             return None
         rem = length - d
-        top = (bound - total - rem * (rem - 1) // 2) // rem
+        top = (width - total - rem * (rem - 1) // 2) // rem
         cand = ((1 << (top + 1)) - 1) >> (last + 1) << (last + 1)
         for a in allowed:
             cand &= a

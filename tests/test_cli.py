@@ -154,6 +154,27 @@ def test_opcount_agrees_across_hash_seeds():
     assert all(got["modules"].get(m, 0) > 0 for m in layers)
 
 
+def test_opcount_epshift_subtotal_ignores_checkout_depth(tmp_path):
+    """``tools/opcount.py`` prints the ``epshift`` modules' subtotal next to
+    the total: stdlib counts such as ``pathlib``'s grow with the depth of the
+    checkout's path, and the subtotal reads the same from any depth."""
+    root = TOOL.parents[1]
+    got = []
+    for tree in (tmp_path / "a", tmp_path / "b" / "c" / "d"):
+        for part in ("src", "perfbench", "tools"):
+            shutil.copytree(root / part, tree / part, ignore=shutil.ignore_patterns("__pycache__"))
+        proc = subprocess.run(
+            [sys.executable, str(tree / "tools" / "opcount.py"), "cli"],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        got.append(json.loads(proc.stdout))
+    for out in got:
+        own = [n for m, n in out["modules"].items() if m.split(".")[0] == "epshift"]
+        assert out["epshift"] == sum(own) > 0
+    assert got[0]["epshift"] == got[1]["epshift"]
+
+
 # every optional flag of every parser, keyed by subcommand; a change that
 # adds or drops a knob edits this table
 OPTION_INVENTORY = {
@@ -278,23 +299,38 @@ class TestExitCodes:
         code, out, err = run("filter", "ulimit", "--gen", "1+(2)", "(10)")
         assert code == 2 and out == "" and "pair check failed" in err
 
-    def test_out_of_memory_is_a_blown_cap(self):
-        """A mask of 10^11 bits cannot be allocated under a 1 GiB address
-        space; the child exits 3 instead of printing a traceback."""
+    @staticmethod
+    def run_limited(argv, limit_bytes):
+        """Run the CLI in a child whose address space is capped."""
         resource = pytest.importorskip("resource")
 
         def limit():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+            resource.setrlimit(resource.RLIMIT_AS, (limit_bytes, limit_bytes))
 
         src = str(Path(__file__).resolve().parents[1] / "src")
-        proc = subprocess.run(
-            [sys.executable, "-m", "epshift.cli",
-             "ip", "hindman", "(10);(01)", "--terms", "3", "--bound", "100000000000"],
+        return subprocess.run(
+            [sys.executable, "-m", "epshift.cli", *argv],
             capture_output=True, text=True, timeout=60, preexec_fn=limit,
             env={**os.environ, "PYTHONPATH": src},
         )
+
+    def test_out_of_memory_is_a_blown_cap(self):
+        """A sum layer of 10^11 bits cannot be allocated under a 1 GiB
+        address space; the child exits 3 instead of printing a traceback."""
+        proc = self.run_limited(
+            ["ip", "fs", "5+(10000000)", "--terms", "3", "--bound", "100000000000"], 1 << 30
+        )
         assert proc.returncode == 3 and proc.stdout == ""
         assert "out of memory" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_search_at_a_huge_bound_answers(self):
+        """The search caps its masks at the least witness's largest possible
+        total, so a bound of 10^11 needs no more memory than one of 14."""
+        proc = self.run_limited(
+            ["ip", "hindman", "(10);(01)", "--terms", "3", "--bound", "100000000000"], 1 << 28
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)["witness"] == [2, 4, 8]
 
     @pytest.mark.parametrize("kind, text", [
         ("set", "(10)\n"), ("generator", "2+(2)\n"), ("generator", "١+(٢)"),

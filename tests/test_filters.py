@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import time
 import weakref
 from collections import Counter
 from dataclasses import fields, replace
@@ -274,6 +275,14 @@ class TestFilterMember:
     )
     def test_matches_two_bfs_oracle(self, g, x):
         assert filter_member(g, x) == two_bfs_member(g, x)
+
+    def test_sum_tree_stops_at_its_target(self):
+        """One member in a period of 10,007: the refuted residue is linked at
+        once, so the walk stops long before its |order|·p steps."""
+        start = time.perf_counter()
+        r = filter_member(IpGenerator.parse("1+(1)"), EpSet("", "1" + "0" * 10006))
+        assert time.perf_counter() - start < 1
+        assert (r.member, r.tail_start, r.witness_sum, r.witness_indices) == (False, 0, 1, (0,))
 
 
 class TestPartialUltrafilter:
@@ -1307,8 +1316,8 @@ class TestCentralCheck:
 
     @pytest.mark.parametrize("bound", CENTRAL_PIN_BOUNDS)
     def test_search_bound_is_pinned(self, bound, monkeypatch):
-        # a looser cap changes no answer (test_least_witness_total_is_capped),
-        # only the work, so the bound handed to the search is pinned here
+        # central keeps no cap of its own: the search caps itself
+        # (ipcore._witness_cap), so it is handed the scaled bound as is
         real = filters._least_witness
         calls = []
 
@@ -1322,8 +1331,7 @@ class TestCentralCheck:
             if x.res[0] == "1":
                 calls.clear()
                 central_check(x, bound=bound)
-                p, m = len(x.res), len(x.pre)
-                if calls != [(4, min(bound // p, 8 * max(-(-m // p), 1) + 7))]:
+                if calls != [(4, bound // len(x.res))]:
                     wrong.append((x.literal, calls[:]))
         assert wrong == []
 

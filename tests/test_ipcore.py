@@ -727,6 +727,34 @@ class TestSearchSmallUniverse:
         assert wrong == []
 
 
+class TestWitnessCap:
+    """The search looks no further than B* = ``_witness_cap(J, L, N)``, J the
+    largest preperiod and L the period lcm over all classes (proof in the
+    ``_least_witness`` docstring)."""
+
+    @pytest.mark.parametrize("join, period, length, cap", [
+        (0, 2, 3, 14), (0, 2, 12, 8190), (0, 1, 4, 15), (3, 1, 4, 31), (0, 3, 3, 21), (0, 4, 4, 60),
+    ])
+    def test_pinned(self, join, period, length, cap):
+        assert ipcore._witness_cap(join, period, length) == cap
+
+    def test_least_witness_total_is_capped(self):
+        """Checked on the brute scan, not the search: at bound 2·B* the least
+        witness exists with total <= B*, and the search returns it at 10^9."""
+        cases = [(c, terms) for c in two_class_universe() for terms in UNIVERSE_TERMS]
+        cases += [(c, 2) for c in three_class_universe()]
+        wrong = []
+        for classes, terms in cases:
+            cap = ipcore._witness_cap(
+                max(len(x.pre) for x in classes), math.lcm(*(len(x.res) for x in classes)), terms
+            )
+            want = brute_least_witness([classes], terms, 2 * cap)
+            if want is None or sum(want) > cap or hindman_search(classes, terms, 10**9).witness != want:
+                wrong.append(([x.literal for x in classes], terms, cap, want))
+        assert len(cases) == 2 * 87 + 114
+        assert wrong == []
+
+
 @pytest.mark.parametrize("case", [c for _, c in pinned_cases("search")], ids=[i for i, _ in pinned_cases("search")])
 def test_pinned_search_answer(case):
     # an exhausted case is audited on its least witness, one above the bound

@@ -12,8 +12,10 @@ between runs the way wall time does, so two trees compare on one pass.
 The pass runs in two child interpreters against the ``src/`` of the tree
 this script sits in, one under ``PYTHONHASHSEED=0`` and one under
 ``PYTHONHASHSEED=1``.  Prints the counts as one JSON object, with the
-total and the modules by descending count, and exits 1 unless both
-children counted the same.  Stdlib only.
+total, the ``epshift`` subtotal (the package's own modules, which do not
+move with the checkout's path the way ``pathlib`` does) and the modules
+by descending count, and exits 1 unless both children counted the same.
+Stdlib only.
 """
 
 from __future__ import annotations
@@ -90,6 +92,7 @@ def main(argv: list[str] | None = None) -> int:
         "workload": ns.workload,
         "cases": first["cases"],
         "total": sum(first["modules"].values()),
+        "epshift": sum(n for m, n in modules if m.split(".")[0] == "epshift"),
         "modules": dict(modules),
     }, indent=1))
     if any(run != first for run in runs[1:]):
