@@ -489,6 +489,9 @@ def _least_witness(colorings, length: int, bound: int) -> FsSearchResult:
             x ^= low
 
     on = [[x.mask(width + 1) for x in c] for c in colorings]
+    # per depth d: the counting floor 2**N - 2**d; per rem: the range slack
+    floor = [(1 << length) - (1 << d) for d in range(length)]
+    slack = [rem * (rem - 1) // 2 for rem in range(length + 1)]
     covered = [
         reduce(or_, (
             m & ((1 << len(x.pre)) - 1)
@@ -524,11 +527,11 @@ def _least_witness(colorings, length: int, bound: int) -> FsSearchResult:
         # the counting floor: places left in suffix 0's class above last
         if d and (
             (on[0][colors[0]] >> (last + 1)).bit_count() - (sums >> (last + 1)).bit_count()
-            < (1 << length) - (1 << d)
+            < floor[d]
         ):
             return None
         rem = length - d
-        top = (width - total - rem * (rem - 1) // 2) // rem
+        top = (width - total - slack[rem]) // rem
         cand = ((1 << (top + 1)) - 1) >> (last + 1) << (last + 1)
         for a in allowed:
             cand &= a
@@ -538,18 +541,23 @@ def _least_witness(colorings, length: int, bound: int) -> FsSearchResult:
         # old sums are pairwise distinct by induction, so new sums (old + v)
         # are too; only new-vs-old collisions can occur
         zero_sums = sums | 1
-        for v in bits(cand):
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            v = low.bit_length() - 1
             if sums >> v & zero_sums:
                 continue
             grown, cols = allowed, colors
             if opens:
-                low = 1 << v
-                c = next(i for i, m in enumerate(on[d]) if m & low)
-                grown, cols = allowed + [on[d][c]], colors + [c]
+                # covered[d] keeps v inside one of coloring d's classes
+                for c, m in enumerate(on[d]):
+                    if m & low:
+                        break
+                grown, cols = allowed + [m], colors + [c]
             got = extend(
                 chosen + [v],
                 total + v,
-                sums | 1 << v | sums << v,
+                sums | low | sums << v,
                 [a & (a >> v) for a in grown],
                 cols,
             )
@@ -572,7 +580,11 @@ def verify_iht_witness(witness, colorings) -> list[str]:
 
     Sums need not be distinct numbers here; homogeneity is about values,
     and arithmetic-progression witnesses (which the pipeline produces)
-    revisit sums freely.
+    revisit sums freely.  The set S_j of the suffix's sum values is built
+    once, from the last term back: S_j = S_{j+1} ∪ (S_{j+1} + x_j) ∪ {x_j}.
+    Each value is checked with one ``member`` call on the class of x_j;
+    only a failure scans the classes, to name the least failing sum of the
+    least failing coloring and its color.
     """
     witness = tuple(witness)
     colorings = [validate_partition(c) for c in colorings]
@@ -588,18 +600,21 @@ def verify_iht_witness(witness, colorings) -> list[str]:
         failures.append("witness terms must be strictly increasing")
     if failures:
         return failures
+    suffix_sums = []
+    values: set[int] = set()
+    for x in reversed(witness):
+        values = values | {s + x for s in values} | {x}
+        suffix_sums.append(values)
     for j, classes in enumerate(colorings):
-        tail = witness[j:]
-        expected = color_of(classes, tail[0])
-        for size in range(1, len(tail) + 1):
-            for combo in combinations(tail, size):
-                s = sum(combo)
-                got = color_of(classes, s)
-                if got != expected:
-                    failures.append(
-                        f"coloring {j}: sum {s} has color {got}, expected {expected}"
-                    )
-                    return failures
+        expected = color_of(classes, witness[j])
+        home = classes[expected]
+        bad = [s for s in suffix_sums[-1 - j] if not home.member(s)]
+        if bad:
+            s = min(bad)
+            failures.append(
+                f"coloring {j}: sum {s} has color {color_of(classes, s)}, expected {expected}"
+            )
+            return failures
     return failures
 
 

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import math
 import sys
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 
 from epshift.dynamics import BlockCode, SymbolicPoint, distance_exponent, shift
 from epshift.epcore import CapacityError, EpSet, InputError
-from epshift.ipcore import IpConstructionCertificate, IpGenerator
+from epshift.ipcore import IpConstructionCertificate, IpGenerator, color_of, validate_partition
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402  (perfbench/workloads.py)
@@ -277,6 +277,42 @@ def window_replay(cert: IpConstructionCertificate) -> list[str]:
     for i, u in enumerate(pairs):
         if not window_within_ball(y, u, y, i):
             failures.append(f"U_{i} is not inside the 2^-{i} ball at y")
+    return failures
+
+
+# -- witnesses --------------------------------------------------------------
+
+
+def combination_audit(witness, colorings) -> list[str]:
+    """Oracle: ``verify_iht_witness`` re-summing every subset of each
+    suffix with ``combinations`` and naming each sum's class with
+    ``color_of``; it names the first failing sum in combination order."""
+    witness = tuple(witness)
+    colorings = [validate_partition(c) for c in colorings]
+    failures: list[str] = []
+    if len(witness) < len(colorings):
+        failures.append(
+            f"witness has {len(witness)} terms but there are {len(colorings)} colorings"
+        )
+        return failures
+    if any(n < 1 for n in witness):
+        failures.append("witness terms must be positive")
+    if any(b <= a for a, b in zip(witness, witness[1:])):
+        failures.append("witness terms must be strictly increasing")
+    if failures:
+        return failures
+    for j, classes in enumerate(colorings):
+        tail = witness[j:]
+        expected = color_of(classes, tail[0])
+        for size in range(1, len(tail) + 1):
+            for combo in combinations(tail, size):
+                s = sum(combo)
+                got = color_of(classes, s)
+                if got != expected:
+                    failures.append(
+                        f"coloring {j}: sum {s} has color {got}, expected {expected}"
+                    )
+                    return failures
     return failures
 
 

@@ -138,20 +138,46 @@ def test_cli_diff_reports_a_changed_message(tmp_path):
     ]
 
 
+def test_cli_diff_times_out_a_call_and_goes_on(tmp_path):
+    """A call past the per-call timeout reads as timed out on both trees, and
+    the calls after it still run and compare: at 0.05 s the 32768-member
+    build (about 0.3 s) times out and the set lookups do not."""
+    spec = importlib.util.spec_from_file_location("cli_diff", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    assert tool.CALL_TIMEOUT_S == 30
+    shutil.copytree(TOOL.parents[1] / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    calls = [
+        ["set", "member", "(10)", "4"],
+        ["filter", "build", "(11010)", "(100)", "--cap", "32768"],
+        ["set", "member", "(10)", "5"],
+    ]
+    here, other = (tool.run_tree(root / "src", calls, timeout=0.05)
+                   for root in (TOOL.parents[1], tmp_path))
+    assert here == other
+    assert here[1] == ["timed out", "", ""]
+    assert [r[0] for r in here] == [0, "timed out", 0]
+    assert json.loads(here[0][1])["member"] and not json.loads(here[2][1])["member"]
+
+
 def test_opcount_agrees_across_hash_seeds():
-    """``tools/opcount.py`` counts one pass over four pinned scope cases
-    under two hash seeds, which agree, and every layer the op runs counts."""
+    """``tools/opcount.py`` counts one pass over four pinned scope cases, and
+    one over four pinned search cases, under two hash seeds, which agree,
+    and every layer the op runs counts."""
     tool = TOOL.with_name("opcount.py")
-    proc = subprocess.run(
-        [sys.executable, str(tool), "scope", "--cases", "4"],
-        capture_output=True, text=True, timeout=300,
-    )
-    assert (proc.returncode, proc.stderr) == (0, "")
-    got = json.loads(proc.stdout)
-    assert (got["workload"], got["cases"]) == ("scope", 4)
-    assert got["total"] == sum(got["modules"].values())
-    layers = {f"epshift.{m}" for m in ("epcore", "dynamics", "ipcore", "filters")}
-    assert all(got["modules"].get(m, 0) > 0 for m in layers)
+    for workload, modules in (("scope", ("epcore", "dynamics", "ipcore", "filters")),
+                              ("search", ("epcore", "ipcore"))):
+        proc = subprocess.run(
+            [sys.executable, str(tool), workload, "--cases", "4"],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        got = json.loads(proc.stdout)
+        assert (got["workload"], got["cases"]) == (workload, 4)
+        assert got["total"] == sum(got["modules"].values())
+        layers = {f"epshift.{m}" for m in modules}
+        assert all(got["modules"].get(m, 0) > 0 for m in layers)
 
 
 def test_opcount_epshift_subtotal_ignores_checkout_depth(tmp_path):

@@ -31,7 +31,17 @@ from epshift.ipcore import (
     verify_iht_witness,
 )
 
-from oracles import EVENS, ODDS, canonical_sets, outcome, pinned_cases, pinned_run, pt, residue_cycle
+from oracles import (
+    EVENS,
+    ODDS,
+    canonical_sets,
+    combination_audit,
+    outcome,
+    pinned_cases,
+    pinned_run,
+    pt,
+    residue_cycle,
+)
 
 generators = st.builds(
     IpGenerator,
@@ -308,6 +318,8 @@ class TestIpLimitCheck:
 
 
 PARITY = [EVENS, ODDS]
+# the witness audit is checked on ascending witnesses with total <= AUDIT_TOP
+AUDIT_TOP = 20
 MOD3 = [EpSet.parse("(100)"), EpSet.parse("(010)"), EpSet.parse("(001)")]
 MOD4_ZERO = [EpSet.parse("(1000)"), EpSet.parse("(0111)")]
 
@@ -795,6 +807,60 @@ class TestVerifyIhtWitness:
     def test_sum_terms_cap(self):
         # every sum of (4, 8, 16), up to all three terms, is a multiple of 4
         assert verify_iht_witness((4, 8, 16), [MOD4_ZERO]) == []
+
+    def test_matches_combination_audit(self):
+        """Against the ``combinations`` audit: the same verdict and failing
+        coloring on every ascending witness of 2-4 terms with total <=
+        AUDIT_TOP, arithmetic progressions among them, for each two-class
+        partition alone and for each ordered pair of the purely periodic
+        ones; a failure names the least sum of its suffix outside the
+        opener's class."""
+        witnesses = [
+            w for k in (2, 3, 4) for w in combinations(range(1, AUDIT_TOP), k) if sum(w) <= AUDIT_TOP
+        ]
+        assert (2, 4, 6, 8) in witnesses and len(witnesses) == 331
+        suffix_sums = {
+            w: [sorted({sum(sub) for k in range(1, len(w) - j + 1) for sub in combinations(w[j:], k)})
+                for j in range(len(w))]
+            for w in witnesses
+        }
+        universe = two_class_universe()
+        periodic = [c for c in universe if not c[0].pre + c[1].pre]
+        cases = [[c] for c in universe] + [list(pair) for pair in product(periodic, repeat=2)]
+        wrong, failed = [], 0
+        for colorings in cases:
+            for w in witnesses:
+                got, want = verify_iht_witness(w, colorings), combination_audit(w, colorings)
+                if not want:
+                    if got:
+                        wrong.append((w, colorings, got, want))
+                    continue
+                failed += 1
+                j = int(want[0].split(":")[0].removeprefix("coloring "))
+                classes = colorings[j]
+                expected = color_of(classes, w[j])
+                least = next(s for s in suffix_sums[w][j] if color_of(classes, s) != expected)
+                named = f"coloring {j}: sum {least} has color {color_of(classes, least)}, expected {expected}"
+                if got != [named]:
+                    wrong.append((w, colorings, got, want))
+        assert len(cases) == 87 + 100
+        assert 0 < failed < len(cases) * len(witnesses)
+        assert wrong == []
+
+
+def test_pinned_audit_member_calls():
+    """The audits of the 66 pinned search cases, each on its least witness,
+    make 4,753 ``EpSet.member`` calls, counted through a wrapped method:
+    one per suffix sum value, the classes scanned for each opener, and both
+    partition checks."""
+    cases = pinned_cases("search")
+    with mock.patch.object(EpSet, "member", autospec=True, side_effect=EpSet.member) as member:
+        for _, case in cases:
+            colorings = [[EpSet.parse(s) for s in c] for c in case["colorings"]]
+            witness = case["expect"]["witness"] or case["least"]
+            assert verify_iht_witness(witness, colorings) == []
+    assert len(cases) == 66
+    assert member.call_count == 4753
 
 
 class TestPipeline:

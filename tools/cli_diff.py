@@ -7,8 +7,10 @@ the ``src/`` of the tree this script sits in and once against OTHER_TREE's
 ``src/``, with one child interpreter per tree, and prints every call whose
 exit code, stdout or stderr differs.  FILE holds one JSON argv list per
 line; without it the calls are the benchmark's CLI corpus, read from
-``perfbench/pins.json``.  Exits 1 if any call differs and 0 otherwise.
-Stdlib only.
+``perfbench/pins.json``.  A call still running after ``CALL_TIMEOUT_S``
+seconds is stopped and recorded as ``"timed out"``, and the child goes on
+to the next call.  Exits 1 if any call differs and 0 otherwise.  Stdlib
+only.
 """
 
 from __future__ import annotations
@@ -20,33 +22,52 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+CALL_TIMEOUT_S = 30
 
 # runs in each child: the tree's src/ first on the path, and every call's
 # exit code and captured streams back as one JSON list; an exception that
-# escapes main is recorded by its last traceback line
+# escapes main is recorded by its last traceback line, and a call that
+# passes the timeout by "timed out" with empty streams
 CHILD = """
-import contextlib, io, json, sys, traceback
+import contextlib, io, json, signal, sys, traceback
 sys.path.insert(0, sys.argv[1])
+timeout = float(sys.argv[2])
 from epshift.cli import main
+
+class TimedOut(BaseException):
+    pass
+
+def alarm(signum, frame):
+    raise TimedOut
+
+signal.signal(signal.SIGALRM, alarm)
 results = []
 for argv in json.load(sys.stdin):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except Exception as exc:
-            code = "raised " + traceback.format_exception_only(exc)[-1].strip()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            signal.setitimer(signal.ITIMER_REAL, timeout)
+            try:
+                code = main(argv)
+            except Exception as exc:
+                code = "raised " + traceback.format_exception_only(exc)[-1].strip()
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+    except TimedOut:
+        results.append(["timed out", "", ""])
+        continue
     results.append([code, out.getvalue(), err.getvalue()])
 json.dump(results, sys.stdout)
 """
 
 
-def run_tree(src: Path, calls: list[list[str]]) -> list[list]:
-    """[exit code, stdout, stderr] of each call, run against ``src``."""
+def run_tree(src: Path, calls: list[list[str]], timeout: float = CALL_TIMEOUT_S) -> list[list]:
+    """[exit code, stdout, stderr] of each call, run against ``src``; a call
+    still running after ``timeout`` seconds reads ``["timed out", "", ""]``."""
     # -I keeps PYTHONPATH and user site-packages out; -B writes no bytecode
     # into either tree
     proc = subprocess.run(
-        [sys.executable, "-I", "-B", "-c", CHILD, str(src)],
+        [sys.executable, "-I", "-B", "-c", CHILD, str(src), str(timeout)],
         input=json.dumps(calls), capture_output=True, text=True,
     )
     if proc.returncode:
